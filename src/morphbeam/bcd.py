@@ -5,14 +5,14 @@ then runs projected gradient ascent on the shape with the covariance fixed.
 Both blocks are individually nondecreasing in cumulated power, so the outer
 objective sequence is monotone; iteration stops once the fractional increase
 drops below threshold. Several starts (the rigid zero shape is always one of
-them) are reduced by a plain max.
+them) run one after another and the best is kept, ties going to the lowest
+start index.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -282,6 +282,35 @@ def _build_starts(
     return starts
 
 
+def _best_of_starts(
+    geom: ArrayGeometry,
+    targets: TargetSet,
+    p_t: float,
+    cfg: BcdConfig,
+    provided_starts: tuple,
+    sdp_tol: float,
+    phased_array: bool = False,
+    n_randomizations: int = 1000,
+) -> _RunOutcome:
+    """Run every start in index order and keep the best.
+
+    Only a strictly larger objective replaces the incumbent, so ties go to
+    the lowest start index.
+    """
+    starts = _build_starts(geom, cfg, provided_starts)
+    best = None
+    for idx, (shape0, label, incumbent) in enumerate(starts):
+        cand = _run_single_start(geom, targets, p_t, cfg, shape0, idx, label,
+                                 incumbent=incumbent, sdp_tol=sdp_tol,
+                                 phased_array=phased_array,
+                                 n_randomizations=n_randomizations)
+        if best is None or cand.objective_mw > best.objective_mw:
+            best = cand
+    logger.info("bcd finished: %d starts, best objective %.6g mW from start %d",
+                len(starts), best.objective_mw, best.trace.start_index)
+    return best
+
+
 def bcd_optimize(
     geom: ArrayGeometry,
     targets: TargetSet,
@@ -289,40 +318,20 @@ def bcd_optimize(
     cfg: BcdConfig | None = None,
     provided_starts: tuple = (),
     sdp_tol: float = 1e-6,
-    max_workers: int = 1,
 ) -> tuple[CovarianceMatrix, SurfaceShape, OptimizationTrace]:
     """Joint covariance and shape optimization, best over multiple starts.
 
     Alternates the per-antenna SDP with projected gradient ascent until the
     fractional objective increase falls below the configured threshold or
     the outer cap is hit. The zero (rigid) start is always included, so the
-    result never falls below the rigid SDP value. Runs are independent and
-    the reduction is a pure max with ties broken toward the lowest start
-    index, so the result does not depend on ``max_workers``.
+    result never falls below the rigid SDP value. Starts run serially in
+    index order and the best is kept, ties going to the lowest start index.
     """
     if p_t <= 0.0:
         raise ValueError(f"power budget must be positive, got {p_t}")
     if cfg is None:
         cfg = BcdConfig()
-    starts = _build_starts(geom, cfg, provided_starts)
-
-    def run(idx_start):
-        idx, (shape0, label, incumbent) = idx_start
-        return _run_single_start(geom, targets, p_t, cfg, shape0, idx, label,
-                                 incumbent=incumbent, sdp_tol=sdp_tol)
-
-    if max_workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run, enumerate(starts)))
-    else:
-        outcomes = [run(pair) for pair in enumerate(starts)]
-
-    best = outcomes[0]
-    for cand in outcomes[1:]:
-        if cand.objective_mw > best.objective_mw:
-            best = cand
-    logger.info("bcd finished: %d starts, best objective %.6g mW from start %d",
-                len(starts), best.objective_mw, best.trace.start_index)
+    best = _best_of_starts(geom, targets, p_t, cfg, provided_starts, sdp_tol)
     return best.cov, best.shape, best.trace
 
 
@@ -335,7 +344,6 @@ def solve_benchmark(
     provided_starts: tuple = (),
     sdp_tol: float = 1e-6,
     n_randomizations: int = 1000,
-    max_workers: int = 1,
 ) -> BenchmarkResult:
     """Run one of the four benchmark schemes on an instance.
 
@@ -374,33 +382,15 @@ def solve_benchmark(
     if scheme is Scheme.FIM_MIMO:
         cov, shape, trace = bcd_optimize(geom, targets, p_t, cfg,
                                          provided_starts=provided_starts,
-                                         sdp_tol=sdp_tol,
-                                         max_workers=max_workers)
+                                         sdp_tol=sdp_tol)
         return BenchmarkResult(scheme=scheme,
                                objective_mw=trace.records[-1].objective_mw,
                                cov=cov, shape=shape, trace=trace)
 
     # FIM_PA: each covariance step is relaxation + randomization and the
     # resulting rank-1 covariance drives the shape ascent.
-    starts = _build_starts(geom, cfg, provided_starts)
-
-    def run(idx_start):
-        idx, (shape0, label, incumbent) = idx_start
-        return _run_single_start(geom, targets, p_t, cfg, shape0, idx, label,
-                                 incumbent=incumbent, sdp_tol=sdp_tol,
-                                 phased_array=True,
-                                 n_randomizations=n_randomizations)
-
-    if max_workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run, enumerate(starts)))
-    else:
-        outcomes = [run(pair) for pair in enumerate(starts)]
-
-    best = outcomes[0]
-    for cand in outcomes[1:]:
-        if cand.objective_mw > best.objective_mw:
-            best = cand
+    best = _best_of_starts(geom, targets, p_t, cfg, provided_starts, sdp_tol,
+                           phased_array=True, n_randomizations=n_randomizations)
     return BenchmarkResult(scheme=scheme, objective_mw=best.objective_mw,
                            cov=best.cov, shape=best.shape,
                            weights=best.weights, trace=best.trace)

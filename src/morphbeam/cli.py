@@ -68,8 +68,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="override the config seed")
     sub.add_argument("--out", default=None,
                      help="output directory (default: output.dir from the config)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for independent subtasks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,26 +132,25 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     out_dir = Path(args.out) if args.out is not None else Path(cfg.output.dir)
-    threads = max(1, args.threads)
 
     try:
         if args.command == "optimize":
-            record = run_optimize(cfg, out_dir, threads)
+            record = run_optimize(cfg, out_dir)
             print(f"{record.scheme}: {record.objective_dbm:.3f} dBm cumulated "
                   f"({record.objective_mw:.6g} mW), min target "
                   f"{record.min_target_dbm:.3f} dBm -> {out_dir}")
         elif args.command == "beampattern":
-            dest = run_beampattern(cfg, out_dir, threads)
+            dest = run_beampattern(cfg, out_dir)
             print(f"beampattern grid -> {dest}")
         elif args.command == "sweep-power":
             levels = args.p_t_dbm if args.p_t_dbm is not None else [cfg.p_t_dbm]
-            rows = run_sweep_power(cfg, out_dir, levels, threads)
+            rows = run_sweep_power(cfg, out_dir, levels)
             print(f"{len(rows)} sweep rows -> {out_dir / 'sweep_power.csv'}")
         elif args.command == "sweep-range":
-            rows = run_sweep_range(cfg, out_dir, args.d_max, args.sizes, threads)
+            rows = run_sweep_range(cfg, out_dir, args.d_max, args.sizes)
             print(f"{len(rows)} sweep rows -> {out_dir / 'sweep_range.csv'}")
         elif args.command == "compare-schemes":
-            records = run_compare(cfg, out_dir, threads)
+            records = run_compare(cfg, out_dir)
             for record in records:
                 print(f"{record.scheme:9s} {record.objective_dbm:8.3f} dBm cumulated, "
                       f"min target {record.min_target_dbm:8.3f} dBm")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,26 @@ def _reject_unknown(block: dict, context: str) -> None:
         raise ConfigError(f"{context}: unknown keys {sorted(block)}")
 
 
+# field annotations are strings under ``from __future__ import annotations``
+_KINDS = {"int": int, "float": float, "str": str, "list": list}
+
+
+def _parse_block(cls, block: dict, context: str):
+    """Build dataclass ``cls`` from one JSON object.
+
+    Keys are the field names; an absent key takes the field's own default
+    (or is an error when the field has none), and unknown keys are rejected.
+    """
+    block = dict(block)
+    kwargs = {}
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required or f.name in block:
+            kwargs[f.name] = _take(block, context, f.name, _KINDS[f.type])
+    _reject_unknown(block, context)
+    return cls(**kwargs)
+
+
 @dataclass
 class GeometryConfig:
     n_x: int
@@ -66,17 +86,7 @@ class GeometryConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeometryConfig":
-        d = dict(d)
-        out = cls(
-            n_x=_take(d, "geometry", "n_x", int),
-            n_z=_take(d, "geometry", "n_z", int),
-            dx_wavelengths=_take(d, "geometry", "dx_wavelengths", float),
-            dz_wavelengths=_take(d, "geometry", "dz_wavelengths", float),
-            frequency_hz=_take(d, "geometry", "frequency_hz", float),
-            d_max_wavelengths=_take(d, "geometry", "d_max_wavelengths", float),
-        )
-        _reject_unknown(d, "geometry")
-        return out
+        return _parse_block(cls, d, "geometry")
 
     def to_dict(self) -> dict:
         return {
@@ -97,16 +107,7 @@ class TargetConfig:
 
     @classmethod
     def from_dict(cls, d: dict, index: int) -> "TargetConfig":
-        d = dict(d)
-        ctx = f"targets[{index}]"
-        out = cls(
-            theta_deg=_take(d, ctx, "theta_deg", float),
-            phi_deg=_take(d, ctx, "phi_deg", float),
-            rcs_re=_take(d, ctx, "rcs_re", float, 1.0),
-            rcs_im=_take(d, ctx, "rcs_im", float, 0.0),
-        )
-        _reject_unknown(d, ctx)
-        return out
+        return _parse_block(cls, d, f"targets[{index}]")
 
     def to_dict(self) -> dict:
         return {"theta_deg": self.theta_deg, "phi_deg": self.phi_deg,
@@ -115,37 +116,23 @@ class TargetConfig:
 
 @dataclass
 class AlgorithmConfig:
+    """Flat JSON form of ``BcdConfig`` and ``AscentConfig``, whose defaults it reuses."""
+
     scheme: str = Scheme.FIM_MIMO.value
-    max_outer_iters: int = 50
-    rel_increase_threshold_db: float = -30.0
-    n_starts: int = 4
-    init_scheme: str = InitScheme.UNIFORM_BOX.value
-    grad_tol: float = 1e-6
-    ascent_max_iters: int = 1000
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    initial_step: float = 1e-2
+    max_outer_iters: int = BcdConfig.max_outer_iters
+    rel_increase_threshold_db: float = BcdConfig.rel_increase_threshold_db
+    n_starts: int = BcdConfig.n_starts
+    init_scheme: str = BcdConfig.init_scheme.value
+    grad_tol: float = AscentConfig.grad_tol
+    ascent_max_iters: int = AscentConfig.max_iters
+    armijo_c: float = AscentConfig.armijo_c
+    shrink: float = AscentConfig.shrink
+    initial_step: float = AscentConfig.initial_step
     init_displacements: list = field(default_factory=list)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AlgorithmConfig":
-        d = dict(d)
-        out = cls(
-            scheme=_take(d, "algorithm", "scheme", str, Scheme.FIM_MIMO.value),
-            max_outer_iters=_take(d, "algorithm", "max_outer_iters", int, 50),
-            rel_increase_threshold_db=_take(
-                d, "algorithm", "rel_increase_threshold_db", float, -30.0),
-            n_starts=_take(d, "algorithm", "n_starts", int, 4),
-            init_scheme=_take(d, "algorithm", "init_scheme", str,
-                              InitScheme.UNIFORM_BOX.value),
-            grad_tol=_take(d, "algorithm", "grad_tol", float, 1e-6),
-            ascent_max_iters=_take(d, "algorithm", "ascent_max_iters", int, 1000),
-            armijo_c=_take(d, "algorithm", "armijo_c", float, 1e-4),
-            shrink=_take(d, "algorithm", "shrink", float, 0.5),
-            initial_step=_take(d, "algorithm", "initial_step", float, 1e-2),
-            init_displacements=_take(d, "algorithm", "init_displacements", list, []),
-        )
-        _reject_unknown(d, "algorithm")
+        out = _parse_block(cls, d, "algorithm")
         try:
             Scheme(out.scheme)
         except ValueError:
@@ -183,12 +170,7 @@ class OutputConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OutputConfig":
-        d = dict(d)
-        out = cls(
-            dir=_take(d, "output", "dir", str, "out"),
-            grid_points=_take(d, "output", "grid_points", int, 181),
-        )
-        _reject_unknown(d, "output")
+        out = _parse_block(cls, d, "output")
         if out.grid_points < 2:
             raise ConfigError(f"output: grid_points must be >= 2, got {out.grid_points}")
         return out
@@ -224,7 +206,7 @@ class ExperimentConfig:
         _reject_unknown(power, "power")
         algorithm = AlgorithmConfig.from_dict(_take(d, "config", "algorithm", dict, {}))
         output = OutputConfig.from_dict(_take(d, "config", "output", dict, {}))
-        seed = _take(d, "config", "seed", int, 0)
+        seed = _take(d, "config", "seed", int, cls.seed)
         _reject_unknown(d, "config")
         cfg = cls(geometry=geometry, targets=targets, p_t_dbm=p_t_dbm,
                   algorithm=algorithm, output=output, seed=seed)

@@ -2,8 +2,10 @@
 
 Each runner takes a parsed :class:`ExperimentConfig`, executes the requested
 pipeline, and persists records/CSV artifacts into an output directory. All
-randomness flows from the config seed, so rerunning a config reproduces every
-output byte except wall-clock timings.
+randomness flows from the config seed and every solve runs serially, so in a
+fixed numeric environment (the same numpy/BLAS build and the same BLAS thread
+count) rerunning a config reproduces every output byte except wall-clock
+timings.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,7 @@ def _provided_starts(cfg: ExperimentConfig):
     return (shape,) if shape is not None else ()
 
 
-def _solve(cfg: ExperimentConfig, scheme: Scheme, threads: int = 1,
+def _solve(cfg: ExperimentConfig, scheme: Scheme,
            geom: ArrayGeometry | None = None,
            provided_starts: tuple = ()) -> BenchmarkResult:
     geom = geom if geom is not None else cfg.build_geometry()
@@ -62,7 +63,7 @@ def _solve(cfg: ExperimentConfig, scheme: Scheme, threads: int = 1,
     starts = provided_starts if provided_starts else _provided_starts(cfg)
     try:
         return solve_benchmark(scheme, geom, targets, p_t, cfg.build_bcd(),
-                               provided_starts=starts, max_workers=threads)
+                               provided_starts=starts)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"linear algebra failure in scheme {scheme.value}: {exc}") from exc
 
@@ -86,15 +87,22 @@ def _make_record(cfg: ExperimentConfig, scheme: Scheme, res: BenchmarkResult,
     )
 
 
+def _check_threads(threads: int) -> None:
+    # Runs are serial; the keyword stays because perfbench/workloads.py passes 1.
+    if threads != 1:
+        raise ValueError(f"runs are serial; threads must be 1, got {threads}")
+
+
 def run_optimize(cfg: ExperimentConfig, out_dir: str | Path,
                  threads: int = 1) -> ResultRecord:
     """Run the configured scheme and persist record + covariance + shape."""
+    _check_threads(threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     geom = cfg.build_geometry()
     targets = cfg.build_targets()
     tic = time.perf_counter()
-    res = _solve(cfg, cfg.scheme, threads, geom=geom)
+    res = _solve(cfg, cfg.scheme, geom=geom)
     record = _make_record(cfg, cfg.scheme, res, geom, targets,
                           time.perf_counter() - tic)
     record.save(out / "record.json")
@@ -109,6 +117,7 @@ def run_optimize(cfg: ExperimentConfig, out_dir: str | Path,
 def run_beampattern(cfg: ExperimentConfig, out_dir: str | Path,
                     threads: int = 1) -> Path:
     """Evaluate the grid for a previously optimized covariance and shape."""
+    _check_threads(threads)
     out = Path(out_dir)
     cov_path = out / "covariance.csv"
     shape_path = out / "shape.csv"
@@ -127,7 +136,7 @@ def run_beampattern(cfg: ExperimentConfig, out_dir: str | Path,
 
 
 def run_sweep_power(cfg: ExperimentConfig, out_dir: str | Path,
-                    p_t_dbm_list, threads: int = 1) -> list[tuple]:
+                    p_t_dbm_list) -> list[tuple]:
     """Cumulated power of all four schemes across transmit power levels.
 
     Each scheme is optimized once at the configured reference power; other
@@ -141,15 +150,7 @@ def run_sweep_power(cfg: ExperimentConfig, out_dir: str | Path,
     if not levels:
         raise ValueError("sweep-power needs at least one p_t level")
     p_ref = dbm_to_mw(cfg.p_t_dbm)
-
-    def solve_one(scheme):
-        return scheme, _solve(cfg, scheme, threads=1)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ref = dict(pool.map(solve_one, SCHEME_ORDER))
-    else:
-        ref = dict(solve_one(s) for s in SCHEME_ORDER)
+    ref = {scheme: _solve(cfg, scheme) for scheme in SCHEME_ORDER}
 
     rows = []
     for p_dbm in levels:
@@ -162,7 +163,7 @@ def run_sweep_power(cfg: ExperimentConfig, out_dir: str | Path,
 
 
 def run_sweep_range(cfg: ExperimentConfig, out_dir: str | Path,
-                    d_max_list, sizes=None, threads: int = 1) -> list[tuple]:
+                    d_max_list, sizes=None) -> list[tuple]:
     """Morphing-range sweep with warm starts, optionally over array sizes.
 
     Ranges are processed in increasing order; each optimum (shape and
@@ -182,53 +183,34 @@ def run_sweep_range(cfg: ExperimentConfig, out_dir: str | Path,
     if sizes is None:
         sizes = [(base_geom.n_x, base_geom.n_z)]
 
-    def ladder(size):
-        n_x, n_z = size
-        chain: list[tuple] = []
+    rows = []
+    for n_x, n_z in sizes:
         prev: tuple[SurfaceShape, CovarianceMatrix] | None = None
         for d in ranges:
             geom = dataclasses.replace(base_geom, n_x=n_x, n_z=n_z, d_max=d)
             provided = (prev,) if prev is not None else ()
-            res = _solve(cfg, Scheme.FIM_MIMO, threads=1, geom=geom,
+            res = _solve(cfg, Scheme.FIM_MIMO, geom=geom,
                          provided_starts=provided)
-            chain.append((d, n_x, n_z, res.objective_mw))
+            rows.append((d, n_x, n_z, res.objective_mw))
             prev = (res.shape, res.cov)
-        return chain
-
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chains = list(pool.map(ladder, sizes))
-    else:
-        chains = [ladder(size) for size in sizes]
-
-    rows = [row for chain in chains for row in chain]
     write_sweep_range_csv(out / "sweep_range.csv", rows)
     return rows
 
 
-def run_compare(cfg: ExperimentConfig, out_dir: str | Path,
-                threads: int = 1) -> list[ResultRecord]:
+def run_compare(cfg: ExperimentConfig, out_dir: str | Path) -> list[ResultRecord]:
     """All four schemes on the configured instance, with per-scheme artifacts."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     geom = cfg.build_geometry()
     targets = cfg.build_targets()
 
-    def solve_one(scheme):
-        tic = time.perf_counter()
-        res = _solve(cfg, scheme, threads=1, geom=geom)
-        return scheme, res, time.perf_counter() - tic
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve_one, SCHEME_ORDER))
-    else:
-        solved = [solve_one(s) for s in SCHEME_ORDER]
-
     records = []
     summary_rows = []
-    for scheme, res, wall in solved:
-        record = _make_record(cfg, scheme, res, geom, targets, wall)
+    for scheme in SCHEME_ORDER:
+        tic = time.perf_counter()
+        res = _solve(cfg, scheme, geom=geom)
+        record = _make_record(cfg, scheme, res, geom, targets,
+                              time.perf_counter() - tic)
         record.save(out / f"record-{scheme.value}.json")
         write_covariance_csv(out / f"covariance-{scheme.value}.csv", res.cov.r)
         write_shape_csv(out / f"shape-{scheme.value}.csv", res.shape.displacements)

@@ -105,12 +105,14 @@ class TestBcdOptimize:
         np.testing.assert_array_equal(cov1.r, cov2.r)
         np.testing.assert_array_equal(trace1.objectives, trace2.objectives)
 
-    def test_worker_count_does_not_change_result(self):
-        geom, targets = make_instance(d_max=0.5, seed=4)
-        _, _, trace1 = bcd_optimize(geom, targets, P_T, quick_cfg(n_starts=3))
-        _, _, trace2 = bcd_optimize(geom, targets, P_T, quick_cfg(n_starts=3),
-                                    max_workers=3)
-        np.testing.assert_array_equal(trace1.objectives, trace2.objectives)
+    def test_tie_goes_to_lowest_start_index(self):
+        # With d_max = 0 a provided zero shape repeats the zero start exactly,
+        # so the two runs tie and the earlier one must be kept.
+        geom, targets = make_instance(d_max=0.0)
+        _, _, trace = bcd_optimize(geom, targets, P_T, quick_cfg(),
+                                   provided_starts=(SurfaceShape.zero(geom),))
+        assert trace.start_index == 0
+        assert trace.init_label == InitScheme.ZERO.value
 
     def test_rejects_nonpositive_power(self):
         geom, targets = make_instance(d_max=0.5)

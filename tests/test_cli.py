@@ -103,6 +103,15 @@ def test_run_beampattern_requires_prior_optimize(tmp_path):
         run_beampattern(cfg, tmp_path)
 
 
+def test_runners_reject_more_than_one_thread(tmp_path):
+    # Runs are serial; threads=1 is the only accepted value, never ignored.
+    cfg = ExperimentConfig.from_dict(small_config_dict())
+    with pytest.raises(ValueError, match="threads"):
+        run_optimize(cfg, tmp_path, threads=2)
+    with pytest.raises(ValueError, match="threads"):
+        run_beampattern(cfg, tmp_path, threads=2)
+
+
 def test_run_beampattern_grid_dimensions_and_ceiling(tmp_path):
     cfg = ExperimentConfig.from_dict(small_config_dict())
     run_optimize(cfg, tmp_path)
@@ -284,6 +293,15 @@ def test_cli_rejects_malformed_sizes(tmp_path):
         main(["sweep-range", "--config", str(path), "--out", str(tmp_path),
               "--sizes", "4y4"])
     assert excinfo.value.code == 2
+
+
+def test_cli_rejects_threads_flag(tmp_path):
+    path = write_config(tmp_path, tiny_config_dict())
+    with pytest.raises(SystemExit) as excinfo:
+        main(["optimize", "--config", str(path), "--out", str(tmp_path),
+              "--threads", "2"])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "record.json").exists()
 
 
 def test_cli_sweep_power_writes_rows(tmp_path, capsys):

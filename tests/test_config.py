@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from morphbeam.bcd import InitScheme, Scheme
+from morphbeam.bcd import BcdConfig, InitScheme, Scheme
 from morphbeam.config import ConfigError, ExperimentConfig, load_config
 from morphbeam.units import wavelength_from_frequency
 
@@ -57,6 +57,10 @@ class TestParsing:
         assert cfg.scheme is Scheme.FIM_MIMO
         assert cfg.algorithm.n_starts == 4
         assert cfg.output.grid_points == 181
+
+    def test_empty_algorithm_block_matches_bcd_defaults(self):
+        cfg = ExperimentConfig.from_dict(base_dict(algorithm={}, seed=7))
+        assert cfg.build_bcd() == BcdConfig(rng_seed=7)
 
     def test_unknown_keys_rejected_everywhere(self):
         for breaker in (
@@ -205,3 +209,11 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.build_geometry().n_elements == 100
         assert cfg.build_targets().n_targets == 3
+
+    def test_bundled_reference_config_digest_is_stable(self):
+        # config_digest in every record hashes this; a parsing or default
+        # change that alters it breaks comparison with earlier records.
+        from pathlib import Path
+        path = Path(__file__).resolve().parent.parent / "configs" / "desk-10x10.json"
+        assert load_config(path).digest() == (
+            "64aa40e98cc09f9af153f2cdc64b185162dd9c6efda5ec9a97eff4a42b99e532")
