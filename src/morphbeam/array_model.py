@@ -13,7 +13,7 @@ phases reduce to 2*pi times geometric path differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,20 +105,16 @@ class SurfaceShape:
 
 @dataclass
 class TargetSet:
-    """Directions (elevation theta, azimuth phi, radians) and RCS coefficients."""
+    """Target directions (elevation theta, azimuth phi, radians), all weighted equally."""
 
     thetas: np.ndarray
     phis: np.ndarray
-    rcs: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         self.thetas = np.atleast_1d(np.asarray(self.thetas, dtype=float))
         self.phis = np.atleast_1d(np.asarray(self.phis, dtype=float))
-        if self.rcs is None:
-            self.rcs = np.ones(self.thetas.size, dtype=complex)
-        self.rcs = np.atleast_1d(np.asarray(self.rcs, dtype=complex))
-        if not (self.thetas.size == self.phis.size == self.rcs.size):
-            raise ValueError("thetas, phis, and rcs must have equal length")
+        if self.thetas.size != self.phis.size:
+            raise ValueError("thetas and phis must have equal length")
         if self.thetas.size < 1:
             raise ValueError("at least one target is required")
         if np.any(self.thetas < 0.0) or np.any(self.thetas > np.pi):
@@ -127,8 +123,8 @@ class TargetSet:
             raise ValueError("azimuth angles must lie in [0, pi]")
 
     @classmethod
-    def from_degrees(cls, thetas_deg, phis_deg, rcs=None) -> "TargetSet":
-        return cls(np.deg2rad(thetas_deg), np.deg2rad(phis_deg), rcs)
+    def from_degrees(cls, thetas_deg, phis_deg) -> "TargetSet":
+        return cls(np.deg2rad(thetas_deg), np.deg2rad(phis_deg))
 
     @property
     def n_targets(self) -> int:

@@ -46,6 +46,8 @@ class TerminationReason(str, Enum):
 
 
 class InitScheme(str, Enum):
+    """Label of how a start shape was made, written to ``OptimizationTrace.init_label``."""
+
     ZERO = "zero"
     UNIFORM_BOX = "uniform-box"
     PROVIDED = "provided"
@@ -71,8 +73,9 @@ class BcdConfig:
 
     ``rel_increase_threshold_db`` is the dB form of the stopping rule: the
     loop ends once (P_new - P_old)/P_old < 10**(threshold_db/10), i.e.
-    -30 dB means a fractional increase below 1e-3. ``init_scheme`` selects
-    how starts beyond the always-present zero start are generated.
+    -30 dB means a fractional increase below 1e-3. ``n_starts`` counts the
+    always-present zero start plus ``n_starts - 1`` uniform-box draws; a
+    rigid geometry (``d_max = 0``) runs the zero start alone.
     """
 
     max_outer_iters: int = 50
@@ -80,7 +83,6 @@ class BcdConfig:
     ascent: AscentConfig = field(default_factory=AscentConfig)
     n_starts: int = 4
     rng_seed: int = 0
-    init_scheme: InitScheme = InitScheme.UNIFORM_BOX
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
@@ -89,7 +91,6 @@ class BcdConfig:
             raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
-        self.init_scheme = InitScheme(self.init_scheme)
 
     @property
     def rel_increase_threshold(self) -> float:
@@ -168,9 +169,7 @@ def _run_single_start(
     start_index: int,
     init_label: str,
     incumbent: CovarianceMatrix | None = None,
-    sdp_tol: float = 1e-6,
     phased_array: bool = False,
-    n_randomizations: int = 1000,
 ) -> _RunOutcome:
     """One BCD run from one starting shape.
 
@@ -197,15 +196,14 @@ def _run_single_start(
     for outer in range(1, cfg.max_outer_iters + 1):
         tic = time.perf_counter()
         rm = response_matrix(geom, targets, shape)
-        cov_sdp, rep = solve_per_antenna_sdp(rm.b, p_t, tol=sdp_tol)
+        cov_sdp, rep = solve_per_antenna_sdp(rm.b, p_t)
         sdp_obj = cumulated_power(cov_sdp, rm)
         rank1_val = None
 
         if phased_array:
             seq = np.random.SeedSequence(
                 [cfg.rng_seed, _SEED_TAG_RAND, start_index, outer])
-            w_new, rank1_val = randomize_rank1(
-                cov_sdp, rm.b, p_t, n_samples=n_randomizations, rng_seed=seq)
+            w_new, rank1_val = randomize_rank1(cov_sdp, rm.b, p_t, rng_seed=seq)
             if weights is not None:
                 held = float(np.real(weights.conj() @ rm.b @ weights))
                 if held >= rank1_val:
@@ -258,7 +256,7 @@ def _build_starts(
     cfg: BcdConfig,
     provided: tuple = (),
 ) -> list[tuple[SurfaceShape, str, CovarianceMatrix | None]]:
-    """Starting shapes: the zero start first, then scheme-dependent extras.
+    """Starting shapes: the zero start, ``n_starts - 1`` uniform draws, then ``provided``.
 
     ``provided`` entries may be ``SurfaceShape`` or ``(SurfaceShape,
     CovarianceMatrix)`` pairs; pairs seed the run with an incumbent
@@ -267,7 +265,7 @@ def _build_starts(
     starts: list[tuple[SurfaceShape, str, CovarianceMatrix | None]] = [
         (SurfaceShape.zero(geom), InitScheme.ZERO.value, None)
     ]
-    if cfg.init_scheme is InitScheme.UNIFORM_BOX and geom.d_max > 0.0:
+    if geom.d_max > 0.0:
         for i in range(1, cfg.n_starts):
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.rng_seed, _SEED_TAG_START, i]))
@@ -288,9 +286,7 @@ def _best_of_starts(
     p_t: float,
     cfg: BcdConfig,
     provided_starts: tuple,
-    sdp_tol: float,
     phased_array: bool = False,
-    n_randomizations: int = 1000,
 ) -> _RunOutcome:
     """Run every start in index order and keep the best.
 
@@ -301,9 +297,7 @@ def _best_of_starts(
     best = None
     for idx, (shape0, label, incumbent) in enumerate(starts):
         cand = _run_single_start(geom, targets, p_t, cfg, shape0, idx, label,
-                                 incumbent=incumbent, sdp_tol=sdp_tol,
-                                 phased_array=phased_array,
-                                 n_randomizations=n_randomizations)
+                                 incumbent=incumbent, phased_array=phased_array)
         if best is None or cand.objective_mw > best.objective_mw:
             best = cand
     logger.info("bcd finished: %d starts, best objective %.6g mW from start %d",
@@ -317,7 +311,6 @@ def bcd_optimize(
     p_t: float,
     cfg: BcdConfig | None = None,
     provided_starts: tuple = (),
-    sdp_tol: float = 1e-6,
 ) -> tuple[CovarianceMatrix, SurfaceShape, OptimizationTrace]:
     """Joint covariance and shape optimization, best over multiple starts.
 
@@ -331,7 +324,7 @@ def bcd_optimize(
         raise ValueError(f"power budget must be positive, got {p_t}")
     if cfg is None:
         cfg = BcdConfig()
-    best = _best_of_starts(geom, targets, p_t, cfg, provided_starts, sdp_tol)
+    best = _best_of_starts(geom, targets, p_t, cfg, provided_starts)
     return best.cov, best.shape, best.trace
 
 
@@ -342,8 +335,6 @@ def solve_benchmark(
     p_t: float,
     cfg: BcdConfig | None = None,
     provided_starts: tuple = (),
-    sdp_tol: float = 1e-6,
-    n_randomizations: int = 1000,
 ) -> BenchmarkResult:
     """Run one of the four benchmark schemes on an instance.
 
@@ -355,7 +346,8 @@ def solve_benchmark(
     are keyed by (seed, start, outer): the rigid PA draw equals the morphing
     PA draw at the zero start's first iteration, and within a run weights
     are only ever replaced by better ones, so the morphing PA value can
-    never fall below the rigid one.
+    never fall below the rigid one. Every SDP runs to the solver's default
+    gap tolerance and every randomization draws its default sample count.
     """
     scheme = Scheme(scheme)
     if cfg is None:
@@ -366,14 +358,13 @@ def solve_benchmark(
     if scheme in (Scheme.RAA_MIMO, Scheme.RAA_PA):
         shape = SurfaceShape.zero(geom)
         rm = response_matrix(geom, targets, shape)
-        cov, rep = solve_per_antenna_sdp(rm.b, p_t, tol=sdp_tol)
+        cov, rep = solve_per_antenna_sdp(rm.b, p_t)
         if scheme is Scheme.RAA_MIMO:
             return BenchmarkResult(scheme=scheme,
                                    objective_mw=cumulated_power(cov, rm),
                                    cov=cov, shape=shape, sdp_report=rep)
         seq = np.random.SeedSequence([cfg.rng_seed, _SEED_TAG_RAND, 0, 1])
-        w, val = randomize_rank1(cov, rm.b, p_t, n_samples=n_randomizations,
-                                 rng_seed=seq)
+        w, val = randomize_rank1(cov, rm.b, p_t, rng_seed=seq)
         rank1 = CovarianceMatrix(r=np.outer(w, w.conj()), power_budget=p_t,
                                  constraint_kind=cov.constraint_kind)
         return BenchmarkResult(scheme=scheme, objective_mw=val, cov=rank1,
@@ -381,16 +372,15 @@ def solve_benchmark(
 
     if scheme is Scheme.FIM_MIMO:
         cov, shape, trace = bcd_optimize(geom, targets, p_t, cfg,
-                                         provided_starts=provided_starts,
-                                         sdp_tol=sdp_tol)
+                                         provided_starts=provided_starts)
         return BenchmarkResult(scheme=scheme,
                                objective_mw=trace.records[-1].objective_mw,
                                cov=cov, shape=shape, trace=trace)
 
     # FIM_PA: each covariance step is relaxation + randomization and the
     # resulting rank-1 covariance drives the shape ascent.
-    best = _best_of_starts(geom, targets, p_t, cfg, provided_starts, sdp_tol,
-                           phased_array=True, n_randomizations=n_randomizations)
+    best = _best_of_starts(geom, targets, p_t, cfg, provided_starts,
+                           phased_array=True)
     return BenchmarkResult(scheme=scheme, objective_mw=best.objective_mw,
                            cov=best.cov, shape=best.shape,
                            weights=best.weights, trace=best.trace)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .array_model import ArrayGeometry, SurfaceShape, TargetSet
-from .bcd import BcdConfig, InitScheme, Scheme
+from .bcd import BcdConfig, Scheme
 from .shape_opt import AscentConfig
 from .units import wavelength_from_frequency
 
@@ -102,16 +102,13 @@ class GeometryConfig:
 class TargetConfig:
     theta_deg: float
     phi_deg: float
-    rcs_re: float = 1.0
-    rcs_im: float = 0.0
 
     @classmethod
     def from_dict(cls, d: dict, index: int) -> "TargetConfig":
         return _parse_block(cls, d, f"targets[{index}]")
 
     def to_dict(self) -> dict:
-        return {"theta_deg": self.theta_deg, "phi_deg": self.phi_deg,
-                "rcs_re": self.rcs_re, "rcs_im": self.rcs_im}
+        return {"theta_deg": self.theta_deg, "phi_deg": self.phi_deg}
 
 
 @dataclass
@@ -122,7 +119,6 @@ class AlgorithmConfig:
     max_outer_iters: int = BcdConfig.max_outer_iters
     rel_increase_threshold_db: float = BcdConfig.rel_increase_threshold_db
     n_starts: int = BcdConfig.n_starts
-    init_scheme: str = BcdConfig.init_scheme.value
     grad_tol: float = AscentConfig.grad_tol
     ascent_max_iters: int = AscentConfig.max_iters
     armijo_c: float = AscentConfig.armijo_c
@@ -137,11 +133,6 @@ class AlgorithmConfig:
             Scheme(out.scheme)
         except ValueError:
             raise ConfigError(f"algorithm: unknown scheme '{out.scheme}'") from None
-        try:
-            InitScheme(out.init_scheme)
-        except ValueError:
-            raise ConfigError(
-                f"algorithm: unknown init_scheme '{out.init_scheme}'") from None
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                    for v in out.init_displacements):
             raise ConfigError("algorithm: init_displacements must be numbers")
@@ -153,7 +144,6 @@ class AlgorithmConfig:
             "max_outer_iters": self.max_outer_iters,
             "rel_increase_threshold_db": self.rel_increase_threshold_db,
             "n_starts": self.n_starts,
-            "init_scheme": self.init_scheme,
             "grad_tol": self.grad_tol,
             "ascent_max_iters": self.ascent_max_iters,
             "armijo_c": self.armijo_c,
@@ -266,9 +256,7 @@ class ExperimentConfig:
     def build_targets(self) -> TargetSet:
         thetas = [t.theta_deg for t in self.targets]
         phis = [t.phi_deg for t in self.targets]
-        rcs = [complex(t.rcs_re, t.rcs_im) for t in self.targets]
-        return TargetSet.from_degrees(np.asarray(thetas), np.asarray(phis),
-                                      np.asarray(rcs))
+        return TargetSet.from_degrees(np.asarray(thetas), np.asarray(phis))
 
     def build_bcd(self) -> BcdConfig:
         a = self.algorithm
@@ -282,7 +270,6 @@ class ExperimentConfig:
             ascent=ascent,
             n_starts=a.n_starts,
             rng_seed=self.seed,
-            init_scheme=InitScheme(a.init_scheme),
         )
 
     def build_init_shape(self) -> SurfaceShape | None:

@@ -91,7 +91,8 @@ class SolveReport:
         return (self.dual_bound - self.objective) / max(abs(self.dual_bound), 1e-300)
 
 
-def _check_b(b: np.ndarray) -> np.ndarray:
+def _check_b(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    "Symmetrized B and its ascending eigenvalues; ValueError unless Hermitian PSD."
     b = np.asarray(b, dtype=complex)
     n = b.shape[0]
     if b.ndim != 2 or b.shape != (n, n):
@@ -100,10 +101,11 @@ def _check_b(b: np.ndarray) -> np.ndarray:
     herm_err = float(np.max(np.abs(b - b.conj().T)))
     if herm_err > 1e-10 * max(1.0, scale):
         raise ValueError(f"B is not Hermitian (max asymmetry {herm_err:g})")
+    b = 0.5 * (b + b.conj().T)
     eigvals = np.linalg.eigvalsh(b)
     if float(eigvals[0]) < -1e-8 * max(float(eigvals[-1]), 1e-300):
         raise ValueError(f"B is not PSD (smallest eigenvalue {eigvals[0]:g})")
-    return 0.5 * (b + b.conj().T)
+    return b, eigvals
 
 
 def _is_pos_def(s: np.ndarray) -> bool:
@@ -131,12 +133,12 @@ def solve_per_antenna_sdp(
         raise ValueError(f"power budget must be positive, got {p_t}")
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    b = _check_b(b)
+    b, eig_b = _check_b(b)
     n = b.shape[0]
     rho = p_t / n
 
     # Work on the normalized problem: diag(R) = 1, lambda_max(B) = 1.
-    b_scale = max(float(np.linalg.eigvalsh(b)[-1]), 1e-300)
+    b_scale = max(float(eig_b[-1]), 1e-300)
     bn = b / b_scale
 
     y = np.full(n, 2.0)                 # Diag(y) - bn >= I: strictly feasible
@@ -249,7 +251,7 @@ def closed_form_total_power(b: np.ndarray, p_t: float) -> tuple[CovarianceMatrix
     """
     if p_t <= 0.0:
         raise ValueError(f"power budget must be positive, got {p_t}")
-    b = _check_b(b)
+    b, _ = _check_b(b)
     eigvals, eigvecs = np.linalg.eigh(b)
     u = eigvecs[:, -1]
     r = p_t * np.outer(u, u.conj())
@@ -274,7 +276,7 @@ def randomize_rank1(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    b = _check_b(b)
+    b, _ = _check_b(b)
     n = b.shape[0]
     if float(np.real(np.trace(r.r))) <= 1e-300:
         raise ValueError("degenerate covariance: trace is numerically zero")
@@ -296,8 +298,8 @@ def rank_profile(b: np.ndarray, expected_trace: float | None = None) -> tuple[np
     ``expected_trace`` defaults to tr(B); pass ``K * N`` to check the
     correlation-matrix identity sum(lambda) = K * N.
     """
-    b = _check_b(b)
-    eigvals = np.linalg.eigvalsh(b)[::-1]
+    b, eig_b = _check_b(b)
+    eigvals = eig_b[::-1]
     total = float(np.sum(eigvals))
     if expected_trace is None:
         expected_trace = float(np.real(np.trace(b)))

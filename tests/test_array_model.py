@@ -163,16 +163,9 @@ class TestResponseMatrix:
 
 
 class TestTargetSet:
-    def test_rcs_defaults_to_ones(self):
-        ts = TargetSet(thetas=np.array([0.5]), phis=np.array([0.5]))
-        np.testing.assert_array_equal(ts.rcs, np.ones(1, dtype=complex))
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             TargetSet(thetas=np.array([0.5, 0.6]), phis=np.array([0.5]))
-        with pytest.raises(ValueError):
-            TargetSet(thetas=np.array([0.5]), phis=np.array([0.5]),
-                      rcs=np.array([1.0, 2.0]))
 
     def test_angle_domain(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.bcd import (
@@ -12,7 +14,8 @@ from morphbeam.bcd import (
     bcd_optimize,
     solve_benchmark,
 )
-from morphbeam.covariance import solve_per_antenna_sdp
+from morphbeam.beampattern import target_powers
+from morphbeam.covariance import DEFAULT_SDP_TOL, solve_per_antenna_sdp
 from morphbeam.objective import cumulated_power
 from morphbeam.shape_opt import AscentConfig
 
@@ -48,8 +51,6 @@ class TestBcdConfig:
             BcdConfig(n_starts=0)
         with pytest.raises(ValueError):
             BcdConfig(rng_seed=-1)
-        with pytest.raises(ValueError):
-            BcdConfig(init_scheme="nope")
 
 
 class TestBcdOptimize:
@@ -205,3 +206,50 @@ class TestSolveBenchmark:
         assert r1.objective_mw == r2.objective_mw
         np.testing.assert_array_equal(r1.shape.displacements, r2.shape.displacements)
         np.testing.assert_array_equal(r1.weights, r2.weights)
+
+
+# Angles in degrees, mixed with arbitrary ones in [0, 180]: at 0 and 180 a
+# target sits at a pole (sin(theta) sin(phi) = 0, so the shape has no effect).
+_EDGE_DEG = (0.0, 45.0, 90.0, 135.0, 180.0)
+_angle_deg = st.one_of(st.sampled_from(_EDGE_DEG),
+                       st.floats(0.0, 180.0, allow_nan=False))
+
+
+@st.composite
+def edge_instances(draw):
+    n_x = draw(st.integers(1, 3))
+    n_z = draw(st.integers(1, 3))
+    d_max = draw(st.sampled_from((0.0, 0.25, 1.0)))
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        thetas = [draw(_angle_deg)] * k          # coincident targets
+        phis = [draw(_angle_deg)] * k
+    else:
+        thetas = draw(st.lists(_angle_deg, min_size=k, max_size=k))
+        phis = draw(st.lists(_angle_deg, min_size=k, max_size=k))
+    geom = ArrayGeometry(n_x=n_x, n_z=n_z, dx=0.5, dz=0.5,
+                         wavelength=0.0107, d_max=d_max)
+    return geom, TargetSet.from_degrees(thetas, phis)
+
+
+class TestEdgeInputs:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(edge_instances())
+    def test_every_scheme_solves_with_a_certificate(self, instance):
+        # Covers N = 1, K >= N, coincident targets, poles and d_max = 0.
+        geom, targets = instance
+        cfg = quick_cfg(max_outer_iters=4, ascent=AscentConfig(max_iters=30))
+        for scheme in Scheme:
+            res = solve_benchmark(scheme, geom, targets, P_T, cfg)
+            res.cov.validate()
+            res.shape.validate(geom)
+            assert np.isfinite(res.objective_mw) and res.objective_mw > 0.0
+            if res.trace is None:
+                sdp = [(res.sdp_report.converged, res.sdp_report.relative_gap)]
+            else:
+                sdp = [(r.sdp_converged, r.sdp_gap) for r in res.trace.records]
+            for converged, gap in sdp:
+                assert converged and gap <= DEFAULT_SDP_TOL
+            per_dbm, total_mw, min_dbm = target_powers(res.cov, geom, targets, res.shape)
+            assert np.all(np.isfinite(per_dbm))
+            assert np.isfinite(total_mw) and np.isfinite(min_dbm)

@@ -7,6 +7,7 @@ mismatch rather than a silent format drift.
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +229,24 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     rc = main(["optimize", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("targets", "rcs_re", 1.0),
+    ("targets", "rcs_im", 0.0),
+    ("algorithm", "init_scheme", "uniform-box"),
+])
+def test_cli_rejects_removed_config_keys(tmp_path, capsys, block, key, value):
+    # targets carry no RCS weight and the start list has no scheme switch;
+    # a config that sets these keys is rejected, never silently accepted
+    desk = Path(__file__).resolve().parent.parent / "configs" / "desk-10x10.json"
+    raw = json.loads(desk.read_text())
+    entry = raw[block][0] if block == "targets" else raw[block]
+    entry[key] = value
+    path = write_config(tmp_path, raw)
+    rc = main(["optimize", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from morphbeam.bcd import BcdConfig, InitScheme, Scheme
+from morphbeam.bcd import BcdConfig, Scheme
 from morphbeam.config import ConfigError, ExperimentConfig, load_config
 from morphbeam.units import wavelength_from_frequency
 
@@ -19,7 +19,7 @@ def base_dict(**overrides):
         },
         "targets": [
             {"theta_deg": 30.0, "phi_deg": 60.0},
-            {"theta_deg": 135.0, "phi_deg": 90.0, "rcs_re": 0.5, "rcs_im": 0.1},
+            {"theta_deg": 135.0, "phi_deg": 90.0},
         ],
         "power": {"p_t_dbm": 10.0},
         "algorithm": {"scheme": "fim-mimo", "n_starts": 2,
@@ -109,9 +109,10 @@ class TestParsing:
         d["algorithm"]["scheme"] = "maximal-beam"
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
+        # there is no init_scheme key; n_starts alone sets the start list
         d = base_dict()
         d["algorithm"]["init_scheme"] = "random-walk"
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown keys \['init_scheme'\]"):
             ExperimentConfig.from_dict(d)
 
     def test_semantic_validation(self):
@@ -162,12 +163,11 @@ class TestBuilders:
         assert geom.wavelength == wavelength_from_frequency(28e9)
         assert geom.d_max == 0.5
 
-    def test_targets_in_radians_with_rcs(self):
+    def test_targets_in_radians(self):
         cfg = ExperimentConfig.from_dict(base_dict())
         ts = cfg.build_targets()
         np.testing.assert_allclose(ts.thetas, np.deg2rad([30.0, 135.0]))
         np.testing.assert_allclose(ts.phis, np.deg2rad([60.0, 90.0]))
-        assert ts.rcs[1] == 0.5 + 0.1j
 
     def test_bcd_wiring(self):
         d = base_dict(seed=5)
@@ -179,7 +179,6 @@ class TestBuilders:
         assert bcd.rel_increase_threshold == pytest.approx(1e-2)
         assert bcd.ascent.grad_tol == 1e-5
         assert bcd.ascent.max_iters == 120
-        assert bcd.init_scheme is InitScheme.UNIFORM_BOX
 
     def test_init_shape_none_when_unset(self):
         cfg = ExperimentConfig.from_dict(base_dict())
@@ -216,4 +215,4 @@ class TestLoadConfig:
         from pathlib import Path
         path = Path(__file__).resolve().parent.parent / "configs" / "desk-10x10.json"
         assert load_config(path).digest() == (
-            "64aa40e98cc09f9af153f2cdc64b185162dd9c6efda5ec9a97eff4a42b99e532")
+            "0859cb51717d2b9fa7b3b0a5ac25c828a15e73554055e88fce34b6e9a712c32e")

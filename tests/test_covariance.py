@@ -1,10 +1,13 @@
 """Per-antenna SDP solver, closed-form total-power optimum, randomization."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.covariance import (
+    DEFAULT_SDP_TOL,
     ConstraintKind,
     CovarianceMatrix,
     closed_form_total_power,
@@ -93,6 +96,22 @@ class TestPerAntennaSdp:
             solve_per_antenna_sdp(bad, p_t=1.0)
         with pytest.raises(ValueError):
             solve_per_antenna_sdp(-np.eye(4), p_t=1.0)
+
+    def test_iteration_cap_is_reported(self, caplog):
+        # Stopping at the Newton cap must show in the report and the log, and
+        # still return a feasible covariance under a valid dual bound.
+        geom = ArrayGeometry(n_x=4, n_z=4, dx=0.5, dz=0.5, wavelength=0.0107)
+        targets = TargetSet.from_degrees([30.0, 30.0, 135.0], [60.0, 120.0, 90.0])
+        rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
+        with caplog.at_level(logging.WARNING, logger="morphbeam.covariance"):
+            cov, report = solve_per_antenna_sdp(rm.b, 4.0, iter_cap=2)
+        assert report.converged is False
+        assert report.iterations == 2
+        cov.validate()
+        assert report.dual_bound >= report.objective
+        assert report.relative_gap > DEFAULT_SDP_TOL
+        assert any(rec.levelno == logging.WARNING and "iteration cap" in rec.getMessage()
+                   for rec in caplog.records)
 
     def test_scale_invariance_of_argmax(self):
         # Scaling B scales the objective; scaling p_t scales the covariance.
