@@ -360,8 +360,7 @@ def solve_benchmark(
         rm = response_matrix(geom, targets, shape)
         cov, rep = solve_per_antenna_sdp(rm.b, p_t)
         if scheme is Scheme.RAA_MIMO:
-            return BenchmarkResult(scheme=scheme,
-                                   objective_mw=cumulated_power(cov, rm),
+            return BenchmarkResult(scheme=scheme, objective_mw=rep.objective,
                                    cov=cov, shape=shape, sdp_report=rep)
         seq = np.random.SeedSequence([cfg.rng_seed, _SEED_TAG_RAND, 0, 1])
         w, val = randomize_rank1(cov, rm.b, p_t, rng_seed=seq)

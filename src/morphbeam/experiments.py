@@ -72,6 +72,10 @@ def _make_record(cfg: ExperimentConfig, scheme: Scheme, res: BenchmarkResult,
                  geom: ArrayGeometry, targets: TargetSet,
                  wall: float) -> ResultRecord:
     per_dbm, _, min_dbm = target_powers(res.cov, geom, targets, res.shape)
+    if res.trace is not None:
+        sdp = [(r.sdp_converged, r.sdp_gap) for r in res.trace.records]
+    else:
+        sdp = [(res.sdp_report.converged, res.sdp_report.residuals["relative_gap"])]
     return ResultRecord(
         config_digest=cfg.digest(),
         scheme=scheme.value,
@@ -81,6 +85,8 @@ def _make_record(cfg: ExperimentConfig, scheme: Scheme, res: BenchmarkResult,
         per_target_dbm=[float(v) for v in per_dbm],
         min_target_dbm=min_dbm,
         outer_iterations=res.trace.n_outer if res.trace is not None else 0,
+        sdp_all_converged=all(ok for ok, _ in sdp),
+        max_sdp_gap=max(gap for _, gap in sdp),
         termination_reason=(res.trace.termination_reason.value
                             if res.trace is not None else ""),
         wall_time_seconds=wall,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .beampattern import BeampatternGrid
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 # fields excluded from the canonical form compared across reruns
 _VOLATILE_FIELDS = ("wall_time_seconds",)
@@ -43,6 +43,8 @@ class ResultRecord:
     per_target_dbm: list[float]
     min_target_dbm: float
     outer_iterations: int
+    sdp_all_converged: bool             # every SDP of the result reached its gap tolerance
+    max_sdp_gap: float                  # largest certified relative gap among those SDPs
     termination_reason: str = ""
     wall_time_seconds: float = 0.0
     artifact_version: int = ARTIFACT_VERSION
@@ -58,6 +60,8 @@ class ResultRecord:
             "per_target_dbm": list(self.per_target_dbm),
             "min_target_dbm": self.min_target_dbm,
             "outer_iterations": self.outer_iterations,
+            "sdp_all_converged": self.sdp_all_converged,
+            "max_sdp_gap": self.max_sdp_gap,
             "termination_reason": self.termination_reason,
             "wall_time_seconds": self.wall_time_seconds,
         }

@@ -16,6 +16,7 @@ from morphbeam.array_model import SurfaceShape
 from morphbeam.beampattern import target_powers
 from morphbeam.cli import main
 from morphbeam.config import ExperimentConfig
+from morphbeam.covariance import DEFAULT_SDP_TOL, solve_per_antenna_sdp
 from morphbeam.experiments import (
     SCHEME_ORDER,
     MissingInputError,
@@ -96,6 +97,26 @@ def test_run_optimize_artifacts_are_self_consistent(tmp_path):
     assert record.seed == 0
     assert record.outer_iterations >= 1
     assert record.termination_reason in {"threshold", "stationary", "max_iters"}
+    assert record.sdp_all_converged is True
+    assert 0.0 <= record.max_sdp_gap <= DEFAULT_SDP_TOL
+
+
+@pytest.mark.parametrize("scheme", ["fim-mimo", "raa-mimo"])
+def test_record_shows_unconverged_sdp(tmp_path, monkeypatch, scheme):
+    # The trace records (fim-mimo) and the single rigid solve's report
+    # (raa-mimo) both reach record.json.
+    def capped(b, p_t):
+        return solve_per_antenna_sdp(b, p_t, iter_cap=2)
+
+    monkeypatch.setattr("morphbeam.bcd.solve_per_antenna_sdp", capped)
+    raw = tiny_config_dict()
+    raw["algorithm"]["scheme"] = scheme
+    record = run_optimize(ExperimentConfig.from_dict(raw), tmp_path)
+    assert record.sdp_all_converged is False
+    assert record.max_sdp_gap > DEFAULT_SDP_TOL
+    saved = json.loads((tmp_path / "record.json").read_text())
+    assert saved["sdp_all_converged"] is False
+    assert saved["artifact_version"] == 2
 
 
 def test_run_beampattern_requires_prior_optimize(tmp_path):

@@ -5,8 +5,10 @@ import logging
 import numpy as np
 import pytest
 
+from conftest import DESK_P_T_MW, desk_geometry, desk_targets
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.covariance import (
+    _RANK_FLOOR,
     DEFAULT_SDP_TOL,
     ConstraintKind,
     CovarianceMatrix,
@@ -112,6 +114,54 @@ class TestPerAntennaSdp:
         assert report.relative_gap > DEFAULT_SDP_TOL
         assert any(rec.levelno == logging.WARNING and "iteration cap" in rec.getMessage()
                    for rec in caplog.records)
+
+    @pytest.mark.parametrize("case", ["eigenvalue-below-floor", "k-above-n", "single-element"])
+    def test_cases_of_the_rank_factor(self, case):
+        # B's factor F drops eigenvalues under the floor and has r = N when
+        # K >= N; the certificate must hold for the B passed in either way.
+        th, ph = np.deg2rad([40.0, 120.0]), np.deg2rad([70.0, 100.0])
+        if case == "eigenvalue-below-floor":
+            geom = ArrayGeometry(n_x=4, n_z=4, dx=0.5, dz=0.5, wavelength=0.0107)
+            targets = TargetSet(np.array([th[0], th[0] + 1e-6, th[1]]),
+                                np.array([ph[0], ph[0] + 1e-6, ph[1]]))
+        elif case == "k-above-n":
+            geom = ArrayGeometry(n_x=2, n_z=1, dx=0.5, dz=0.5, wavelength=0.0107)
+            targets = TargetSet(np.deg2rad([40.0, 120.0, 80.0]),
+                                np.deg2rad([70.0, 100.0, 30.0]))
+        else:
+            geom = ArrayGeometry(n_x=1, n_z=1, dx=0.5, dz=0.5, wavelength=0.0107)
+            targets = TargetSet(th, ph)
+        b = response_matrix(geom, targets, SurfaceShape.zero(geom)).b
+        eigvals = np.linalg.eigvalsh(b)
+        if case == "eigenvalue-below-floor":
+            assert 0.0 < eigvals[-3] < _RANK_FLOOR * eigvals[-1]
+        else:
+            assert eigvals[0] > 1e-3 * eigvals[-1]          # full rank
+        n = geom.n_elements
+        cov, report = solve_per_antenna_sdp(b, 4.0)
+        assert report.converged
+        assert report.relative_gap <= DEFAULT_SDP_TOL
+        assert report.objective <= report.dual_bound
+        assert report.objective == pytest.approx(
+            float(np.real(np.sum(cov.r * b.T))), rel=1e-9)
+        np.testing.assert_allclose(np.real(np.diag(cov.r)), 4.0 / n, rtol=1e-12)
+        cov.validate()
+
+    @pytest.mark.parametrize("shape_seed, objective, dual_bound", [
+        (None, 1040.4659371162802, 1040.4660496160143),
+        (1, 1066.6061092487691, 1066.6062245615037),
+        (2, 1059.2035344946357, 1059.203648931769),
+    ])
+    def test_desk_answers_are_pinned(self, shape_seed, objective, dual_bound):
+        # Values of the dense-algebra solver this one replaced, on the desk
+        # B at the zero shape and two seeded uniform-box shapes.
+        geom = desk_geometry(1.0)
+        shape = (SurfaceShape.zero(geom) if shape_seed is None else
+                 SurfaceShape.uniform_random(geom, np.random.default_rng(shape_seed)))
+        b = response_matrix(geom, desk_targets(), shape).b
+        _, report = solve_per_antenna_sdp(b, DESK_P_T_MW)
+        assert report.objective == pytest.approx(objective, rel=1e-6)
+        assert report.dual_bound == pytest.approx(dual_bound, rel=1e-6)
 
     def test_scale_invariance_of_argmax(self):
         # Scaling B scales the objective; scaling p_t scales the covariance.

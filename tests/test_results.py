@@ -34,6 +34,8 @@ def sample_record(**overrides):
         per_target_dbm=[25.6, 25.6, 28.5],
         min_target_dbm=25.6,
         outer_iterations=18,
+        sdp_all_converged=True,
+        max_sdp_gap=1.1e-7,
         termination_reason="threshold",
         wall_time_seconds=8.2,
     )
