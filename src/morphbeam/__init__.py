@@ -33,12 +33,11 @@ from .covariance import (
     ConstraintKind,
     CovarianceMatrix,
     SolveReport,
-    closed_form_total_power,
     randomize_rank1,
     rank_profile,
     solve_per_antenna_sdp,
 )
-from .objective import cumulated_power, finite_difference_gradient, shape_gradient
+from .objective import cumulated_power, shape_gradient
 from .results import ResultRecord
 from .shape_opt import (
     AscentConfig,
@@ -70,10 +69,8 @@ __all__ = [
     "TerminationReason",
     "ascend_shape",
     "bcd_optimize",
-    "closed_form_total_power",
     "cumulated_power",
     "evaluate_beampattern",
-    "finite_difference_gradient",
     "load_config",
     "project_shape",
     "randomize_rank1",

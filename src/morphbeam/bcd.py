@@ -109,6 +109,8 @@ class OuterRecord:
     sdp_gap: float
     ascent_iterations: int
     ascent_status: str
+    ascent_evals: int
+    ascent_gradients: int
     elapsed_seconds: float
     rank1_objective_mw: float | None = None
 
@@ -230,6 +232,8 @@ def _run_single_start(
             sdp_gap=float(rep.residuals.get("relative_gap", np.nan)),
             ascent_iterations=ascent_trace.n_iters,
             ascent_status=ascent_trace.status,
+            ascent_evals=ascent_trace.n_evals,
+            ascent_gradients=ascent_trace.n_gradients,
             elapsed_seconds=time.perf_counter() - tic,
             rank1_objective_mw=rank1_val,
         ))

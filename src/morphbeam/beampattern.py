@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import ArrayGeometry, SurfaceShape, TargetSet, steering_matrix, response_matrix
-from .objective import cumulated_power
+from .objective import column_powers, cumulated_power
 from .units import DBM_FLOOR
 
 # directions per matrix product when sweeping a grid; bounds peak memory
@@ -92,7 +92,7 @@ def evaluate_beampattern(
     for lo in range(0, flat_t.size, _GRID_CHUNK):
         hi = min(lo + _GRID_CHUNK, flat_t.size)
         a = steering_matrix(geom, flat_t[lo:hi], flat_p[lo:hi], shape.displacements)
-        power[lo:hi] = np.real(np.sum(a.conj() * (r @ a), axis=0))
+        power[lo:hi] = np.real(column_powers(a, r @ a))
 
     grid = _mw_to_dbm_vec(power).reshape(theta_axis.size, phi_axis.size)
     return BeampatternGrid(theta_axis=theta_axis, phi_axis=phi_axis, power_dbm=grid)
@@ -111,6 +111,6 @@ def target_powers(
     """
     rm = response_matrix(geom, targets, shape)
     r = getattr(r_x, "r", r_x)
-    per_mw = np.real(np.sum(rm.a.conj() * (r @ rm.a), axis=0))
+    per_mw = np.real(column_powers(rm.a, r @ rm.a))
     per_dbm = _mw_to_dbm_vec(per_mw)
     return per_dbm, cumulated_power(r, rm), float(per_dbm.min())

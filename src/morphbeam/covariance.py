@@ -1,5 +1,5 @@
-"""Transmit-covariance subproblems: per-antenna SDP, total-power closed form,
-rank-1 extraction, and spectrum analysis of the correlation matrix B.
+"""Transmit-covariance subproblems: per-antenna SDP, rank-1 extraction, and
+spectrum analysis of the correlation matrix B.
 
 The per-antenna problem
 
@@ -58,7 +58,6 @@ _RANK_FLOOR = 1e-10
 
 class ConstraintKind(str, Enum):
     PER_ANTENNA = "per-antenna"
-    TOTAL_POWER = "total-power"
 
 
 @dataclass
@@ -87,15 +86,10 @@ class CovarianceMatrix:
         lam_max = max(float(eigvals[-1]), 1e-300)
         if float(eigvals[0]) < -1e-8 * lam_max:
             raise ValueError(f"not PSD: smallest eigenvalue {eigvals[0]:g}")
-        if self.constraint_kind is ConstraintKind.PER_ANTENNA:
-            target = self.power_budget / n
-            err = float(np.max(np.abs(np.real(np.diag(r)) - target)))
-            if err > rel_tol * target:
-                raise ValueError(f"per-antenna diagonal off by {err:g} (target {target:g})")
-        else:
-            trace = float(np.real(np.trace(r)))
-            if abs(trace - self.power_budget) > rel_tol * self.power_budget:
-                raise ValueError(f"trace {trace:g} != power budget {self.power_budget:g}")
+        target = self.power_budget / n
+        err = float(np.max(np.abs(np.real(np.diag(r)) - target)))
+        if err > rel_tol * target:
+            raise ValueError(f"per-antenna diagonal off by {err:g} (target {target:g})")
 
 
 @dataclass
@@ -336,21 +330,6 @@ def solve_per_antenna_sdp(
         },
     )
     return cov, report
-
-
-def closed_form_total_power(b: np.ndarray, p_t: float) -> tuple[CovarianceMatrix, float]:
-    """Optimal covariance under the total-power constraint tr(R) = p_t.
-
-    The optimum is the rank-1 matrix ``p_t u u^H`` built from the principal
-    eigenvector of B, with value ``p_t * lambda_max(B)``.
-    """
-    if p_t <= 0.0:
-        raise ValueError(f"power budget must be positive, got {p_t}")
-    _, eigvals, eigvecs = _check_b(b)
-    u = eigvecs[:, -1]
-    r = p_t * np.outer(u, u.conj())
-    cov = CovarianceMatrix(r=r, power_budget=p_t, constraint_kind=ConstraintKind.TOTAL_POWER)
-    return cov, p_t * float(eigvals[-1])
 
 
 def randomize_rank1(

@@ -3,12 +3,14 @@
 The objective is ``P_c = sum_k a_k^H R a_k = tr(R B)`` in linear milliwatts.
 Its gradient with respect to the per-element displacement exploits the fact
 that the derivative of A with respect to displacement n is nonzero only in
-row n: with M = A^H R and c_k = sin(theta_k) sin(phi_k),
+row n: with c_k = sin(theta_k) sin(phi_k),
 
-    dP_c/dd_n = 2 * 2pi * sum_k c_k * Im(A[n, k] * M[k, n])
+    dP_c/dd_n = 2 * 2pi * sum_k c_k * Im(A[n, k] * conj((R A)[n, k]))
 
-which costs O(K N^2) for the whole gradient (the single M product), well
-inside the O(N^3 + K N^2) budget of the dense-sparse formulation.
+so the power and the gradient at one shape share the single product R A,
+O(K N^2) for both. The shape ascent builds A from a cached planar factor
+and takes the power, and for an accepted point the gradient, from one such
+product per trial point.
 """
 
 from __future__ import annotations
@@ -42,6 +44,16 @@ def _as_matrix(r_x) -> np.ndarray:
     return getattr(r_x, "r", r_x)
 
 
+def column_powers(a: np.ndarray, ra: np.ndarray) -> np.ndarray:
+    "Quadratic forms a_k^H R a_k of the columns of A, complex, from A and R @ A."
+    return np.sum(a.conj() * ra, axis=0)
+
+
+def power_gradient(a: np.ndarray, ra: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """dP_c/dd from A, RA = R @ A and c_k = sin(theta_k) sin(phi_k)."""
+    return 2.0 * (2.0 * np.pi) * (np.imag(a * ra.conj()) @ c)
+
+
 def cumulated_power(r_x, rm: ResponseMatrix) -> float:
     """Total probing power tr(R B) = sum_k a_k^H R a_k, in mW.
 
@@ -49,8 +61,7 @@ def cumulated_power(r_x, rm: ResponseMatrix) -> float:
     if the quadratic-form sum develops a non-negligible imaginary part.
     """
     r = _check_covariance(_as_matrix(r_x), rm.n_elements)
-    per_target = np.sum(rm.a.conj() * (r @ rm.a), axis=0)
-    total = complex(np.sum(per_target))
+    total = complex(np.sum(column_powers(rm.a, r @ rm.a)))
     if abs(total.imag) > IMAG_RESIDUE_REL * max(abs(total.real), 1e-300):
         raise ValueError(f"objective has imaginary residue {total.imag:g}")
     return float(total.real)
@@ -65,37 +76,4 @@ def shape_gradient(
     """Gradient of the cumulated power w.r.t. each displacement (mW per wavelength)."""
     a = steering_matrix(geom, targets.thetas, targets.phis, shape.displacements)
     r = _check_covariance(_as_matrix(r_x), geom.n_elements)
-    m = a.conj().T @ r                                   # (K, N)
-    c = np.sin(targets.thetas) * np.sin(targets.phis)    # (K,)
-    return 2.0 * (2.0 * np.pi) * (np.imag(a * m.T) @ c)
-
-
-def finite_difference_gradient(
-    r_x,
-    geom: ArrayGeometry,
-    targets: TargetSet,
-    shape: SurfaceShape,
-    h: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference gradient of the cumulated power; verification oracle.
-
-    ``h`` is the probe step in wavelengths (default 1e-6).
-    """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    r = _check_covariance(_as_matrix(r_x), geom.n_elements)
-
-    def power_at(d: np.ndarray) -> float:
-        a = steering_matrix(geom, targets.thetas, targets.phis, d)
-        return float(np.sum(a.conj() * (r @ a)).real)
-
-    base = shape.displacements
-    grad = np.empty(base.size)
-    for n in range(base.size):
-        bumped = base.copy()
-        bumped[n] = base[n] + h
-        hi = power_at(bumped)
-        bumped[n] = base[n] - h
-        lo = power_at(bumped)
-        grad[n] = (hi - lo) / (2.0 * h)
-    return grad
+    return power_gradient(a, r @ a, np.sin(targets.thetas) * np.sin(targets.phis))

@@ -3,7 +3,10 @@
 The transmit covariance is held fixed while the element displacements along
 the boresight axis move inside the box [-d_max, d_max]. Each iteration takes
 an Armijo-backtracked step along the analytic gradient of the cumulated
-probing power and projects back onto the box.
+probing power, starting from twice the last accepted step, and projects back
+onto the box. Only the displacement phase of A depends on the shape, so the
+planar factor is built once per ascent; each trial point costs one phase
+product and one R A, which also gives the gradient once the point is accepted.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayGeometry, SurfaceShape, TargetSet, steering_matrix
-from .objective import shape_gradient
+from .array_model import TWO_PI, ArrayGeometry, SurfaceShape, TargetSet, steering_matrix
+from .objective import _as_matrix, _check_covariance, column_powers, power_gradient
+# bound here only so perfbench/tracing.py WRAP_POINTS can wrap it
+from .objective import shape_gradient  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -26,6 +31,8 @@ STEP_FLOOR = 1e-12
 # First trial step is capped so no element moves more than this many
 # wavelengths at once; keeps the line search sane when the gradient is huge.
 MAX_FIRST_MOVE = 0.1
+# Later line searches start from this multiple of the last accepted step.
+STEP_GROWTH = 2.0
 
 
 @dataclass
@@ -44,7 +51,9 @@ class AscentConfig:
     shrink : float
         Backtracking multiplier in (0, 1).
     initial_step : float
-        First trial step size, in wavelengths per unit gradient.
+        First trial step size of the first iteration only, in wavelengths
+        per unit gradient; later iterations start from ``STEP_GROWTH``
+        times the last accepted step.
     """
 
     grad_tol: float = 1e-6
@@ -75,7 +84,8 @@ class AscentTrace:
     ``n_iters + 1``. ``grad_norms`` holds the raw gradient norm at every
     iterate the loop visited. ``projected_grad_norm`` is the norm of the
     gradient with components pushing against an active box face zeroed out,
-    measured at the final iterate.
+    measured at the final iterate. ``n_evals`` counts power evaluations,
+    the start included; ``n_gradients`` counts gradients.
     """
 
     objectives: np.ndarray
@@ -84,6 +94,8 @@ class AscentTrace:
     projected_grad_norm: float
     status: str
     n_iters: int
+    n_evals: int
+    n_gradients: int
 
 
 def project_shape(displacements: np.ndarray, d_max: float) -> np.ndarray:
@@ -91,12 +103,6 @@ def project_shape(displacements: np.ndarray, d_max: float) -> np.ndarray:
     if d_max < 0.0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
     return np.clip(displacements, -d_max, d_max)
-
-
-def _power(r: np.ndarray, geom: ArrayGeometry, targets: TargetSet,
-           displacements: np.ndarray) -> float:
-    a = steering_matrix(geom, targets.thetas, targets.phis, displacements)
-    return float(np.real(np.sum(a.conj() * (r @ a))))
 
 
 def _boxed_gradient_norm(grad: np.ndarray, displacements: np.ndarray,
@@ -118,25 +124,39 @@ def ascend_shape(
 
     Runs projected gradient ascent from ``shape``. A trial step is accepted
     when the power at the projected point beats the current power by at least
-    ``armijo_c * step * ||g||^2``; otherwise the step shrinks. If the step
-    collapses below the floor the loop stops with status ``step_floor``
-    rather than raising, since a boundary iterate can be legitimately stuck.
+    ``armijo_c * step * ||g||^2``; otherwise the step shrinks. The first
+    trial step is ``initial_step`` at the first iteration and twice the last
+    accepted step afterwards, capped so no element moves more than
+    ``MAX_FIRST_MOVE`` at once. If the step collapses below the floor the
+    loop stops with status ``step_floor`` rather than raising, since a
+    boundary iterate can be legitimately stuck.
 
     Returns the final shape and an :class:`AscentTrace`.
     """
     if config is None:
         config = AscentConfig()
-    r = getattr(r_x, "r", r_x)
-    x = project_shape(np.asarray(shape.displacements, dtype=float).copy(), geom.d_max)
+    r = _check_covariance(_as_matrix(r_x), geom.n_elements)
+    # the flat-shape steering matrix times the displacement phase reproduces
+    # steering_matrix at any shape bit for bit
+    planar = steering_matrix(geom, targets.thetas, targets.phis, np.zeros(geom.n_elements))
+    c = np.sin(targets.thetas) * np.sin(targets.phis)
 
-    p = _power(r, geom, targets, x)
+    def power(x):
+        a = planar * np.exp(-1j * TWO_PI * np.outer(x, c))
+        ra = r @ a
+        return float(np.sum(column_powers(a, ra)).real), a, ra
+
+    x = project_shape(np.asarray(shape.displacements, dtype=float).copy(), geom.d_max)
+    p, a, ra = power(x)
+    g = power_gradient(a, ra, c)
+    n_evals, n_gradients = 1, 1
     objectives = [p]
     grad_norms = []
     step_sizes = []
     status = STATUS_MAX_ITERS
+    trial = config.initial_step
 
     for _ in range(config.max_iters):
-        g = shape_gradient(r, geom, targets, SurfaceShape(x))
         gnorm = float(np.linalg.norm(g))
         grad_norms.append(gnorm)
         if gnorm <= config.grad_tol:
@@ -150,11 +170,12 @@ def ascend_shape(
             break
 
         gmax = float(np.max(np.abs(g)))
-        step = min(config.initial_step, MAX_FIRST_MOVE / gmax)
+        step = min(trial, MAX_FIRST_MOVE / gmax)
         accepted = False
         while step > STEP_FLOOR:
             x_try = project_shape(x + step * g, geom.d_max)
-            p_try = _power(r, geom, targets, x_try)
+            p_try, a, ra = power(x_try)
+            n_evals += 1
             if p_try >= p + config.armijo_c * step * gnorm * gnorm:
                 accepted = True
                 break
@@ -164,25 +185,26 @@ def ascend_shape(
             break
         x = x_try
         p = p_try
+        g = power_gradient(a, ra, c)
+        n_gradients += 1
         objectives.append(p)
         step_sizes.append(step)
+        trial = STEP_GROWTH * step
     else:
         # loop ran out; record the gradient at the final iterate too
-        g = shape_gradient(r, geom, targets, SurfaceShape(x))
-        gnorm = float(np.linalg.norm(g))
-        grad_norms.append(gnorm)
+        grad_norms.append(float(np.linalg.norm(g)))
 
-    final = SurfaceShape(x)
     trace = AscentTrace(
         objectives=np.asarray(objectives),
         grad_norms=np.asarray(grad_norms),
         step_sizes=np.asarray(step_sizes),
-        projected_grad_norm=_boxed_gradient_norm(
-            shape_gradient(r, geom, targets, final), x, geom.d_max),
+        projected_grad_norm=_boxed_gradient_norm(g, x, geom.d_max),
         status=status,
         n_iters=len(step_sizes),
+        n_evals=n_evals,
+        n_gradients=n_gradients,
     )
     if status == STATUS_MAX_ITERS:
         logger.debug("ascent stopped at max_iters=%d with grad norm %.3g",
                      config.max_iters, grad_norms[-1])
-    return final, trace
+    return SurfaceShape(x), trace

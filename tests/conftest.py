@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from morphbeam.array_model import ArrayGeometry, TargetSet
+from morphbeam.array_model import ArrayGeometry, TargetSet, steering_matrix
 from morphbeam.bcd import BcdConfig, Scheme, solve_benchmark
 from morphbeam.units import wavelength_from_frequency
 
@@ -32,6 +32,33 @@ def desk_geometry(d_max: float, n_x: int = 10, n_z: int = 10) -> ArrayGeometry:
 def desk_targets() -> TargetSet:
     return TargetSet.from_degrees(np.asarray(DESK_THETAS_DEG),
                                   np.asarray(DESK_PHIS_DEG))
+
+
+def finite_difference_gradient(r_x, geom, targets, shape, h=1e-6):
+    """Central-difference gradient of the cumulated power; verification oracle.
+
+    Independent of the package's gradient and of the shape ascent's
+    evaluator: it rebuilds the steering matrix and the whole quadratic form
+    at each probe. ``h`` is the probe step in wavelengths.
+    """
+    if h <= 0.0:
+        raise ValueError(f"step must be positive, got {h}")
+    r = getattr(r_x, "r", r_x)
+
+    def power_at(d):
+        a = steering_matrix(geom, targets.thetas, targets.phis, d)
+        return float(np.sum(a.conj() * (r @ a)).real)
+
+    base = shape.displacements
+    grad = np.empty(base.size)
+    for n in range(base.size):
+        bumped = base.copy()
+        bumped[n] = base[n] + h
+        hi = power_at(bumped)
+        bumped[n] = base[n] - h
+        lo = power_at(bumped)
+        grad[n] = (hi - lo) / (2.0 * h)
+    return grad
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import DESK_P_T_MW, desk_geometry, desk_targets
+from conftest import DESK_P_T_MW, desk_geometry, desk_targets, finite_difference_gradient
 from morphbeam.array_model import (
     ArrayGeometry,
     SurfaceShape,
@@ -29,7 +29,7 @@ from morphbeam.beampattern import target_powers
 from morphbeam.config import ExperimentConfig
 from morphbeam.covariance import rank_profile, solve_per_antenna_sdp
 from morphbeam.experiments import run_compare
-from morphbeam.objective import finite_difference_gradient, shape_gradient
+from morphbeam.objective import shape_gradient
 
 WAVELENGTH = 0.0107068735  # 28 GHz carrier
 

@@ -1,4 +1,4 @@
-"""Per-antenna SDP solver, closed-form total-power optimum, randomization."""
+"""Per-antenna SDP solver, rank-1 randomization, spectrum of B."""
 
 import logging
 
@@ -12,7 +12,6 @@ from morphbeam.covariance import (
     DEFAULT_SDP_TOL,
     ConstraintKind,
     CovarianceMatrix,
-    closed_form_total_power,
     randomize_rank1,
     rank_profile,
     solve_per_antenna_sdp,
@@ -28,22 +27,6 @@ def random_b(n, k, rng):
 def unit_modulus_b(n, rng):
     a = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     return np.outer(a, a.conj())
-
-
-def power_iteration(b, iters=500):
-    """Independent largest-eigenvalue estimate for cross-checks."""
-    rng = np.random.default_rng(99)
-    v = rng.standard_normal(b.shape[0]) + 1j * rng.standard_normal(b.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = b @ v
-        lam = float(np.real(v.conj() @ w))
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-    return lam
 
 
 class TestPerAntennaSdp:
@@ -72,8 +55,9 @@ class TestPerAntennaSdp:
             cov, report = solve_per_antenna_sdp(b, p_t)
             assert report.converged
             assert report.objective <= report.dual_bound + 1e-6 * abs(report.dual_bound)
-            # the diagonal-constrained optimum never beats the trace-constrained one
-            _, total = closed_form_total_power(b, p_t)
+            # the diagonal-constrained optimum never beats the trace-constrained
+            # one, p_t * lambda_max(B)
+            total = p_t * float(np.linalg.eigvalsh(b)[-1])
             assert report.objective <= total * (1.0 + 1e-6)
             cov.validate()
             # reported objective is the actual quadratic-form value of cov
@@ -174,27 +158,6 @@ class TestPerAntennaSdp:
         assert rep3.objective == pytest.approx(2.0 * rep1.objective, rel=1e-6)
 
 
-class TestClosedFormTotalPower:
-    def test_matches_power_iteration(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            b = random_b(int(rng.integers(3, 10)), int(rng.integers(1, 4)), rng)
-            cov, value = closed_form_total_power(b, p_t=3.0)
-            assert value == pytest.approx(3.0 * power_iteration(b), rel=1e-9)
-            assert float(np.real(np.trace(cov.r))) == pytest.approx(3.0, rel=1e-12)
-            cov.validate()
-
-    def test_single_steering_vector(self):
-        rng = np.random.default_rng(5)
-        b = unit_modulus_b(7, rng)
-        _, value = closed_form_total_power(b, p_t=2.0)
-        assert value == pytest.approx(2.0 * 7, rel=1e-12)
-
-    def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError):
-            closed_form_total_power(np.eye(3), p_t=-1.0)
-
-
 class TestRandomizeRank1:
     def test_weights_have_constant_modulus(self):
         rng = np.random.default_rng(6)
@@ -267,15 +230,11 @@ class TestCovarianceValidate:
         with pytest.raises(ValueError):
             cov.validate()
 
-    def test_catches_wrong_trace(self):
-        cov = CovarianceMatrix(r=np.eye(4, dtype=complex), power_budget=8.0,
-                               constraint_kind=ConstraintKind.TOTAL_POWER)
-        with pytest.raises(ValueError):
-            cov.validate()
-
     def test_catches_indefinite(self):
-        r = np.diag([2.0, 2.0, 2.0, -0.5]).astype(complex)
-        cov = CovarianceMatrix(r=r, power_budget=5.5,
-                               constraint_kind=ConstraintKind.TOTAL_POWER)
-        with pytest.raises(ValueError):
+        # diagonal exactly p_t/N = 1, but eigenvalues 3, 1, 1 and -1
+        r = np.eye(4, dtype=complex)
+        r[0, 1] = r[1, 0] = 2.0
+        cov = CovarianceMatrix(r=r, power_budget=4.0,
+                               constraint_kind=ConstraintKind.PER_ANTENNA)
+        with pytest.raises(ValueError, match="not PSD"):
             cov.validate()

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import finite_difference_gradient
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.covariance import CovarianceMatrix, ConstraintKind
-from morphbeam.objective import (
-    cumulated_power,
-    finite_difference_gradient,
-    shape_gradient,
-)
+from morphbeam.objective import cumulated_power, shape_gradient
 
 
 def make_geom(n_x=3, n_z=3, d_max=0.5):

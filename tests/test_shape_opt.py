@@ -131,3 +131,20 @@ class TestAscendShape:
         shape0 = SurfaceShape(np.full(geom.n_elements, 5.0))
         final, trace = ascend_shape(cov, geom, targets, shape0)
         assert np.all(np.abs(final.displacements) <= 0.1 + 1e-15)
+
+
+class TestAscentCounts:
+    @pytest.mark.parametrize("d_max, seed, max_iters", [
+        (0.5, 0, 1000), (0.5, 12, 1000), (0.25, 3, 1000), (0.5, 0, 2), (0.0, 0, 1000)])
+    def test_counts_match_the_trace(self, d_max, seed, max_iters):
+        geom, targets, cov = make_instance(d_max=d_max, seed=seed)
+        _, trace = ascend_shape(cov, geom, targets, SurfaceShape.zero(geom),
+                                AscentConfig(max_iters=max_iters))
+        assert trace.n_evals >= trace.n_iters + 1
+        assert trace.n_gradients == trace.grad_norms.size
+
+    def test_desk_kept_start_needs_few_evaluations_per_gradient(self, morph_mimo_results):
+        res, _ = morph_mimo_results[1.0]
+        evals = sum(r.ascent_evals for r in res.trace.records)
+        gradients = sum(r.ascent_gradients for r in res.trace.records)
+        assert evals <= 3 * gradients
