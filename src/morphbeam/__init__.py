@@ -10,7 +10,6 @@ from .array_model import (
     TargetSet,
     response_matrix,
     steering_matrix,
-    steering_vector,
 )
 from .bcd import (
     BcdConfig,
@@ -34,7 +33,6 @@ from .covariance import (
     CovarianceMatrix,
     SolveReport,
     randomize_rank1,
-    rank_profile,
     solve_per_antenna_sdp,
 )
 from .objective import cumulated_power, shape_gradient
@@ -74,12 +72,10 @@ __all__ = [
     "load_config",
     "project_shape",
     "randomize_rank1",
-    "rank_profile",
     "response_matrix",
     "shape_gradient",
     "solve_benchmark",
     "solve_per_antenna_sdp",
     "steering_matrix",
-    "steering_vector",
     "target_powers",
 ]

@@ -58,11 +58,6 @@ class ArrayGeometry:
     def n_elements(self) -> int:
         return self.n_x * self.n_z
 
-    @property
-    def wavenumber(self) -> float:
-        "Wavenumber 2*pi/wavelength in rad/m, derived (never stored)."
-        return TWO_PI / self.wavelength
-
 
 @dataclass
 class SurfaceShape:
@@ -81,10 +76,6 @@ class SurfaceShape:
     def uniform_random(cls, geom: ArrayGeometry, rng: np.random.Generator) -> "SurfaceShape":
         "Draw each displacement uniformly from [-d_max, d_max]."
         return cls(rng.uniform(-geom.d_max, geom.d_max, size=geom.n_elements))
-
-    @classmethod
-    def from_meters(cls, displacements_m, wavelength: float) -> "SurfaceShape":
-        return cls(np.asarray(displacements_m, dtype=float) / wavelength)
 
     def validate(self, geom: ArrayGeometry, box_tol: float = 1e-12) -> None:
         "Raise ValueError on length mismatch or morphing-range violation."
@@ -133,10 +124,13 @@ class TargetSet:
 
 @dataclass
 class ResponseMatrix:
-    """Stacked steering vectors A (N x K) and their correlation B = A A^H."""
+    """Stacked steering vectors A (N x K), one column per target.
+
+    The correlation B = A A^H that the objective tr(R B) depends on has rank
+    at most K; every consumer works on A, so B is never formed.
+    """
 
     a: np.ndarray
-    b: np.ndarray
 
     @property
     def n_elements(self) -> int:
@@ -182,23 +176,9 @@ def steering_matrix(
     return planar * a_y
 
 
-def steering_vector(
-    geom: ArrayGeometry, theta: float, phi: float, shape: SurfaceShape
-) -> np.ndarray:
-    """Steering vector toward direction (theta, phi), length ``n_elements``.
-
-    Angles are radians, theta (elevation) and phi (azimuth) in [0, pi].
-    """
-    if not (0.0 <= theta <= np.pi and 0.0 <= phi <= np.pi):
-        raise ValueError(f"angles out of range: theta={theta}, phi={phi}")
-    return steering_matrix(geom, theta, phi, shape.displacements)[:, 0]
-
-
 def response_matrix(
     geom: ArrayGeometry, targets: TargetSet, shape: SurfaceShape
 ) -> ResponseMatrix:
-    """Build A (columns = steering vectors per target) and B = A A^H."""
-    a = steering_matrix(geom, targets.thetas, targets.phis, shape.displacements)
-    b = a @ a.conj().T
-    b = 0.5 * (b + b.conj().T)  # kill BLAS round-off asymmetry
-    return ResponseMatrix(a=a, b=b)
+    """Build A, one steering vector per target as a column, at ``shape``."""
+    return ResponseMatrix(
+        a=steering_matrix(geom, targets.thetas, targets.phis, shape.displacements))

@@ -25,7 +25,7 @@ from .covariance import (
     randomize_rank1,
     solve_per_antenna_sdp,
 )
-from .objective import cumulated_power
+from .objective import column_powers, cumulated_power
 from .shape_opt import AscentConfig, ascend_shape
 
 logger = logging.getLogger(__name__)
@@ -198,16 +198,17 @@ def _run_single_start(
     for outer in range(1, cfg.max_outer_iters + 1):
         tic = time.perf_counter()
         rm = response_matrix(geom, targets, shape)
-        cov_sdp, rep = solve_per_antenna_sdp(rm.b, p_t)
+        cov_sdp, rep = solve_per_antenna_sdp(rm.a, p_t)
         sdp_obj = cumulated_power(cov_sdp, rm)
         rank1_val = None
 
         if phased_array:
             seq = np.random.SeedSequence(
                 [cfg.rng_seed, _SEED_TAG_RAND, start_index, outer])
-            w_new, rank1_val = randomize_rank1(cov_sdp, rm.b, p_t, rng_seed=seq)
+            w_new, rank1_val = randomize_rank1(cov_sdp, rm.a, p_t, rng_seed=seq)
             if weights is not None:
-                held = float(np.real(weights.conj() @ rm.b @ weights))
+                a_w = rm.a.conj().T @ weights  # w^H B w = ||A^H w||^2
+                held = float(np.real(column_powers(a_w, a_w)))
                 if held >= rank1_val:
                     w_new = weights
             weights = w_new
@@ -362,12 +363,12 @@ def solve_benchmark(
     if scheme in (Scheme.RAA_MIMO, Scheme.RAA_PA):
         shape = SurfaceShape.zero(geom)
         rm = response_matrix(geom, targets, shape)
-        cov, rep = solve_per_antenna_sdp(rm.b, p_t)
+        cov, rep = solve_per_antenna_sdp(rm.a, p_t)
         if scheme is Scheme.RAA_MIMO:
             return BenchmarkResult(scheme=scheme, objective_mw=rep.objective,
                                    cov=cov, shape=shape, sdp_report=rep)
         seq = np.random.SeedSequence([cfg.rng_seed, _SEED_TAG_RAND, 0, 1])
-        w, val = randomize_rank1(cov, rm.b, p_t, rng_seed=seq)
+        w, val = randomize_rank1(cov, rm.a, p_t, rng_seed=seq)
         rank1 = CovarianceMatrix(r=np.outer(w, w.conj()), power_budget=p_t,
                                  constraint_kind=cov.constraint_kind)
         return BenchmarkResult(scheme=scheme, objective_mw=val, cov=rank1,

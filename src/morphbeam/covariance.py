@@ -1,7 +1,8 @@
-"""Transmit-covariance subproblems: per-antenna SDP, rank-1 extraction, and
-spectrum analysis of the correlation matrix B.
+"""Transmit-covariance subproblems: per-antenna SDP and rank-1 extraction.
 
-The per-antenna problem
+Both take the targets' steering matrix A (N x K); the correlation matrix
+B = A A^H they depend on has rank at most K and is never formed. The
+per-antenna problem
 
     max tr(R B)   s.t.  diag(R) = P_t / N * 1,  R >= 0
 
@@ -10,10 +11,10 @@ is solved by a log-barrier interior-point method on its dual
     min (P_t / N) 1^T y   s.t.  Diag(y) >= B,
 
 using Newton steps on ``t * 1^T y - log det(Diag(y) - B)``. The steps run
-on an N x r factor F of B: one eigendecomposition of B gives
-B = F F^H + E, where F keeps the eigenpairs above a relative floor (r = K
-for K targets, r = N when K >= N) and E holds the rest. With D = Diag(y)
-and S = D - F F^H:
+on an N x r factor F of B: the thin SVD A = U Sigma V^H gives B = F F^H + E,
+where F = U Sigma keeps the singular values whose square is above a
+relative floor (r = K for K targets, r = N when K >= N) and E holds the
+rest. With D = Diag(y) and S = D - F F^H:
 
 - ``log det S = sum(log y) + log det(I - F^H D^-1 F)``, so an r x r
   Cholesky decides feasibility and gives the barrier value;
@@ -31,11 +32,11 @@ eigenvector of that R, and the dual bound is tightened by lambda_min(S);
 both are diagonal-minus-rank-r eigenproblems, solved through their r x r
 secular equations.
 
-Every solve returns a certified dual upper bound for the B it was given.
-The primal and rank-1 values are measured against B itself, y stays
-strictly feasible for F F^H, and the lambda_min shift is reduced by
-lambda_max(E), so ``(P_t/N) 1^T y`` still dominates the optimum by weak
-duality.
+Every solve returns a certified dual upper bound for B = A A^H. The primal
+and rank-1 values are measured against A itself (tr(R B) is the sum of the
+column quadratic forms a_k^H R a_k), y stays strictly feasible for F F^H,
+and the lambda_min shift is reduced by lambda_max(E), so
+``(P_t/N) 1^T y`` still dominates the optimum by weak duality.
 """
 
 from __future__ import annotations
@@ -46,13 +47,16 @@ from enum import Enum
 
 import numpy as np
 
+from .objective import column_powers
+
 logger = logging.getLogger(__name__)
 
 DEFAULT_SDP_TOL = 1e-6
 DEFAULT_ITER_CAP = 500
 
-# Eigenvalues of B at or below this fraction of lambda_max(B) are left out of
-# the factor F that the SDP works on; the dual bound pays for them.
+# Squared singular values of A (eigenvalues of B) at or below this fraction
+# of the largest are left out of the factor F that the SDP works on; the dual
+# bound pays for them.
 _RANK_FLOOR = 1e-10
 
 
@@ -109,24 +113,16 @@ class SolveReport:
         return (self.dual_bound - self.objective) / max(abs(self.dual_bound), 1e-300)
 
 
-def _check_b(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetrized B with its ascending eigenvalues and their eigenvectors.
-
-    Raises ValueError unless B is Hermitian positive semidefinite.
-    """
-    b = np.asarray(b, dtype=complex)
-    n = b.shape[0]
-    if b.ndim != 2 or b.shape != (n, n):
-        raise ValueError(f"B must be square, got {b.shape}")
-    scale = max(float(np.max(np.abs(b))), 1e-300)
-    herm_err = float(np.max(np.abs(b - b.conj().T)))
-    if herm_err > 1e-10 * max(1.0, scale):
-        raise ValueError(f"B is not Hermitian (max asymmetry {herm_err:g})")
-    b = 0.5 * (b + b.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(b)
-    if float(eigvals[0]) < -1e-8 * max(float(eigvals[-1]), 1e-300):
-        raise ValueError(f"B is not PSD (smallest eigenvalue {eigvals[0]:g})")
-    return b, eigvals, eigvecs
+def _check_a(a) -> np.ndarray:
+    "A as a complex array; ValueError unless it is a finite, nonzero N x K matrix."
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or 0 in a.shape:
+        raise ValueError(f"A must be a nonempty N x K matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("A has non-finite entries")
+    if not np.any(a):
+        raise ValueError("A is all zero")
+    return a
 
 
 def _schur_cholesky(y: np.ndarray, f: np.ndarray) -> np.ndarray | None:
@@ -206,35 +202,37 @@ def _min_eigpair(g: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def solve_per_antenna_sdp(
-    b: np.ndarray,
+    a: np.ndarray,
     p_t: float,
     tol: float = DEFAULT_SDP_TOL,
     iter_cap: int = DEFAULT_ITER_CAP,
 ) -> tuple[CovarianceMatrix, SolveReport]:
-    """Maximize tr(R B) under diag(R) = p_t/N and R >= 0.
+    """Maximize tr(R B), B = A A^H, under diag(R) = p_t/N and R >= 0.
 
-    Returns a feasible covariance together with a report whose
-    ``dual_bound`` certifies the relative optimality gap. A failure to
-    reach ``tol`` within ``iter_cap`` Newton steps is reported via
-    ``converged=False``, never silently.
+    ``a`` is the N x K steering matrix of the targets. Returns a feasible
+    covariance together with a report whose ``dual_bound`` certifies the
+    relative optimality gap. A failure to reach ``tol`` within ``iter_cap``
+    Newton steps is reported via ``converged=False``, never silently.
     """
     if p_t <= 0.0:
         raise ValueError(f"power budget must be positive, got {p_t}")
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    b, eig_b, vec_b = _check_b(b)
-    n = b.shape[0]
+    a = _check_a(a)
+    n = a.shape[0]
     rho = p_t / n
 
     # Work on the normalized problem: diag(R) = 1, lambda_max(B) = 1.
-    b_scale = max(float(eig_b[-1]), 1e-300)
-    bn = b / b_scale
-    # bn = F F^H + E: F keeps the eigenpairs above the floor (the largest
-    # always), and lambda_max(E) = dropped.
-    keep = eig_b > _RANK_FLOOR * b_scale
-    keep[-1] = True
-    f = vec_b[:, keep] * np.sqrt(np.maximum(eig_b[keep], 0.0) / b_scale)
-    dropped = float(np.max(eig_b[~keep], initial=0.0)) / b_scale
+    u, sv, _ = np.linalg.svd(a, full_matrices=False)
+    b_scale = float(sv[0]) ** 2
+    an = a / sv[0]
+    # an an^H = F F^H + E: F keeps the singular pairs whose relative square
+    # is above the floor (the largest always), and lambda_max(E) = dropped.
+    eig_rel = (sv / sv[0]) ** 2
+    keep = eig_rel > _RANK_FLOOR
+    keep[0] = True
+    f = u[:, keep] * (sv[keep] / sv[0])
+    dropped = float(np.max(eig_rel[~keep], initial=0.0))
 
     y = np.full(n, 2.0)                 # Diag(y) - F F^H >= I: strictly feasible
     chol = _schur_cholesky(y, f)
@@ -282,7 +280,7 @@ def solve_per_antenna_sdp(
         v = w * c[:, None]
         r_feas = v @ v.conj().T + np.diag(c ** 2 / y)
         r_feas = 0.5 * (r_feas + r_feas.conj().T)
-        primal = float(np.real(np.sum(r_feas * bn.T)))
+        primal = float(np.real(np.sum(column_powers(an, r_feas @ an))))
         # Rank-1 polish: a rank-1 optimum must have a constant-modulus
         # eigenvector (the diagonal constraint pins every |u_n|), so the
         # phase readout of the principal eigenvector is always feasible
@@ -290,11 +288,12 @@ def solve_per_antenna_sdp(
         # R^{-1} = Diag(y / c^2) - (F/c)(F/c)^H, so that eigenvector is the
         # smallest one of a diagonal-minus-rank-r matrix.
         phases = np.exp(1j * np.angle(_min_eigpair(y / c ** 2, f / c[:, None])[1]))
-        rank1 = float(np.real(phases.conj() @ bn @ phases))
+        a_w = an.conj().T @ phases          # w^H B w = ||A^H w||^2
+        rank1 = float(np.real(column_powers(a_w, a_w)))
         if rank1 > primal:
             primal = rank1
             r_feas = np.outer(phases, phases.conj())
-        # Shifting y down by lambda_min(Diag(y) - bn) keeps it PSD and
+        # Shifting y down by lambda_min(Diag(y) - an an^H) keeps it PSD and
         # tightens the bound; that eigenvalue is at least
         # lambda_min(Diag(y) - F F^H) - dropped.
         lam_min_s = _min_eigpair(y, f)[0]
@@ -334,7 +333,7 @@ def solve_per_antenna_sdp(
 
 def randomize_rank1(
     r: CovarianceMatrix,
-    b: np.ndarray,
+    a: np.ndarray,
     p_t: float,
     n_samples: int = 1000,
     rng_seed=0,
@@ -343,15 +342,18 @@ def randomize_rank1(
 
     Draws ``n_samples`` complex Gaussian vectors with covariance ``r.r``,
     maps each to constant-modulus weights ``sqrt(p_t/N) exp(j arg(.))``, and
-    returns the weights maximizing ``w^H B w`` plus that value. Samples are
-    drawn sequentially from one seeded stream, so the best value over a
-    prefix of the stream is nondecreasing in ``n_samples``, up to last-bit
-    rounding of the batched matrix products.
+    returns the weights maximizing ``w^H B w = ||A^H w||^2`` for the N x K
+    steering matrix ``a``, plus that value. Samples are drawn sequentially
+    from one seeded stream, so the best value over a prefix of the stream
+    is nondecreasing in ``n_samples``, up to last-bit rounding of the
+    batched matrix products.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    b, _, _ = _check_b(b)
-    n = b.shape[0]
+    a = _check_a(a)
+    n = a.shape[0]
+    if r.r.shape != (n, n):
+        raise ValueError(f"covariance is {r.r.shape}, A has {n} rows")
     if float(np.real(np.trace(r.r))) <= 1e-300:
         raise ValueError("degenerate covariance: trace is numerically zero")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
@@ -363,20 +365,7 @@ def randomize_rank1(
     noise = rng.standard_normal((n_samples, 2, n))
     xi = root @ ((noise[:, 0] + 1j * noise[:, 1]).T / np.sqrt(2.0))
     w_all = np.sqrt(p_t / n) * np.exp(1j * np.angle(xi))
-    values = np.real(np.sum(w_all.conj() * (b @ w_all), axis=0))
+    a_w = a.conj().T @ w_all
+    values = np.real(column_powers(a_w, a_w))
     best = int(np.argmax(values))
     return w_all[:, best].copy(), float(values[best])
-
-
-def rank_profile(b: np.ndarray, expected_trace: float | None = None) -> tuple[np.ndarray, float]:
-    """Descending eigenvalues of B and the trace-identity residual.
-
-    ``expected_trace`` defaults to tr(B); pass ``K * N`` to check the
-    correlation-matrix identity sum(lambda) = K * N.
-    """
-    b, eig_b, _ = _check_b(b)
-    eigvals = eig_b[::-1]
-    total = float(np.sum(eigvals))
-    if expected_trace is None:
-        expected_trace = float(np.real(np.trace(b)))
-    return np.clip(eigvals, 0.0, None), abs(total - expected_trace)

@@ -1,6 +1,6 @@
 """Cumulated probing power at the target directions and its shape gradient.
 
-The objective is ``P_c = sum_k a_k^H R a_k = tr(R B)`` in linear milliwatts.
+The objective is ``P_c = sum_k a_k^H R a_k = tr(R A A^H)`` in linear milliwatts.
 Its gradient with respect to the per-element displacement exploits the fact
 that the derivative of A with respect to displacement n is nonzero only in
 row n: with c_k = sin(theta_k) sin(phi_k),

@@ -34,6 +34,31 @@ def desk_targets() -> TargetSet:
                                   np.asarray(DESK_PHIS_DEG))
 
 
+def steering_vector(geom, theta, phi, shape):
+    "Steering vector toward one direction (theta, phi), length ``n_elements``."
+    return steering_matrix(geom, theta, phi, shape.displacements)[:, 0]
+
+
+def rank_profile(b, expected_trace=None):
+    """Descending eigenvalues of B and the trace-identity residual.
+
+    B must be Hermitian positive semidefinite; ``expected_trace`` defaults
+    to tr(B); pass ``K * N`` to check the correlation-matrix identity
+    sum(lambda) = K * N.
+    """
+    b = np.asarray(b, dtype=complex)
+    herm_err = float(np.max(np.abs(b - b.conj().T)))
+    if herm_err > 1e-10 * max(1.0, float(np.max(np.abs(b)))):
+        raise ValueError(f"B is not Hermitian (max asymmetry {herm_err:g})")
+    b = 0.5 * (b + b.conj().T)
+    eigvals = np.linalg.eigvalsh(b)[::-1]
+    if float(eigvals[-1]) < -1e-8 * max(float(eigvals[0]), 1e-300):
+        raise ValueError(f"B is not PSD (smallest eigenvalue {eigvals[-1]:g})")
+    if expected_trace is None:
+        expected_trace = float(np.real(np.trace(b)))
+    return np.clip(eigvals, 0.0, None), abs(float(np.sum(eigvals)) - expected_trace)
+
+
 def finite_difference_gradient(r_x, geom, targets, shape, h=1e-6):
     """Central-difference gradient of the cumulated power; verification oracle.
 

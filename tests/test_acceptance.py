@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import DESK_P_T_MW, desk_geometry, desk_targets, finite_difference_gradient
+from conftest import (
+    DESK_P_T_MW,
+    desk_geometry,
+    desk_targets,
+    finite_difference_gradient,
+    rank_profile,
+)
 from morphbeam.array_model import (
     ArrayGeometry,
     SurfaceShape,
@@ -27,7 +33,7 @@ from morphbeam.bcd import (
 )
 from morphbeam.beampattern import target_powers
 from morphbeam.config import ExperimentConfig
-from morphbeam.covariance import rank_profile, solve_per_antenna_sdp
+from morphbeam.covariance import solve_per_antenna_sdp
 from morphbeam.experiments import run_compare
 from morphbeam.objective import shape_gradient
 
@@ -78,7 +84,8 @@ def test_trace_identity_and_rank_bound():
         rng = np.random.default_rng(8100 + i)
         k = 1 + i % 5
         geom, targets, shape = _random_instance(rng, *sizes[i % 4], k)
-        b = response_matrix(geom, targets, shape).b
+        a = response_matrix(geom, targets, shape).a
+        b = a @ a.conj().T
         expected = float(k * geom.n_elements)
         eigs, residual = rank_profile(b, expected_trace=expected)
         assert abs(residual) <= 1e-10 * expected
@@ -92,8 +99,8 @@ def test_single_target_reaches_full_array_gain():
     for n_x, n_z in [(2, 2), (4, 4), (10, 10)]:
         geom = desk_geometry(0.0, n_x=n_x, n_z=n_z)
         targets = TargetSet.from_degrees(np.array([75.0]), np.array([40.0]))
-        b = response_matrix(geom, targets, SurfaceShape.zero(geom)).b
-        cov, report = solve_per_antenna_sdp(b, p_t)
+        a = response_matrix(geom, targets, SurfaceShape.zero(geom)).a
+        cov, report = solve_per_antenna_sdp(a, p_t)
         ideal = p_t * geom.n_elements
         assert abs(report.objective - ideal) <= 1e-4 * ideal
         cov.validate()
@@ -107,8 +114,9 @@ def test_solver_certificate_holds():
     for i in range(30):
         rng = np.random.default_rng(8700 + i)
         geom, targets, shape = _random_instance(rng, *sizes[i % 3], 1 + i % 5)
-        b = response_matrix(geom, targets, shape).b
-        cov, report = solve_per_antenna_sdp(b, p_t)
+        a = response_matrix(geom, targets, shape).a
+        b = a @ a.conj().T
+        cov, report = solve_per_antenna_sdp(a, p_t)
         bound = report.dual_bound
         assert report.objective <= bound + 1e-6 * abs(bound)
         lam_max = float(np.linalg.eigvalsh(b)[-1])
@@ -170,7 +178,7 @@ def test_solver_matches_sampling_oracle():
         f = master.standard_normal((3, 2)) + 1j * master.standard_normal((3, 2))
         b = f @ f.conj().T
         b = 0.5 * (b + b.conj().T)
-        _, report = solve_per_antenna_sdp(b, p_t)
+        _, report = solve_per_antenna_sdp(f, p_t)
         oracle = _oracle_best(b, p_t, seed=1000 + i)
         assert abs(report.objective - oracle) < 5e-3 * oracle
 

@@ -57,7 +57,7 @@ class TestBcdOptimize:
     def test_zero_range_reduces_to_single_sdp(self):
         geom, targets = make_instance(d_max=0.0)
         rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
-        _, rep = solve_per_antenna_sdp(rm.b, P_T)
+        _, rep = solve_per_antenna_sdp(rm.a, P_T)
         cov, shape, trace = bcd_optimize(geom, targets, P_T, quick_cfg())
         np.testing.assert_array_equal(shape.displacements, np.zeros(geom.n_elements))
         assert trace.records[-1].objective_mw == pytest.approx(rep.objective, rel=1e-9)
@@ -84,7 +84,7 @@ class TestBcdOptimize:
         for seed in range(3):
             geom, targets = make_instance(d_max=0.5, seed=seed)
             rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
-            _, rep = solve_per_antenna_sdp(rm.b, P_T)
+            _, rep = solve_per_antenna_sdp(rm.a, P_T)
             _, _, trace = bcd_optimize(geom, targets, P_T, quick_cfg())
             assert trace.records[-1].objective_mw >= rep.objective * (1.0 - 1e-12)
 
@@ -141,7 +141,7 @@ class TestSolveBenchmark:
     def test_rigid_mimo_matches_direct_sdp(self):
         geom, targets = make_instance(d_max=0.0, seed=6)
         rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
-        _, rep = solve_per_antenna_sdp(rm.b, P_T)
+        _, rep = solve_per_antenna_sdp(rm.a, P_T)
         res = solve_benchmark(Scheme.RAA_MIMO, geom, targets, P_T, quick_cfg())
         assert res.objective_mw == rep.objective
         assert res.sdp_report is not None
@@ -153,7 +153,7 @@ class TestSolveBenchmark:
         n = geom.n_elements
         np.testing.assert_allclose(np.abs(res.weights), np.sqrt(P_T / n), rtol=1e-12)
         rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
-        direct = float(np.real(res.weights.conj() @ rm.b @ res.weights))
+        direct = float(np.real(res.weights.conj() @ (rm.a @ (rm.a.conj().T @ res.weights))))
         assert res.objective_mw == pytest.approx(direct, rel=1e-12)
         # reported covariance is the rank-1 outer product of the weights
         np.testing.assert_allclose(res.cov.r,

@@ -46,7 +46,7 @@ def test_grid_agrees_with_target_powers():
                         phis=np.sort(rng.uniform(0.2, np.pi - 0.2, 3)))
     shape = SurfaceShape(rng.uniform(-0.3, 0.3, geom.n_elements))
     rm = response_matrix(geom, targets, shape)
-    cov, _ = solve_per_antenna_sdp(rm.b, p_t=10.0)
+    cov, _ = solve_per_antenna_sdp(rm.a, p_t=10.0)
 
     grid = evaluate_beampattern(cov, geom, shape, targets.thetas, targets.phis)
     per_dbm, cum_mw, min_dbm = target_powers(cov, geom, targets, shape)
@@ -63,7 +63,7 @@ def test_single_target_peak_value_and_location():
     theta0, phi0 = np.pi / 3, np.pi / 4
     targets = TargetSet(thetas=np.array([theta0]), phis=np.array([phi0]))
     rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
-    cov, _ = solve_per_antenna_sdp(rm.b, p_t=10.0)
+    cov, _ = solve_per_antenna_sdp(rm.a, p_t=10.0)
     axis = np.linspace(0.0, np.pi, 90)   # lattice avoids theta0/phi0 exactly
     t_axis = np.sort(np.append(axis, theta0))
     p_axis = np.sort(np.append(axis, phi0))
@@ -82,7 +82,7 @@ def test_power_bounded_by_budget_times_elements():
                         phis=rng.uniform(0.2, np.pi - 0.2, 3))
     shape = SurfaceShape(rng.uniform(-0.5, 0.5, geom.n_elements))
     rm = response_matrix(geom, targets, shape)
-    cov, _ = solve_per_antenna_sdp(rm.b, p_t=7.0)
+    cov, _ = solve_per_antenna_sdp(rm.a, p_t=7.0)
     grid = evaluate_beampattern(cov, geom, shape)
     # a^H R a <= lambda_max(R) * n <= tr(R) * n = p_t * n
     bound_dbm = 10.0 * np.log10(7.0 * geom.n_elements)

@@ -105,8 +105,8 @@ def test_run_optimize_artifacts_are_self_consistent(tmp_path):
 def test_record_shows_unconverged_sdp(tmp_path, monkeypatch, scheme):
     # The trace records (fim-mimo) and the single rigid solve's report
     # (raa-mimo) both reach record.json.
-    def capped(b, p_t):
-        return solve_per_antenna_sdp(b, p_t, iter_cap=2)
+    def capped(a, p_t):
+        return solve_per_antenna_sdp(a, p_t, iter_cap=2)
 
     monkeypatch.setattr("morphbeam.bcd.solve_per_antenna_sdp", capped)
     raw = tiny_config_dict()

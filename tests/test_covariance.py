@@ -1,11 +1,11 @@
-"""Per-antenna SDP solver, rank-1 randomization, spectrum of B."""
+"""Per-antenna SDP solver, rank-1 randomization, spectrum of B = A A^H."""
 
 import logging
 
 import numpy as np
 import pytest
 
-from conftest import DESK_P_T_MW, desk_geometry, desk_targets
+from conftest import DESK_P_T_MW, desk_geometry, desk_targets, rank_profile
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.covariance import (
     _RANK_FLOOR,
@@ -13,20 +13,36 @@ from morphbeam.covariance import (
     ConstraintKind,
     CovarianceMatrix,
     randomize_rank1,
-    rank_profile,
     solve_per_antenna_sdp,
 )
+from morphbeam.objective import column_powers
 
 
-def random_b(n, k, rng):
-    f = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    b = f @ f.conj().T
-    return 0.5 * (b + b.conj().T)
+def random_a(n, k, rng):
+    return rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
 
 
-def unit_modulus_b(n, rng):
-    a = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    return np.outer(a, a.conj())
+def gram(a):
+    "B = A A^H, built here: the package never forms it."
+    return a @ a.conj().T
+
+
+def unit_modulus_a(n, rng):
+    return np.exp(1j * rng.uniform(0, 2 * np.pi, (n, 1)))
+
+
+def _with_nan():
+    a = np.ones((4, 2), dtype=complex)
+    a[1, 0] = np.nan
+    return a
+
+
+BAD_STEERING = [
+    pytest.param(np.ones(4, dtype=complex), "N x K", id="one-dimensional"),
+    pytest.param(np.ones((4, 0), dtype=complex), "N x K", id="no-targets"),
+    pytest.param(_with_nan(), "non-finite", id="non-finite"),
+    pytest.param(np.zeros((4, 2), dtype=complex), "all zero", id="all-zero"),
+]
 
 
 class TestPerAntennaSdp:
@@ -35,13 +51,13 @@ class TestPerAntennaSdp:
         # by the phase-aligned rank-1 covariance.
         rng = np.random.default_rng(0)
         for n in (4, 9, 16):
-            b = unit_modulus_b(n, rng)
-            cov, report = solve_per_antenna_sdp(b, p_t=10.0)
+            a = unit_modulus_a(n, rng)
+            cov, report = solve_per_antenna_sdp(a, p_t=10.0)
             assert report.objective == pytest.approx(10.0 * n, rel=1e-8)
             cov.validate()
 
     def test_identity_b_gives_power_budget(self):
-        # tr(R I) = tr(R) = p_t for every feasible R.
+        # A = I gives B = I, and tr(R I) = tr(R) = p_t for every feasible R.
         cov, report = solve_per_antenna_sdp(np.eye(6), p_t=4.0)
         assert report.objective == pytest.approx(4.0, rel=1e-6)
 
@@ -50,9 +66,10 @@ class TestPerAntennaSdp:
         for _ in range(25):
             n = int(rng.integers(3, 12))
             k = int(rng.integers(1, 5))
-            b = random_b(n, k, rng)
+            a = random_a(n, k, rng)
+            b = gram(a)
             p_t = float(rng.uniform(0.5, 20.0))
-            cov, report = solve_per_antenna_sdp(b, p_t)
+            cov, report = solve_per_antenna_sdp(a, p_t)
             assert report.converged
             assert report.objective <= report.dual_bound + 1e-6 * abs(report.dual_bound)
             # the diagonal-constrained optimum never beats the trace-constrained
@@ -66,8 +83,7 @@ class TestPerAntennaSdp:
 
     def test_diagonal_is_exact(self):
         rng = np.random.default_rng(2)
-        b = random_b(8, 3, rng)
-        cov, report = solve_per_antenna_sdp(b, p_t=5.0)
+        cov, report = solve_per_antenna_sdp(random_a(8, 3, rng), p_t=5.0)
         np.testing.assert_allclose(np.real(np.diag(cov.r)), 5.0 / 8, rtol=1e-12)
         assert report.residuals["max_diag_error"] <= 1e-12
 
@@ -76,12 +92,32 @@ class TestPerAntennaSdp:
             solve_per_antenna_sdp(np.eye(4), p_t=0.0)
         with pytest.raises(ValueError):
             solve_per_antenna_sdp(np.eye(4), p_t=1.0, tol=0.0)
-        bad = np.eye(4, dtype=complex)
-        bad[0, 1] = 1.0
-        with pytest.raises(ValueError):
+
+    @pytest.mark.parametrize("bad, message", BAD_STEERING)
+    def test_rejects_bad_steering_matrix(self, bad, message):
+        with pytest.raises(ValueError, match=message):
             solve_per_antenna_sdp(bad, p_t=1.0)
-        with pytest.raises(ValueError):
-            solve_per_antenna_sdp(-np.eye(4), p_t=1.0)
+
+    def test_no_n_by_n_decomposition(self, monkeypatch):
+        # B = A A^H has rank K, so nothing on the solve path may decompose
+        # an N x N matrix; record what every decomposition is handed.
+        n = 100
+        geom = ArrayGeometry(n_x=10, n_z=10, dx=0.5, dz=0.5, wavelength=0.0107)
+        a = response_matrix(geom, desk_targets(), SurfaceShape.zero(geom)).a
+        shapes = []
+        for name in ("eigh", "eigvalsh", "svd", "cholesky", "eig", "eigvals", "qr", "inv",
+                     "solve", "slogdet"):
+            original = getattr(np.linalg, name)
+
+            def recording(x, *args, _original=original, **kwargs):
+                shapes.append(np.shape(x))
+                return _original(x, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        _, report = solve_per_antenna_sdp(a, 4.0)
+        assert report.converged
+        assert shapes
+        assert all(shape[-2:] != (n, n) for shape in shapes), shapes
 
     def test_iteration_cap_is_reported(self, caplog):
         # Stopping at the Newton cap must show in the report and the log, and
@@ -90,7 +126,7 @@ class TestPerAntennaSdp:
         targets = TargetSet.from_degrees([30.0, 30.0, 135.0], [60.0, 120.0, 90.0])
         rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
         with caplog.at_level(logging.WARNING, logger="morphbeam.covariance"):
-            cov, report = solve_per_antenna_sdp(rm.b, 4.0, iter_cap=2)
+            cov, report = solve_per_antenna_sdp(rm.a, 4.0, iter_cap=2)
         assert report.converged is False
         assert report.iterations == 2
         cov.validate()
@@ -115,14 +151,15 @@ class TestPerAntennaSdp:
         else:
             geom = ArrayGeometry(n_x=1, n_z=1, dx=0.5, dz=0.5, wavelength=0.0107)
             targets = TargetSet(th, ph)
-        b = response_matrix(geom, targets, SurfaceShape.zero(geom)).b
+        a = response_matrix(geom, targets, SurfaceShape.zero(geom)).a
+        b = gram(a)
         eigvals = np.linalg.eigvalsh(b)
         if case == "eigenvalue-below-floor":
             assert 0.0 < eigvals[-3] < _RANK_FLOOR * eigvals[-1]
         else:
             assert eigvals[0] > 1e-3 * eigvals[-1]          # full rank
         n = geom.n_elements
-        cov, report = solve_per_antenna_sdp(b, 4.0)
+        cov, report = solve_per_antenna_sdp(a, 4.0)
         assert report.converged
         assert report.relative_gap <= DEFAULT_SDP_TOL
         assert report.objective <= report.dual_bound
@@ -142,70 +179,91 @@ class TestPerAntennaSdp:
         geom = desk_geometry(1.0)
         shape = (SurfaceShape.zero(geom) if shape_seed is None else
                  SurfaceShape.uniform_random(geom, np.random.default_rng(shape_seed)))
-        b = response_matrix(geom, desk_targets(), shape).b
-        _, report = solve_per_antenna_sdp(b, DESK_P_T_MW)
+        a = response_matrix(geom, desk_targets(), shape).a
+        _, report = solve_per_antenna_sdp(a, DESK_P_T_MW)
         assert report.objective == pytest.approx(objective, rel=1e-6)
         assert report.dual_bound == pytest.approx(dual_bound, rel=1e-6)
+
+    def test_desk_zero_shape_split_is_pinned(self):
+        # The desk SDP at the zero shape has more than one optimum within the
+        # certified gap: a generalized power method reaches the same total
+        # with the split 384.51 / 384.51 / 271.45 mW, and the BCD run that
+        # follows it misses the per-target criterion. Pin the interior
+        # point's split so a solver that lands elsewhere fails here first.
+        geom = desk_geometry(1.0)
+        a = response_matrix(geom, desk_targets(), SurfaceShape.zero(geom)).a
+        cov, _ = solve_per_antenna_sdp(a, DESK_P_T_MW)
+        per_target = np.real(column_powers(a, cov.r @ a))
+        np.testing.assert_allclose(per_target, [411.15175, 411.15175, 218.16245], rtol=1e-5)
 
     def test_scale_invariance_of_argmax(self):
         # Scaling B scales the objective; scaling p_t scales the covariance.
         rng = np.random.default_rng(3)
-        b = random_b(6, 2, rng)
-        _, rep1 = solve_per_antenna_sdp(b, p_t=2.0)
-        _, rep2 = solve_per_antenna_sdp(10.0 * b, p_t=2.0)
+        a = random_a(6, 2, rng)
+        _, rep1 = solve_per_antenna_sdp(a, p_t=2.0)
+        _, rep2 = solve_per_antenna_sdp(np.sqrt(10.0) * a, p_t=2.0)
         assert rep2.objective == pytest.approx(10.0 * rep1.objective, rel=1e-6)
-        _, rep3 = solve_per_antenna_sdp(b, p_t=4.0)
+        _, rep3 = solve_per_antenna_sdp(a, p_t=4.0)
         assert rep3.objective == pytest.approx(2.0 * rep1.objective, rel=1e-6)
 
 
 class TestRandomizeRank1:
     def test_weights_have_constant_modulus(self):
         rng = np.random.default_rng(6)
-        b = random_b(8, 3, rng)
-        cov, _ = solve_per_antenna_sdp(b, p_t=8.0)
-        w, val = randomize_rank1(cov, b, p_t=8.0, n_samples=200, rng_seed=1)
+        a = random_a(8, 3, rng)
+        cov, _ = solve_per_antenna_sdp(a, p_t=8.0)
+        w, val = randomize_rank1(cov, a, p_t=8.0, n_samples=200, rng_seed=1)
         np.testing.assert_allclose(np.abs(w), 1.0, rtol=1e-12)
-        assert val == pytest.approx(float(np.real(w.conj() @ b @ w)), rel=1e-12)
+        assert val == pytest.approx(float(np.real(w.conj() @ gram(a) @ w)), rel=1e-12)
 
     def test_never_beats_the_relaxation_dual(self):
         rng = np.random.default_rng(7)
-        b = random_b(8, 3, rng)
-        cov, report = solve_per_antenna_sdp(b, p_t=8.0)
-        _, val = randomize_rank1(cov, b, p_t=8.0, n_samples=500, rng_seed=2)
+        a = random_a(8, 3, rng)
+        cov, report = solve_per_antenna_sdp(a, p_t=8.0)
+        _, val = randomize_rank1(cov, a, p_t=8.0, n_samples=500, rng_seed=2)
         assert val <= report.dual_bound * (1.0 + 1e-9)
 
     def test_value_nondecreasing_in_sample_count(self):
         # Samples come from one sequential stream, so more samples can only
         # improve the best value for the same seed.
         rng = np.random.default_rng(8)
-        b = random_b(6, 2, rng)
-        cov, _ = solve_per_antenna_sdp(b, p_t=6.0)
+        a = random_a(6, 2, rng)
+        cov, _ = solve_per_antenna_sdp(a, p_t=6.0)
         vals = [
-            randomize_rank1(cov, b, p_t=6.0, n_samples=m, rng_seed=3)[1]
+            randomize_rank1(cov, a, p_t=6.0, n_samples=m, rng_seed=3)[1]
             for m in (1, 10, 100, 400)
         ]
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(9)
-        b = random_b(5, 2, rng)
-        cov, _ = solve_per_antenna_sdp(b, p_t=5.0)
-        w1, v1 = randomize_rank1(cov, b, p_t=5.0, n_samples=50, rng_seed=42)
-        w2, v2 = randomize_rank1(cov, b, p_t=5.0, n_samples=50, rng_seed=42)
+        a = random_a(5, 2, rng)
+        cov, _ = solve_per_antenna_sdp(a, p_t=5.0)
+        w1, v1 = randomize_rank1(cov, a, p_t=5.0, n_samples=50, rng_seed=42)
+        w2, v2 = randomize_rank1(cov, a, p_t=5.0, n_samples=50, rng_seed=42)
         np.testing.assert_array_equal(w1, w2)
         assert v1 == v2
 
     def test_validation(self):
         rng = np.random.default_rng(10)
-        b = random_b(4, 1, rng)
-        cov, _ = solve_per_antenna_sdp(b, p_t=4.0)
+        a = random_a(4, 1, rng)
+        cov, _ = solve_per_antenna_sdp(a, p_t=4.0)
         with pytest.raises(ValueError):
-            randomize_rank1(cov, b, p_t=4.0, n_samples=0)
+            randomize_rank1(cov, a, p_t=4.0, n_samples=0)
         degenerate = CovarianceMatrix(r=np.zeros((4, 4), dtype=complex),
                                       power_budget=4.0,
                                       constraint_kind=ConstraintKind.PER_ANTENNA)
         with pytest.raises(ValueError):
-            randomize_rank1(degenerate, b, p_t=4.0, n_samples=10)
+            randomize_rank1(degenerate, a, p_t=4.0, n_samples=10)
+        with pytest.raises(ValueError, match="rows"):
+            randomize_rank1(cov, random_a(5, 1, rng), p_t=4.0, n_samples=10)
+
+    @pytest.mark.parametrize("bad, message", BAD_STEERING)
+    def test_rejects_bad_steering_matrix(self, bad, message):
+        cov = CovarianceMatrix(r=np.eye(4, dtype=complex), power_budget=4.0,
+                               constraint_kind=ConstraintKind.PER_ANTENNA)
+        with pytest.raises(ValueError, match=message):
+            randomize_rank1(cov, bad, p_t=4.0, n_samples=10)
 
 
 class TestRankProfile:
@@ -216,7 +274,7 @@ class TestRankProfile:
         targets = TargetSet(thetas=rng.uniform(0, np.pi, k),
                             phis=rng.uniform(0, np.pi, k))
         rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
-        eigvals, residual = rank_profile(rm.b, expected_trace=k * geom.n_elements)
+        eigvals, residual = rank_profile(gram(rm.a), expected_trace=k * geom.n_elements)
         assert np.all(np.diff(eigvals) <= 0.0)
         assert residual <= 1e-10 * k * geom.n_elements
         # correlation of k steering vectors has rank at most k

@@ -23,7 +23,7 @@ def make_instance(d_max, n=3, k=2, seed=0):
     targets = TargetSet(thetas=rng.uniform(0.3, np.pi - 0.3, k),
                         phis=rng.uniform(0.3, np.pi - 0.3, k))
     rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
-    cov, _ = solve_per_antenna_sdp(rm.b, p_t=10.0)
+    cov, _ = solve_per_antenna_sdp(rm.a, p_t=10.0)
     return geom, targets, cov
 
 
@@ -99,7 +99,7 @@ class TestAscendShape:
         geom, _, cov = make_instance(d_max=0.5)
         targets = TargetSet(thetas=np.array([1.0]), phis=np.array([0.0]))
         rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
-        cov0, _ = solve_per_antenna_sdp(rm.b, p_t=10.0)
+        cov0, _ = solve_per_antenna_sdp(rm.a, p_t=10.0)
         _, trace = ascend_shape(cov0, geom, targets, SurfaceShape.zero(geom))
         assert trace.status == STATUS_GRADIENT_TOL
         assert trace.n_iters == 0
