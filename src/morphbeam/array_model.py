@@ -155,6 +155,11 @@ def steering_matrix(
 
     Returns an (n_elements, n_directions) complex matrix whose entries all
     have unit modulus.
+
+    The displacement term depends on a direction only through
+    ``sin(theta) sin(phi)``, so it is exponentiated once per distinct value
+    and gathered into the columns; every entry has the same bits as when
+    each column is computed on its own.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
@@ -172,8 +177,9 @@ def steering_matrix(
     a_z = np.exp(-1j * TWO_PI * np.outer(np.arange(geom.n_z), v_z))   # (n_z, M)
     # kron(a_z, a_x) for every direction: flat index i_z * n_x + i_x
     planar = (a_z[:, None, :] * a_x[None, :, :]).reshape(geom.n_elements, -1)
-    a_y = np.exp(-1j * TWO_PI * np.outer(displacements, sin_t * np.sin(phis)))
-    return planar * a_y
+    s, inv = np.unique(sin_t * np.sin(phis), return_inverse=True)
+    a_y = np.exp(-1j * TWO_PI * np.outer(displacements, s))
+    return planar * a_y[:, inv]
 
 
 def response_matrix(

@@ -3,7 +3,13 @@
 Records serialize to JSON; matrices and grids go to CSV with fixed headers so
 downstream plotting never guesses column meanings. Floats are written with
 Python's shortest round-trip representation, which makes re-parsed values
-bit-equal to what was computed.
+bit-equal to what was computed. The files are what ``csv.writer`` writes:
+comma-separated, CRLF line ends, no quoting of numbers.
+
+The readers check the header, parse the body with ``np.loadtxt`` and raise
+ValueError naming the file for an empty body, a negative, fractional or
+out-of-range index, a duplicate entry, or entries that do not cover the
+matrix, vector or grid exactly once.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,34 +106,72 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _read_csv(path: str | Path, expected_header: list[str]) -> list[list[str]]:
+def _read_body(path: str | Path, expected_header: list[str]) -> np.ndarray:
+    "Check the header, then parse every body row as floats, one row per line."
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader([fh.readline()]), None)
         if header != expected_header:
             raise ValueError(f"{path}: expected header {expected_header}, got {header}")
-        return [row for row in reader]
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below, with the path
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if body.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
+    if body.shape[1] != len(expected_header):
+        raise ValueError(f"{path}: expected {len(expected_header)} columns, "
+                         f"got {body.shape[1]}")
+    return body
+
+
+def _index_column(path, values: np.ndarray, name: str, limit: int) -> np.ndarray:
+    "Integer indices from a float column; each must lie in [0, limit)."
+    bad = ~((values >= 0) & (values < limit) & (values == np.floor(values)))
+    if np.any(bad):
+        raise ValueError(f"{path}: {name} index {float(values[np.argmax(bad)])!r} is not an "
+                         f"integer in [0, {limit})")
+    return values.astype(np.intp)
+
+
+def _check_cover(path, flat: np.ndarray, size: int, label) -> None:
+    """Each of ``size`` entries is named by exactly one row.
+
+    ``flat`` holds entry numbers in [0, size); ``label`` turns one into the
+    index shown in the error.
+    """
+    if size > flat.size:            # first, so bincount never counts more than the rows
+        raise ValueError(f"{path}: {flat.size} rows cannot cover all {size} entries")
+    counts = np.bincount(flat, minlength=size)
+    if np.any(counts > 1):
+        raise ValueError(f"{path}: duplicate entry {label(np.argmax(counts > 1))}")
 
 
 def write_covariance_csv(path: str | Path, r: np.ndarray) -> None:
     "Complex matrix as (row, col, re, im) tuples, row-major."
-    r = np.asarray(r)
-    n, m = r.shape
-    rows = ((i, j, float(r[i, j].real), float(r[i, j].imag))
-            for i in range(n) for j in range(m))
-    _write_csv(path, COVARIANCE_HEADER, rows)
+    r = np.asarray(r, dtype=complex)
+    if r.ndim != 2:
+        raise ValueError(f"covariance must be a matrix, got shape {r.shape}")
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(COVARIANCE_HEADER) + "\r\n")
+        for i, row in enumerate(r):
+            fh.writelines(f"{i},{j},{x!r},{y!r}\r\n"
+                          for j, (x, y) in enumerate(zip(row.real.tolist(), row.imag.tolist())))
 
 
 def read_covariance_csv(path: str | Path) -> np.ndarray:
-    rows = _read_csv(path, COVARIANCE_HEADER)
-    if not rows:
-        raise ValueError(f"{path}: empty covariance file")
-    n = max(int(row[0]) for row in rows) + 1
-    m = max(int(row[1]) for row in rows) + 1
-    r = np.zeros((n, m), dtype=complex)
-    for i, j, re, im in rows:
-        r[int(i), int(j)] = complex(float(re), float(im))
-    return r
+    body = _read_body(path, COVARIANCE_HEADER)
+    rows = _index_column(path, body[:, 0], "row", body.shape[0])
+    cols = _index_column(path, body[:, 1], "col", body.shape[0])
+    n, m = int(rows.max()) + 1, int(cols.max()) + 1
+    flat = rows * m + cols
+    _check_cover(path, flat, n * m, lambda f: divmod(int(f), m))
+    r = np.empty(n * m, dtype=complex)
+    r.real[flat] = body[:, 2]       # real and imaginary parts set apart keep -0.0
+    r.imag[flat] = body[:, 3]
+    return r.reshape(n, m)
 
 
 def write_shape_csv(path: str | Path, displacements: np.ndarray) -> None:
@@ -135,33 +180,39 @@ def write_shape_csv(path: str | Path, displacements: np.ndarray) -> None:
 
 
 def read_shape_csv(path: str | Path) -> np.ndarray:
-    rows = _read_csv(path, SHAPE_HEADER)
-    out = np.zeros(len(rows))
-    for idx, value in rows:
-        out[int(idx)] = float(value)
+    body = _read_body(path, SHAPE_HEADER)
+    idx = _index_column(path, body[:, 0], "element", body.shape[0])
+    _check_cover(path, idx, body.shape[0], int)
+    out = np.empty(body.shape[0])
+    out[idx] = body[:, 1]
     return out
 
 
 def write_beampattern_csv(path: str | Path, grid: BeampatternGrid) -> None:
     "Grid rows ordered theta-major: all phi values for theta[0], then theta[1], ..."
-    theta_deg = np.rad2deg(grid.theta_axis)
-    phi_deg = np.rad2deg(grid.phi_axis)
-    rows = ((float(theta_deg[i]), float(phi_deg[j]), float(grid.power_dbm[i, j]))
-            for i in range(theta_deg.size) for j in range(phi_deg.size))
-    _write_csv(path, BEAMPATTERN_HEADER, rows)
+    theta_deg = [repr(v) for v in np.rad2deg(grid.theta_axis).tolist()]
+    phi_deg = [repr(v) for v in np.rad2deg(grid.phi_axis).tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(BEAMPATTERN_HEADER) + "\r\n")
+        for t, row in zip(theta_deg, grid.power_dbm.tolist()):
+            fh.writelines(f"{t},{p},{v!r}\r\n" for p, v in zip(phi_deg, row))
 
 
 def read_beampattern_csv(path: str | Path) -> BeampatternGrid:
-    rows = _read_csv(path, BEAMPATTERN_HEADER)
-    thetas = sorted({float(r[0]) for r in rows})
-    phis = sorted({float(r[1]) for r in rows})
-    power = np.full((len(thetas), len(phis)), np.nan)
-    t_index = {v: i for i, v in enumerate(thetas)}
-    p_index = {v: j for j, v in enumerate(phis)}
-    for t, p, value in rows:
-        power[t_index[float(t)], p_index[float(p)]] = float(value)
-    return BeampatternGrid(theta_axis=np.deg2rad(thetas),
-                           phi_axis=np.deg2rad(phis), power_dbm=power)
+    body = _read_body(path, BEAMPATTERN_HEADER)
+    thetas, ti = np.unique(body[:, 0], return_inverse=True)
+    phis, pj = np.unique(body[:, 1], return_inverse=True)
+    n_p = phis.size
+    flat = ti * n_p + pj
+    _check_cover(path, flat, thetas.size * n_p,
+                 lambda f: (float(thetas[f // n_p]), float(phis[f % n_p])))
+    power = np.empty(thetas.size * n_p)
+    power[flat] = body[:, 2]
+    try:
+        return BeampatternGrid(theta_axis=np.deg2rad(thetas), phi_axis=np.deg2rad(phis),
+                               power_dbm=power.reshape(thetas.size, n_p))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_sweep_power_csv(path: str | Path, rows) -> None:

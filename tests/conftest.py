@@ -39,6 +39,31 @@ def steering_vector(geom, theta, phi, shape):
     return steering_matrix(geom, theta, phi, shape.displacements)[:, 0]
 
 
+def loop_steering(geom, theta, phi, displacements):
+    """Element-by-element reference implementation of the phase model."""
+    a = np.empty(geom.n_elements, dtype=complex)
+    for i_z in range(geom.n_z):
+        for i_x in range(geom.n_x):
+            n = i_z * geom.n_x + i_x
+            path = (
+                i_x * geom.dx * np.sin(theta) * np.cos(phi)
+                + i_z * geom.dz * np.cos(theta)
+                + displacements[n] * np.sin(theta) * np.sin(phi)
+            )
+            a[n] = np.exp(-2j * np.pi * path)
+    return a
+
+
+def loop_beampattern_mw(r, geom, shape, theta_axis, phi_axis):
+    "Power a^H R a in mW, one direction at a time; oracle for the grid sweep."
+    power = np.empty((len(theta_axis), len(phi_axis)))
+    for i, theta in enumerate(theta_axis):
+        for j, phi in enumerate(phi_axis):
+            a = loop_steering(geom, theta, phi, shape.displacements)
+            power[i, j] = float(np.real(a.conj() @ r @ a))
+    return power
+
+
 def rank_profile(b, expected_trace=None):
     """Descending eigenvalues of B and the trace-identity residual.
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import steering_vector
+from conftest import loop_steering, steering_vector
 from morphbeam.array_model import (
     ArrayGeometry,
     SurfaceShape,
@@ -18,21 +18,6 @@ TWO_PI = 2.0 * np.pi
 def small_geom(n_x=2, n_z=2, dx=0.5, dz=0.5, d_max=0.0):
     return ArrayGeometry(n_x=n_x, n_z=n_z, dx=dx, dz=dz,
                          wavelength=0.0107, d_max=d_max)
-
-
-def loop_steering(geom, theta, phi, displacements):
-    """Element-by-element reference implementation of the phase model."""
-    a = np.empty(geom.n_elements, dtype=complex)
-    for i_z in range(geom.n_z):
-        for i_x in range(geom.n_x):
-            n = i_z * geom.n_x + i_x
-            path = (
-                i_x * geom.dx * np.sin(theta) * np.cos(phi)
-                + i_z * geom.dz * np.cos(theta)
-                + displacements[n] * np.sin(theta) * np.sin(phi)
-            )
-            a[n] = np.exp(-1j * TWO_PI * path)
-    return a
 
 
 class TestGeometryValidation:
@@ -103,6 +88,24 @@ class TestSteeringVector:
             got = steering_vector(geom, theta, phi, SurfaceShape(d))
             want = loop_steering(geom, theta, phi, d)
             np.testing.assert_allclose(got, want, atol=1e-13)
+
+    def test_shared_displacement_phases_keep_every_bit(self):
+        # Repeated directions, mirrored pairs (equal sin(theta) sin(phi)),
+        # the poles where that product is 0, and a -0.0 angle: the matrix
+        # equals the one built a column at a time, bit for bit.
+        rng = np.random.default_rng(11)
+        geom = small_geom(n_x=4, n_z=3, d_max=1.0)
+        axis = np.linspace(0.0, np.pi, 7)
+        t = rng.choice(axis, 40)
+        p = rng.choice(axis, 40)
+        thetas = np.concatenate([t, p, [-0.0, 0.0, 0.4]])
+        phis = np.concatenate([p, t, [0.7, 0.7, -0.0]])
+        d = rng.uniform(-1.0, 1.0, geom.n_elements)
+        d[:2] = 0.0, -0.0
+        got = steering_matrix(geom, thetas, phis, d)
+        want = np.column_stack([steering_matrix(geom, th, ph, d)[:, 0]
+                                for th, ph in zip(thetas, phis)])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(3)

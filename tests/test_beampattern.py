@@ -1,8 +1,11 @@
 """Angle-grid power maps and per-target summaries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import loop_beampattern_mw
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.beampattern import (
     BeampatternGrid,
@@ -106,6 +109,53 @@ def test_rank1_nulls_hit_the_floor():
     assert grid.power_dbm[0, 0] == -200.0
 
 
+def random_covariance(n, rng, p_t=10.0):
+    "Full-rank Hermitian PSD matrix with trace p_t, so no direction is a null."
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    r = g @ g.conj().T
+    return p_t * r / np.real(np.trace(r))
+
+
+def test_grid_matches_per_direction_loop():
+    rng = np.random.default_rng(2)
+    geom = make_geom(n=3, d_max=0.7)
+    shape = SurfaceShape(rng.uniform(-0.7, 0.7, geom.n_elements))
+    r = random_covariance(geom.n_elements, rng)
+    t_axis, p_axis = default_axes(19)
+    grid = evaluate_beampattern(r, geom, shape, t_axis, p_axis)
+    want = loop_beampattern_mw(r, geom, shape, t_axis, p_axis)
+    np.testing.assert_allclose(10.0 ** (grid.power_dbm / 10.0), want, rtol=1e-12)
+
+
+def test_grid_memory_stays_bounded_at_n400():
+    # Directions go through the steering matrix in chunks: one 181^2 grid
+    # at N = 400 peaks near 30 MB of traced allocations. Materializing the
+    # whole grid, or chunks of 4,096 directions (over 100 MB), fails here.
+    rng = np.random.default_rng(3)
+    geom = make_geom(n=20, d_max=0.5)
+    shape = SurfaceShape(rng.uniform(-0.5, 0.5, geom.n_elements))
+    r = random_covariance(geom.n_elements, rng)
+    tracemalloc.start()
+    try:
+        grid = evaluate_beampattern(r, geom, shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.power_dbm.shape == (181, 181)
+    assert peak < 48e6, f"peak traced memory {peak / 1e6:.1f} MB"
+
+
+def test_rejects_non_hermitian_or_misshaped_covariance():
+    geom = make_geom(n=2)
+    shape = SurfaceShape.zero(geom)
+    r = np.eye(4, dtype=complex)
+    r[0, 1] = 0.5j                      # a hand-edited entry without its mirror
+    with pytest.raises(ValueError, match="Hermitian"):
+        evaluate_beampattern(r, geom, shape)
+    with pytest.raises(ValueError, match="expected"):
+        evaluate_beampattern(np.eye(3), geom, shape)
+
+
 class TestBeampatternGrid:
     def test_axis_monotonicity_enforced(self):
         with pytest.raises(ValueError):
@@ -116,6 +166,12 @@ class TestBeampatternGrid:
     def test_axis_domain_enforced(self):
         with pytest.raises(ValueError):
             BeampatternGrid(theta_axis=np.array([0.0, 4.0]),
+                            phi_axis=np.array([0.1, 0.2]),
+                            power_dbm=np.zeros((2, 2)))
+
+    def test_nan_axis_rejected(self):
+        with pytest.raises(ValueError, match="within"):
+            BeampatternGrid(theta_axis=np.array([0.0, np.nan]),
                             phi_axis=np.array([0.1, 0.2]),
                             power_dbm=np.zeros((2, 2)))
 

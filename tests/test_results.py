@@ -1,7 +1,14 @@
 """Result records and CSV artifact round trips."""
 
+import csv
+import io
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from morphbeam.beampattern import BeampatternGrid
 from morphbeam.results import (
@@ -121,3 +128,159 @@ class TestCsvRoundTrips:
         c_path = tmp_path / "cmp.csv"
         write_compare_csv(c_path, [("fim-mimo", 1454.9, 31.6, 25.6)])
         assert c_path.read_text().splitlines()[0] == ",".join(COMPARE_HEADER)
+
+
+# doubles at the edges of the format: signed zeros, subnormals, the extremes
+EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                        1.7976931348623157e+308, -1.7976931348623157e+308,
+                        1.0 / 3.0, -1e-17, 123456789.0])
+
+
+def csv_writer_bytes(header, rows):
+    "The bytes csv.writer gives for a header and rows: the streaming writers' reference."
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 2), (1, 1)])
+    def test_covariance_bytes_unchanged(self, tmp_path, shape):
+        rng = np.random.default_rng(sum(shape))
+        r = np.empty(shape, dtype=complex)
+        r.real = rng.choice(EDGE_VALUES, shape)
+        r.imag = rng.choice(EDGE_VALUES, shape)
+        for m in (r, r.real.copy()):
+            path = tmp_path / "cov.csv"
+            write_covariance_csv(path, m)
+            want = csv_writer_bytes(COVARIANCE_HEADER, (
+                (i, j, float(m[i, j].real), float(m[i, j].imag))
+                for i in range(shape[0]) for j in range(shape[1])))
+            assert path.read_bytes() == want
+
+    def test_beampattern_bytes_unchanged(self, tmp_path):
+        rng = np.random.default_rng(9)
+        grid = BeampatternGrid(theta_axis=np.linspace(0.0, np.pi, 4),
+                               phi_axis=np.array([0.0, 0.1, 1.0, 2.0, 3.0, np.pi]),
+                               power_dbm=rng.choice(EDGE_VALUES, (4, 6)))
+        path = tmp_path / "bp.csv"
+        write_beampattern_csv(path, grid)
+        theta_deg = np.rad2deg(grid.theta_axis)
+        phi_deg = np.rad2deg(grid.phi_axis)
+        want = csv_writer_bytes(BEAMPATTERN_HEADER, (
+            (float(theta_deg[i]), float(phi_deg[j]), float(grid.power_dbm[i, j]))
+            for i in range(4) for j in range(6)))
+        assert path.read_bytes() == want
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@st.composite
+def complex_matrices(draw):
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    parts = [draw(hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=False)))
+             for _ in range(2)]
+    r = np.empty(shape, dtype=complex)
+    r.real, r.imag = parts
+    return r
+
+
+class TestRoundTripBits:
+    @settings(max_examples=60, deadline=None)
+    @given(r=complex_matrices())
+    def test_covariance(self, tmp_path_factory, r):
+        path = tmp_path_factory.mktemp("cov") / "cov.csv"
+        write_covariance_csv(path, r)
+        np.testing.assert_array_equal(bits(read_covariance_csv(path)), bits(r))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=hnp.arrays(np.float64, st.integers(1, 12), elements=st.floats(allow_nan=False)))
+    def test_shape(self, tmp_path_factory, d):
+        path = tmp_path_factory.mktemp("shape") / "shape.csv"
+        write_shape_csv(path, d)
+        np.testing.assert_array_equal(bits(read_shape_csv(path)), bits(d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(power=hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                            elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_beampattern_power(self, tmp_path_factory, power):
+        n_t, n_p = power.shape
+        grid = BeampatternGrid(theta_axis=np.linspace(0.0, np.pi, n_t),
+                               phi_axis=np.linspace(0.1, 3.0, n_p), power_dbm=power)
+        path = tmp_path_factory.mktemp("bp") / "bp.csv"
+        write_beampattern_csv(path, grid)
+        np.testing.assert_array_equal(bits(read_beampattern_csv(path).power_dbm), bits(power))
+
+
+def write_body(path, header, lines):
+    path.write_text("".join(f"{line}\r\n" for line in [",".join(header), *lines]),
+                    newline="")
+    return path
+
+
+COVARIANCE_ROWS = ["0,0,1.0,0.0", "0,1,0.5,0.25", "1,0,0.5,-0.25", "1,1,2.0,0.0"]
+SHAPE_ROWS = ["0,0.1", "1,-0.2", "2,0.3"]
+BEAMPATTERN_ROWS = ["0.0,0.0,1.0", "0.0,45.0,2.0", "0.0,90.0,3.0",
+                    "90.0,0.0,4.0", "90.0,45.0,5.0", "90.0,90.0,6.0"]
+
+
+class TestReadersRejectBadEntries:
+    # Each case edits a valid body; the error must name the file.
+
+    @pytest.mark.parametrize("lines, reason", [
+        (COVARIANCE_ROWS[:3] + ["-1,-1,9.0,0"], "index -1.0"),
+        (COVARIANCE_ROWS[:3] + ["1,0.5,2.0,0.0"], "index 0.5"),
+        (COVARIANCE_ROWS[:3] + ["7,1,2.0,0.0"], "index 7.0"),
+        (COVARIANCE_ROWS + ["0,1,0.5,0.25"], r"duplicate entry \(0, 1\)"),
+        (COVARIANCE_ROWS[:2] + COVARIANCE_ROWS[3:], "cannot cover"),
+        ([], "no data rows"),
+        (COVARIANCE_ROWS[:3] + ["1,1,abc,0.0"], "abc"),
+    ], ids=["negative", "fractional", "out-of-range", "duplicate", "missing",
+            "empty", "non-numeric"])
+    def test_covariance(self, tmp_path, lines, reason):
+        path = write_body(tmp_path / "cov.csv", COVARIANCE_HEADER, lines)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
+            read_covariance_csv(path)
+
+    @pytest.mark.parametrize("lines, reason", [
+        (SHAPE_ROWS[:2] + ["-1,0.3"], "index -1.0"),
+        (SHAPE_ROWS[:2] + ["1.5,0.3"], "index 1.5"),
+        (SHAPE_ROWS[:2] + ["3,0.3"], "index 3.0"),
+        (SHAPE_ROWS[:2] + ["1,0.3"], "duplicate entry 1"),
+        ([], "no data rows"),
+        (SHAPE_ROWS[:2] + ["2,0.3,7"], "columns"),
+    ], ids=["negative", "fractional", "out-of-range", "duplicate", "empty",
+            "extra-column"])
+    def test_shape(self, tmp_path, lines, reason):
+        path = write_body(tmp_path / "shape.csv", SHAPE_HEADER, lines)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
+            read_shape_csv(path)
+
+    @pytest.mark.parametrize("lines, reason", [
+        ([row.replace("90.0,", "-90.0,", 1) if row.startswith("90") else row
+          for row in BEAMPATTERN_ROWS], "within"),
+        ([row.replace("90.0,", "200.0,", 1) if row.startswith("90") else row
+          for row in BEAMPATTERN_ROWS], "within"),
+        (BEAMPATTERN_ROWS[:4] + ["90.0,0.0,5.0", "90.0,90.0,6.0"],
+         r"duplicate entry \(90.0, 0.0\)"),
+        (BEAMPATTERN_ROWS[:5], "cannot cover"),
+        ([], "no data rows"),
+    ], ids=["negative", "out-of-range", "duplicate", "missing", "empty"])
+    def test_beampattern(self, tmp_path, lines, reason):
+        path = write_body(tmp_path / "bp.csv", BEAMPATTERN_HEADER, lines)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
+            read_beampattern_csv(path)
+
+    def test_valid_bodies_load(self, tmp_path):
+        r = read_covariance_csv(write_body(tmp_path / "c.csv", COVARIANCE_HEADER,
+                                           COVARIANCE_ROWS[::-1]))
+        np.testing.assert_array_equal(r, [[1.0, 0.5 + 0.25j], [0.5 - 0.25j, 2.0]])
+        d = read_shape_csv(write_body(tmp_path / "s.csv", SHAPE_HEADER, SHAPE_ROWS[::-1]))
+        np.testing.assert_array_equal(d, [0.1, -0.2, 0.3])
+        grid = read_beampattern_csv(write_body(tmp_path / "b.csv", BEAMPATTERN_HEADER,
+                                               BEAMPATTERN_ROWS[::-1]))
+        np.testing.assert_array_equal(grid.power_dbm, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])

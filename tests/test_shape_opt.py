@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
+from morphbeam import shape_opt
+from morphbeam.array_model import (
+    ArrayGeometry,
+    SurfaceShape,
+    TargetSet,
+    response_matrix,
+    steering_matrix,
+)
 from morphbeam.covariance import solve_per_antenna_sdp
 from morphbeam.objective import cumulated_power
 from morphbeam.shape_opt import (
@@ -131,6 +138,32 @@ class TestAscendShape:
         shape0 = SurfaceShape(np.full(geom.n_elements, 5.0))
         final, trace = ascend_shape(cov, geom, targets, shape0)
         assert np.all(np.abs(final.displacements) <= 0.1 + 1e-15)
+
+
+def test_trial_matrices_equal_steering_matrix_bit_for_bit(monkeypatch):
+    # The ascent builds A as the flat-shape steering matrix times the
+    # displacement phase. At the start and at the returned shape (the first
+    # and last points whose gradient it takes) that must be steering_matrix
+    # itself. Two targets are mirrored, so they share sin(theta) sin(phi).
+    geom = ArrayGeometry(n_x=4, n_z=4, dx=0.5, dz=0.5, wavelength=0.0107, d_max=0.4)
+    targets = TargetSet.from_degrees([30.0, 60.0, 135.0], [60.0, 30.0, 90.0])
+    rng = np.random.default_rng(4)
+    start = rng.uniform(-0.4, 0.4, geom.n_elements)
+    rm = response_matrix(geom, targets, SurfaceShape(start))
+    cov, _ = solve_per_antenna_sdp(rm.a, p_t=10.0)
+    seen = []
+    gradient = shape_opt.power_gradient
+
+    def keep(a, ra, c):
+        seen.append(a.copy())
+        return gradient(a, ra, c)
+
+    monkeypatch.setattr(shape_opt, "power_gradient", keep)
+    final, trace = ascend_shape(cov, geom, targets, SurfaceShape(start))
+    assert trace.n_iters > 0 and len(seen) == trace.n_gradients
+    for a, x in ((seen[0], start), (seen[-1], final.displacements)):
+        want = steering_matrix(geom, targets.thetas, targets.phis, x)
+        np.testing.assert_array_equal(a.view(np.uint64), want.view(np.uint64))
 
 
 class TestAscentCounts:
