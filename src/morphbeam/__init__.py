@@ -38,7 +38,6 @@ from .covariance import (
 from .objective import cumulated_power, shape_gradient
 from .results import ResultRecord
 from .shape_opt import (
-    AscentConfig,
     AscentTrace,
     ascend_shape,
     project_shape,
@@ -46,7 +45,6 @@ from .shape_opt import (
 
 __all__ = [
     "ArrayGeometry",
-    "AscentConfig",
     "AscentTrace",
     "BcdConfig",
     "BeampatternGrid",

@@ -30,9 +30,6 @@ class ArrayGeometry:
         Number of elements along the x and z axes; total is ``n_x * n_z``.
     dx, dz : float
         Inter-element spacing along x and z, in wavelengths.
-    wavelength : float
-        Carrier wavelength in meters. Only needed to convert physical
-        (meter) displacements at the I/O boundary.
     d_max : float
         Elastic morphing limit per element, in wavelengths (>= 0).
     """
@@ -41,7 +38,6 @@ class ArrayGeometry:
     n_z: int
     dx: float
     dz: float
-    wavelength: float
     d_max: float = 0.0
 
     def __post_init__(self) -> None:
@@ -49,8 +45,6 @@ class ArrayGeometry:
             raise ValueError(f"element counts must be >= 1, got {self.n_x}x{self.n_z}")
         if self.dx <= 0.0 or self.dz <= 0.0:
             raise ValueError(f"spacings must be positive, got dx={self.dx}, dz={self.dz}")
-        if self.wavelength <= 0.0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         if self.d_max < 0.0:
             raise ValueError(f"morphing limit must be >= 0, got {self.d_max}")
 
@@ -78,12 +72,14 @@ class SurfaceShape:
         return cls(rng.uniform(-geom.d_max, geom.d_max, size=geom.n_elements))
 
     def validate(self, geom: ArrayGeometry, box_tol: float = 1e-12) -> None:
-        "Raise ValueError on length mismatch or morphing-range violation."
+        "Raise ValueError on length mismatch, non-finite or out-of-range displacements."
         if self.displacements.shape != (geom.n_elements,):
             raise ValueError(
                 f"shape has {self.displacements.size} displacements, "
                 f"geometry has {geom.n_elements} elements"
             )
+        if not np.all(np.isfinite(self.displacements)):
+            raise ValueError("shape has non-finite displacements")
         worst = float(np.max(np.abs(self.displacements), initial=0.0))
         if worst > geom.d_max + box_tol:
             raise ValueError(

@@ -13,20 +13,21 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from .covariance import (
+    ConstraintKind,
     CovarianceMatrix,
     SolveReport,
     randomize_rank1,
     solve_per_antenna_sdp,
 )
 from .objective import column_powers, cumulated_power
-from .shape_opt import AscentConfig, ascend_shape
+from .shape_opt import MAX_ITERS, ascend_shape
 
 logger = logging.getLogger(__name__)
 
@@ -73,20 +74,23 @@ class BcdConfig:
 
     ``rel_increase_threshold_db`` is the dB form of the stopping rule: the
     loop ends once (P_new - P_old)/P_old < 10**(threshold_db/10), i.e.
-    -30 dB means a fractional increase below 1e-3. ``n_starts`` counts the
+    -30 dB means a fractional increase below 1e-3. ``ascent_max_iters``
+    caps the accepted steps of each shape ascent. ``n_starts`` counts the
     always-present zero start plus ``n_starts - 1`` uniform-box draws; a
     rigid geometry (``d_max = 0``) runs the zero start alone.
     """
 
     max_outer_iters: int = 50
     rel_increase_threshold_db: float = -30.0
-    ascent: AscentConfig = field(default_factory=AscentConfig)
+    ascent_max_iters: int = MAX_ITERS
     n_starts: int = 4
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
+        if self.ascent_max_iters < 1:
+            raise ValueError(f"ascent_max_iters must be >= 1, got {self.ascent_max_iters}")
         if self.n_starts < 1:
             raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
         if self.rng_seed < 0:
@@ -134,15 +138,6 @@ class OptimizationTrace:
 
 
 @dataclass
-class _RunOutcome:
-    cov: CovarianceMatrix
-    shape: SurfaceShape
-    trace: OptimizationTrace
-    objective_mw: float
-    weights: np.ndarray | None = None
-
-
-@dataclass
 class BenchmarkResult:
     """Outcome of one benchmark scheme on one instance.
 
@@ -162,31 +157,38 @@ class BenchmarkResult:
     sdp_report: SolveReport | None = None
 
 
+def _phased_array_covariance(weights: np.ndarray, p_t: float) -> CovarianceMatrix:
+    "The rank-1 covariance w w^H of constant-modulus weights."
+    return CovarianceMatrix(r=np.outer(weights, weights.conj()), power_budget=p_t,
+                            constraint_kind=ConstraintKind.PER_ANTENNA)
+
+
 def _run_single_start(
     geom: ArrayGeometry,
     targets: TargetSet,
     p_t: float,
     cfg: BcdConfig,
+    scheme: Scheme,
     start_shape: SurfaceShape,
     start_index: int,
     init_label: str,
     incumbent: CovarianceMatrix | None = None,
-    phased_array: bool = False,
-) -> _RunOutcome:
-    """One BCD run from one starting shape.
+) -> BenchmarkResult:
+    """One BCD run of a morphing scheme from one starting shape.
 
     ``incumbent`` is an optional covariance known feasible for this power
     budget; it is kept whenever a fresh SDP solve fails to beat it, which
     makes warm starts dominate their seed value exactly instead of up to
     solver tolerance.
 
-    With ``phased_array`` the covariance block becomes relaxation plus
+    For ``FIM_PA`` the covariance block becomes relaxation plus
     randomization: the SDP solution only seeds the Gaussian sampling and the
     shape ascent sees the rank-1 covariance of the best constant-modulus
     weights so far. The weight draws are keyed by (seed, start, outer), and a
     fresh draw replaces the held weights only when it wins on the current
     response matrix, so the objective stays monotone within the run.
     """
+    phased_array = scheme is Scheme.FIM_PA
     shape = start_shape.copy()
     shape.validate(geom)
     cov = incumbent
@@ -212,16 +214,15 @@ def _run_single_start(
                 if held >= rank1_val:
                     w_new = weights
             weights = w_new
-            cov = CovarianceMatrix(r=np.outer(weights, weights.conj()),
-                                   power_budget=p_t,
-                                   constraint_kind=cov_sdp.constraint_kind)
+            cov = _phased_array_covariance(weights, p_t)
         else:
             if cov is not None and cumulated_power(cov, rm) > sdp_obj:
                 pass                        # fresh solve lost; keep incumbent
             else:
                 cov = cov_sdp
 
-        shape, ascent_trace = ascend_shape(cov, geom, targets, shape, cfg.ascent)
+        shape, ascent_trace = ascend_shape(cov, geom, targets, shape,
+                                           cfg.ascent_max_iters)
         obj = float(ascent_trace.objectives[-1])
 
         records.append(OuterRecord(
@@ -230,7 +231,7 @@ def _run_single_start(
             sdp_objective_mw=sdp_obj,
             sdp_iterations=rep.iterations,
             sdp_converged=rep.converged,
-            sdp_gap=float(rep.residuals.get("relative_gap", np.nan)),
+            sdp_gap=rep.relative_gap,
             ascent_iterations=ascent_trace.n_iters,
             ascent_status=ascent_trace.status,
             ascent_evals=ascent_trace.n_evals,
@@ -251,9 +252,8 @@ def _run_single_start(
 
     trace = OptimizationTrace(records=records, termination_reason=reason,
                               start_index=start_index, init_label=init_label)
-    return _RunOutcome(cov=cov, shape=shape, trace=trace,
-                       objective_mw=records[-1].objective_mw,
-                       weights=weights)
+    return BenchmarkResult(scheme=scheme, objective_mw=records[-1].objective_mw,
+                           cov=cov, shape=shape, weights=weights, trace=trace)
 
 
 def _build_starts(
@@ -290,9 +290,9 @@ def _best_of_starts(
     targets: TargetSet,
     p_t: float,
     cfg: BcdConfig,
+    scheme: Scheme,
     provided_starts: tuple,
-    phased_array: bool = False,
-) -> _RunOutcome:
+) -> BenchmarkResult:
     """Run every start in index order and keep the best.
 
     Only a strictly larger objective replaces the incumbent, so ties go to
@@ -301,8 +301,8 @@ def _best_of_starts(
     starts = _build_starts(geom, cfg, provided_starts)
     best = None
     for idx, (shape0, label, incumbent) in enumerate(starts):
-        cand = _run_single_start(geom, targets, p_t, cfg, shape0, idx, label,
-                                 incumbent=incumbent, phased_array=phased_array)
+        cand = _run_single_start(geom, targets, p_t, cfg, scheme, shape0, idx,
+                                 label, incumbent=incumbent)
         if best is None or cand.objective_mw > best.objective_mw:
             best = cand
     logger.info("bcd finished: %d starts, best objective %.6g mW from start %d",
@@ -329,7 +329,7 @@ def bcd_optimize(
         raise ValueError(f"power budget must be positive, got {p_t}")
     if cfg is None:
         cfg = BcdConfig()
-    best = _best_of_starts(geom, targets, p_t, cfg, provided_starts)
+    best = _best_of_starts(geom, targets, p_t, cfg, Scheme.FIM_MIMO, provided_starts)
     return best.cov, best.shape, best.trace
 
 
@@ -369,22 +369,10 @@ def solve_benchmark(
                                    cov=cov, shape=shape, sdp_report=rep)
         seq = np.random.SeedSequence([cfg.rng_seed, _SEED_TAG_RAND, 0, 1])
         w, val = randomize_rank1(cov, rm.a, p_t, rng_seed=seq)
-        rank1 = CovarianceMatrix(r=np.outer(w, w.conj()), power_budget=p_t,
-                                 constraint_kind=cov.constraint_kind)
-        return BenchmarkResult(scheme=scheme, objective_mw=val, cov=rank1,
+        return BenchmarkResult(scheme=scheme, objective_mw=val,
+                               cov=_phased_array_covariance(w, p_t),
                                shape=shape, weights=w, sdp_report=rep)
-
-    if scheme is Scheme.FIM_MIMO:
-        cov, shape, trace = bcd_optimize(geom, targets, p_t, cfg,
-                                         provided_starts=provided_starts)
-        return BenchmarkResult(scheme=scheme,
-                               objective_mw=trace.records[-1].objective_mw,
-                               cov=cov, shape=shape, trace=trace)
 
     # FIM_PA: each covariance step is relaxation + randomization and the
     # resulting rank-1 covariance drives the shape ascent.
-    best = _best_of_starts(geom, targets, p_t, cfg, provided_starts,
-                           phased_array=True)
-    return BenchmarkResult(scheme=scheme, objective_mw=best.objective_mw,
-                           cov=best.cov, shape=best.shape,
-                           weights=best.weights, trace=best.trace)
+    return _best_of_starts(geom, targets, p_t, cfg, scheme, provided_starts)

@@ -12,14 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import ArrayGeometry, SurfaceShape, TargetSet, steering_matrix, response_matrix
-from .objective import _check_covariance, column_powers, cumulated_power
+from .objective import _as_matrix, _check_covariance, column_powers, cumulated_power
 from .units import DBM_FLOOR
 
 # directions per matrix product when sweeping a grid; bounds peak memory
 # (about 31 MB of traced allocations for N = 400 elements)
 _GRID_CHUNK = 1024
-
-DEFAULT_GRID_POINTS = 181
 
 
 def _mw_to_dbm_vec(p_mw: np.ndarray) -> np.ndarray:
@@ -59,35 +57,25 @@ class BeampatternGrid:
             raise ValueError("power grid contains non-finite entries")
 
 
-def default_axes(n_points: int = DEFAULT_GRID_POINTS) -> tuple[np.ndarray, np.ndarray]:
-    "Uniform axes over [0, pi], the full elevation/azimuth domain."
-    ax = np.linspace(0.0, np.pi, n_points)
-    return ax, ax.copy()
-
-
 def evaluate_beampattern(
     r_x,
     geom: ArrayGeometry,
     shape: SurfaceShape,
-    theta_axis: np.ndarray | None = None,
-    phi_axis: np.ndarray | None = None,
+    theta_axis: np.ndarray,
+    phi_axis: np.ndarray,
 ) -> BeampatternGrid:
     """Quadratic-form power a^H R_X a on the cartesian product of the axes.
 
-    Axes default to 181 uniform points over [0, pi] each. Directions are
-    visited in order of sin(theta) sin(phi) and in chunks of ``_GRID_CHUNK``,
-    so the steering matrix never materializes for the whole grid at once and
-    each chunk's directions share few displacement phases (on the default
-    grid, 32,761 directions have 10,031 distinct values). Raises ValueError
-    if R_X is not a Hermitian N x N matrix.
+    Directions are visited in order of sin(theta) sin(phi) and in chunks of
+    ``_GRID_CHUNK``, so the steering matrix never materializes for the whole
+    grid at once and each chunk's directions share few displacement phases
+    (on a 181 x 181 grid over [0, pi]^2, 32,761 directions have 10,031
+    distinct values). Raises ValueError if R_X is not a finite Hermitian
+    N x N matrix.
     """
-    if theta_axis is None or phi_axis is None:
-        t_def, p_def = default_axes()
-        theta_axis = t_def if theta_axis is None else theta_axis
-        phi_axis = p_def if phi_axis is None else phi_axis
     theta_axis = np.asarray(theta_axis, dtype=float).ravel()
     phi_axis = np.asarray(phi_axis, dtype=float).ravel()
-    r = _check_covariance(getattr(r_x, "r", r_x), geom.n_elements)
+    r = _check_covariance(_as_matrix(r_x), geom.n_elements)
 
     tt, pp = np.meshgrid(theta_axis, phi_axis, indexing="ij")
     order = np.argsort((np.sin(tt) * np.sin(pp)).ravel(), kind="stable")
@@ -115,7 +103,7 @@ def target_powers(
     construction (same quadratic forms, same summation).
     """
     rm = response_matrix(geom, targets, shape)
-    r = getattr(r_x, "r", r_x)
+    r = _as_matrix(r_x)
     per_mw = np.real(column_powers(rm.a, r @ rm.a))
     per_dbm = _mw_to_dbm_vec(per_mw)
     return per_dbm, cumulated_power(r, rm), float(per_dbm.min())

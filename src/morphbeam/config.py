@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .array_model import ArrayGeometry, SurfaceShape, TargetSet
 from .bcd import BcdConfig, Scheme
-from .shape_opt import AscentConfig
-from .units import wavelength_from_frequency
 
 
 class ConfigError(ValueError):
@@ -81,21 +79,7 @@ class GeometryConfig:
     n_z: int
     dx_wavelengths: float
     dz_wavelengths: float
-    frequency_hz: float
     d_max_wavelengths: float
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeometryConfig":
-        return _parse_block(cls, d, "geometry")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_x": self.n_x, "n_z": self.n_z,
-            "dx_wavelengths": self.dx_wavelengths,
-            "dz_wavelengths": self.dz_wavelengths,
-            "frequency_hz": self.frequency_hz,
-            "d_max_wavelengths": self.d_max_wavelengths,
-        }
 
 
 @dataclass
@@ -103,27 +87,16 @@ class TargetConfig:
     theta_deg: float
     phi_deg: float
 
-    @classmethod
-    def from_dict(cls, d: dict, index: int) -> "TargetConfig":
-        return _parse_block(cls, d, f"targets[{index}]")
-
-    def to_dict(self) -> dict:
-        return {"theta_deg": self.theta_deg, "phi_deg": self.phi_deg}
-
 
 @dataclass
 class AlgorithmConfig:
-    """Flat JSON form of ``BcdConfig`` and ``AscentConfig``, whose defaults it reuses."""
+    """Flat JSON form of ``BcdConfig``, whose defaults it reuses."""
 
     scheme: str = Scheme.FIM_MIMO.value
     max_outer_iters: int = BcdConfig.max_outer_iters
     rel_increase_threshold_db: float = BcdConfig.rel_increase_threshold_db
     n_starts: int = BcdConfig.n_starts
-    grad_tol: float = AscentConfig.grad_tol
-    ascent_max_iters: int = AscentConfig.max_iters
-    armijo_c: float = AscentConfig.armijo_c
-    shrink: float = AscentConfig.shrink
-    initial_step: float = AscentConfig.initial_step
+    ascent_max_iters: int = BcdConfig.ascent_max_iters
     init_displacements: list = field(default_factory=list)
 
     @classmethod
@@ -138,20 +111,6 @@ class AlgorithmConfig:
             raise ConfigError("algorithm: init_displacements must be numbers")
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "max_outer_iters": self.max_outer_iters,
-            "rel_increase_threshold_db": self.rel_increase_threshold_db,
-            "n_starts": self.n_starts,
-            "grad_tol": self.grad_tol,
-            "ascent_max_iters": self.ascent_max_iters,
-            "armijo_c": self.armijo_c,
-            "shrink": self.shrink,
-            "initial_step": self.initial_step,
-            "init_displacements": list(self.init_displacements),
-        }
-
 
 @dataclass
 class OutputConfig:
@@ -164,9 +123,6 @@ class OutputConfig:
         if out.grid_points < 2:
             raise ConfigError(f"output: grid_points must be >= 2, got {out.grid_points}")
         return out
-
-    def to_dict(self) -> dict:
-        return {"dir": self.dir, "grid_points": self.grid_points}
 
 
 @dataclass
@@ -183,11 +139,12 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ConfigError(f"config root must be an object, got {type(d).__name__}")
         d = dict(d)
-        geometry = GeometryConfig.from_dict(_take(d, "config", "geometry", dict))
+        geometry = _parse_block(GeometryConfig, _take(d, "config", "geometry", dict),
+                                "geometry")
         raw_targets = _take(d, "config", "targets", list)
         if not raw_targets:
             raise ConfigError("targets: at least one target is required")
-        targets = [TargetConfig.from_dict(t, i) if isinstance(t, dict)
+        targets = [_parse_block(TargetConfig, t, f"targets[{i}]") if isinstance(t, dict)
                    else _bad_target(i, t)
                    for i, t in enumerate(raw_targets)]
         power = _take(d, "config", "power", dict)
@@ -226,14 +183,10 @@ class ExperimentConfig:
                     f"limit {geom.d_max:g}")
 
     def to_dict(self) -> dict:
-        return {
-            "geometry": self.geometry.to_dict(),
-            "targets": [t.to_dict() for t in self.targets],
-            "power": {"p_t_dbm": self.p_t_dbm},
-            "algorithm": self.algorithm.to_dict(),
-            "output": self.output.to_dict(),
-            "seed": self.seed,
-        }
+        "The JSON form: every dataclass field, with ``p_t_dbm`` under ``power``."
+        d = asdict(self)
+        d["power"] = {"p_t_dbm": d.pop("p_t_dbm")}
+        return d
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -249,7 +202,6 @@ class ExperimentConfig:
         return ArrayGeometry(
             n_x=g.n_x, n_z=g.n_z,
             dx=g.dx_wavelengths, dz=g.dz_wavelengths,
-            wavelength=wavelength_from_frequency(g.frequency_hz),
             d_max=g.d_max_wavelengths,
         )
 
@@ -260,14 +212,10 @@ class ExperimentConfig:
 
     def build_bcd(self) -> BcdConfig:
         a = self.algorithm
-        ascent = AscentConfig(
-            grad_tol=a.grad_tol, max_iters=a.ascent_max_iters,
-            armijo_c=a.armijo_c, shrink=a.shrink, initial_step=a.initial_step,
-        )
         return BcdConfig(
             max_outer_iters=a.max_outer_iters,
             rel_increase_threshold_db=a.rel_increase_threshold_db,
-            ascent=ascent,
+            ascent_max_iters=a.ascent_max_iters,
             n_starts=a.n_starts,
             rng_seed=self.seed,
         )

@@ -27,10 +27,11 @@ rest. With D = Diag(y) and S = D - F F^H:
 No N x N matrix is factorized. On the central path ``R = S^-1 / t`` has
 exactly the required diagonal, so the primal is recovered for free;
 off-path iterates are repaired by a diagonal congruence that preserves
-positive semidefiniteness. The rank-1 polish needs the principal
-eigenvector of that R, and the dual bound is tightened by lambda_min(S);
-both are diagonal-minus-rank-r eigenproblems, solved through their r x r
-secular equations.
+positive semidefiniteness. Each barrier stage measures the repaired
+primal on its N x r factor, and only the best stage's R is formed. The
+rank-1 polish needs the principal eigenvector of that R, and the dual
+bound is tightened by lambda_min(S); both are diagonal-minus-rank-r
+eigenproblems, solved through their r x r secular equations.
 
 Every solve returns a certified dual upper bound for B = A A^H. The primal
 and rank-1 values are measured against A itself (tr(R B) is the sum of the
@@ -42,7 +43,7 @@ and the lambda_min shift is reduced by lambda_max(E), so
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -82,6 +83,8 @@ class CovarianceMatrix:
         n = r.shape[0]
         if r.shape != (n, n):
             raise ValueError(f"covariance must be square, got {r.shape}")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("covariance has non-finite entries")
         scale = max(float(np.max(np.abs(r))), 1e-300)
         herm_err = float(np.max(np.abs(r - r.conj().T)))
         if herm_err > 1e-10 * max(1.0, scale):
@@ -102,15 +105,9 @@ class SolveReport:
 
     objective: float                    # certified primal value, mW
     iterations: int                     # total Newton steps
-    dual_bound: float | None = None     # valid upper bound, mW
+    dual_bound: float                   # valid upper bound, mW
+    relative_gap: float                 # (dual_bound - objective) / dual_bound
     converged: bool = True
-    residuals: dict = field(default_factory=dict)
-
-    @property
-    def relative_gap(self) -> float:
-        if self.dual_bound is None:
-            return float("nan")
-        return (self.dual_bound - self.objective) / max(abs(self.dual_bound), 1e-300)
 
 
 def _check_a(a) -> np.ndarray:
@@ -239,7 +236,8 @@ def solve_per_antenna_sdp(
     t = 1.0
     mu = 10.0
     newton_total = 0
-    best: tuple[float, np.ndarray, float, float] | None = None  # (gap, R, primal, dual)
+    an_rows = np.sum(np.abs(an) ** 2, axis=1)
+    best: tuple | None = None           # (gap, v, d, phases, primal, dual)
 
     # Loose centering suffices: the certificate below measures the true gap
     # from a feasible primal/dual pair, so imperfect centering only costs an
@@ -275,12 +273,14 @@ def solve_per_antenna_sdp(
         # Primal recovery and true gap measurement: the diagonal congruence
         # R = Diag(c) S^{-1} Diag(c), c = diag(S^{-1})^{-1/2}, of the
         # central-path primal S^{-1} / t has diag exactly 1 and stays PSD.
+        # With S^{-1} = Diag(1/y) + W W^H that is R = V V^H + Diag(d) for
+        # V = Diag(c) W and d = c^2 / y, so tr(R B) = ||V^H an||_F^2 +
+        # sum_n d_n ||an_n||^2 needs no N x N matrix.
         w = _inverse_factor(y, f, chol)
         c = 1.0 / np.sqrt(1.0 / y + np.sum(np.abs(w) ** 2, axis=1))
         v = w * c[:, None]
-        r_feas = v @ v.conj().T + np.diag(c ** 2 / y)
-        r_feas = 0.5 * (r_feas + r_feas.conj().T)
-        primal = float(np.real(np.sum(column_powers(an, r_feas @ an))))
+        d = c ** 2 / y
+        primal = float(np.sum(np.abs(v.conj().T @ an) ** 2)) + float(d @ an_rows)
         # Rank-1 polish: a rank-1 optimum must have a constant-modulus
         # eigenvector (the diagonal constraint pins every |u_n|), so the
         # phase readout of the principal eigenvector is always feasible
@@ -292,7 +292,8 @@ def solve_per_antenna_sdp(
         rank1 = float(np.real(column_powers(a_w, a_w)))
         if rank1 > primal:
             primal = rank1
-            r_feas = np.outer(phases, phases.conj())
+        else:
+            phases = None
         # Shifting y down by lambda_min(Diag(y) - an an^H) keeps it PSD and
         # tightens the bound; that eigenvalue is at least
         # lambda_min(Diag(y) - F F^H) - dropped.
@@ -301,7 +302,7 @@ def solve_per_antenna_sdp(
         dual = float(np.sum(y)) - n * shift
         gap = (dual - primal) / max(abs(dual), 1e-300)
         if best is None or gap < best[0]:
-            best = (gap, r_feas, primal, dual)
+            best = (gap, v, d, phases, primal, dual)
 
         if gap <= tol:
             converged = True
@@ -315,18 +316,23 @@ def solve_per_antenna_sdp(
             break
         t *= mu
 
-    gap, r_feas, primal, dual = best
-    r = rho * r_feas
-    cov = CovarianceMatrix(r=r, power_budget=p_t, constraint_kind=ConstraintKind.PER_ANTENNA)
+    gap, v, d, phases, primal, dual = best
+    if phases is None:
+        r_feas = v @ v.conj().T + np.diag(d)
+        r_feas = 0.5 * (r_feas + r_feas.conj().T)
+        # report the value of the matrix returned, measured on R itself
+        primal = float(np.real(np.sum(column_powers(an, r_feas @ an))))
+        gap = (dual - primal) / max(abs(dual), 1e-300)
+    else:
+        r_feas = np.outer(phases, phases.conj())
+    cov = CovarianceMatrix(r=rho * r_feas, power_budget=p_t,
+                           constraint_kind=ConstraintKind.PER_ANTENNA)
     report = SolveReport(
         objective=rho * b_scale * primal,
         iterations=newton_total,
         dual_bound=rho * b_scale * dual,
+        relative_gap=gap,
         converged=converged,
-        residuals={
-            "relative_gap": gap,
-            "max_diag_error": float(np.max(np.abs(np.real(np.diag(r)) - rho))),
-        },
     )
     return cov, report
 

@@ -75,7 +75,7 @@ def _make_record(cfg: ExperimentConfig, scheme: Scheme, res: BenchmarkResult,
     if res.trace is not None:
         sdp = [(r.sdp_converged, r.sdp_gap) for r in res.trace.records]
     else:
-        sdp = [(res.sdp_report.converged, res.sdp_report.residuals["relative_gap"])]
+        sdp = [(res.sdp_report.converged, res.sdp_report.relative_gap)]
     return ResultRecord(
         config_digest=cfg.digest(),
         scheme=scheme.value,

@@ -33,6 +33,8 @@ def _check_covariance(r: np.ndarray, n: int) -> np.ndarray:
     r = np.asarray(r)
     if r.shape != (n, n):
         raise ValueError(f"covariance is {r.shape}, expected ({n}, {n})")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("covariance has non-finite entries")
     herm_err = float(np.max(np.abs(r - r.conj().T), initial=0.0))
     if herm_err > 1e-10 * max(1.0, float(np.max(np.abs(r)))):
         raise ValueError(f"covariance is not Hermitian (max asymmetry {herm_err:g})")
@@ -57,8 +59,9 @@ def power_gradient(a: np.ndarray, ra: np.ndarray, c: np.ndarray) -> np.ndarray:
 def cumulated_power(r_x, rm: ResponseMatrix) -> float:
     """Total probing power tr(R B) = sum_k a_k^H R a_k, in mW.
 
-    Raises ValueError for non-Hermitian or dimension-mismatched inputs, or
-    if the quadratic-form sum develops a non-negligible imaginary part.
+    Raises ValueError for non-finite, non-Hermitian or dimension-mismatched
+    inputs, or if the quadratic-form sum develops a non-negligible imaginary
+    part.
     """
     r = _check_covariance(_as_matrix(r_x), rm.n_elements)
     total = complex(np.sum(column_powers(rm.a, r @ rm.a)))

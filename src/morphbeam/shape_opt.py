@@ -27,52 +27,22 @@ STATUS_GRADIENT_TOL = "gradient_tol"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_STEP_FLOOR = "step_floor"
 
+# Stop once the euclidean norm of the raw gradient drops to this value.
+GRAD_TOL = 1e-6
+# Armijo sufficient-increase fraction.
+ARMIJO_C = 1e-4
+# Backtracking multiplier applied to a rejected trial step.
+SHRINK = 0.5
+# First trial step of the first iteration, in wavelengths per unit gradient.
+INITIAL_STEP = 1e-2
+# Default cap on accepted steps per ascent.
+MAX_ITERS = 1000
 STEP_FLOOR = 1e-12
 # First trial step is capped so no element moves more than this many
 # wavelengths at once; keeps the line search sane when the gradient is huge.
 MAX_FIRST_MOVE = 0.1
 # Later line searches start from this multiple of the last accepted step.
 STEP_GROWTH = 2.0
-
-
-@dataclass
-class AscentConfig:
-    """Settings for the displacement ascent loop.
-
-    Parameters
-    ----------
-    grad_tol : float
-        Terminate once the euclidean norm of the raw gradient drops below
-        this value.
-    max_iters : int
-        Hard cap on accepted ascent steps.
-    armijo_c : float
-        Sufficient-increase fraction in (0, 1).
-    shrink : float
-        Backtracking multiplier in (0, 1).
-    initial_step : float
-        First trial step size of the first iteration only, in wavelengths
-        per unit gradient; later iterations start from ``STEP_GROWTH``
-        times the last accepted step.
-    """
-
-    grad_tol: float = 1e-6
-    max_iters: int = 1000
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    initial_step: float = 1e-2
-
-    def __post_init__(self):
-        if self.grad_tol <= 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError(f"armijo_c must lie in (0, 1), got {self.armijo_c}")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError(f"shrink must lie in (0, 1), got {self.shrink}")
-        if self.initial_step <= 0.0:
-            raise ValueError(f"initial_step must be positive, got {self.initial_step}")
 
 
 @dataclass
@@ -118,23 +88,24 @@ def ascend_shape(
     geom: ArrayGeometry,
     targets: TargetSet,
     shape: SurfaceShape,
-    config: AscentConfig | None = None,
+    max_iters: int = MAX_ITERS,
 ) -> tuple[SurfaceShape, AscentTrace]:
     """Maximize cumulated power over the surface shape, covariance fixed.
 
-    Runs projected gradient ascent from ``shape``. A trial step is accepted
-    when the power at the projected point beats the current power by at least
-    ``armijo_c * step * ||g||^2``; otherwise the step shrinks. The first
-    trial step is ``initial_step`` at the first iteration and twice the last
-    accepted step afterwards, capped so no element moves more than
+    Runs projected gradient ascent from ``shape`` for at most ``max_iters``
+    accepted steps. A trial step is accepted when the power at the projected
+    point beats the current power by at least ``ARMIJO_C * step * ||g||^2``;
+    otherwise the step shrinks by ``SHRINK``. The first trial step is
+    ``INITIAL_STEP`` at the first iteration and ``STEP_GROWTH`` times the
+    last accepted step afterwards, capped so no element moves more than
     ``MAX_FIRST_MOVE`` at once. If the step collapses below the floor the
     loop stops with status ``step_floor`` rather than raising, since a
     boundary iterate can be legitimately stuck.
 
     Returns the final shape and an :class:`AscentTrace`.
     """
-    if config is None:
-        config = AscentConfig()
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     r = _check_covariance(_as_matrix(r_x), geom.n_elements)
     # the flat-shape steering matrix times the displacement phase reproduces
     # steering_matrix at any shape bit for bit
@@ -154,12 +125,12 @@ def ascend_shape(
     grad_norms = []
     step_sizes = []
     status = STATUS_MAX_ITERS
-    trial = config.initial_step
+    trial = INITIAL_STEP
 
-    for _ in range(config.max_iters):
+    for _ in range(max_iters):
         gnorm = float(np.linalg.norm(g))
         grad_norms.append(gnorm)
-        if gnorm <= config.grad_tol:
+        if gnorm <= GRAD_TOL:
             status = STATUS_GRADIENT_TOL
             break
         if _boxed_gradient_norm(g, x, geom.d_max) == 0.0:
@@ -176,10 +147,10 @@ def ascend_shape(
             x_try = project_shape(x + step * g, geom.d_max)
             p_try, a, ra = power(x_try)
             n_evals += 1
-            if p_try >= p + config.armijo_c * step * gnorm * gnorm:
+            if p_try >= p + ARMIJO_C * step * gnorm * gnorm:
                 accepted = True
                 break
-            step *= config.shrink
+            step *= SHRINK
         if not accepted:
             status = STATUS_STEP_FLOOR
             break
@@ -206,5 +177,5 @@ def ascend_shape(
     )
     if status == STATUS_MAX_ITERS:
         logger.debug("ascent stopped at max_iters=%d with grad norm %.3g",
-                     config.max_iters, grad_norms[-1])
+                     max_iters, grad_norms[-1])
     return SurfaceShape(x), trace

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import math
 
-SPEED_OF_LIGHT = 299_792_458.0
-"""Speed of light in m/s."""
-
 DBM_FLOOR = -200.0
 """Smallest dBm value emitted for (numerically) zero linear power."""
 
@@ -27,9 +24,3 @@ def mw_to_dbm(p_mw: float) -> float:
         return DBM_FLOOR
     return max(10.0 * math.log10(p_mw), DBM_FLOOR)
 
-
-def wavelength_from_frequency(frequency_hz: float) -> float:
-    "Carrier wavelength in meters for a given frequency in Hz."
-    if frequency_hz <= 0.0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return SPEED_OF_LIGHT / frequency_hz

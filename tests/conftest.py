@@ -12,21 +12,16 @@ import pytest
 
 from morphbeam.array_model import ArrayGeometry, TargetSet, steering_matrix
 from morphbeam.bcd import BcdConfig, Scheme, solve_benchmark
-from morphbeam.units import wavelength_from_frequency
 
-# desk-scale reference instance: 10x10 half-wavelength grid at 28 GHz,
-# three targets, 10 dBm budget
-DESK_FREQ_HZ = 28e9
+# desk-scale reference instance: 10x10 half-wavelength grid, three targets,
+# 10 dBm budget
 DESK_THETAS_DEG = (30.0, 30.0, 135.0)
 DESK_PHIS_DEG = (60.0, 120.0, 90.0)
 DESK_P_T_MW = 10.0
 
 
 def desk_geometry(d_max: float, n_x: int = 10, n_z: int = 10) -> ArrayGeometry:
-    return ArrayGeometry(
-        n_x=n_x, n_z=n_z, dx=0.5, dz=0.5,
-        wavelength=wavelength_from_frequency(DESK_FREQ_HZ), d_max=d_max,
-    )
+    return ArrayGeometry(n_x=n_x, n_z=n_z, dx=0.5, dz=0.5, d_max=d_max)
 
 
 def desk_targets() -> TargetSet:

@@ -16,8 +16,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def small_geom(n_x=2, n_z=2, dx=0.5, dz=0.5, d_max=0.0):
-    return ArrayGeometry(n_x=n_x, n_z=n_z, dx=dx, dz=dz,
-                         wavelength=0.0107, d_max=d_max)
+    return ArrayGeometry(n_x=n_x, n_z=n_z, dx=dx, dz=dz, d_max=d_max)
 
 
 class TestGeometryValidation:
@@ -33,14 +32,12 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             small_geom(dz=-0.5)
 
-    def test_rejects_bad_wavelength_and_range(self):
-        with pytest.raises(ValueError):
-            ArrayGeometry(n_x=2, n_z=2, dx=0.5, dz=0.5, wavelength=0.0)
+    def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             small_geom(d_max=-0.1)
 
     def test_derived_quantities(self):
-        geom = ArrayGeometry(n_x=3, n_z=4, dx=0.5, dz=0.5, wavelength=0.01)
+        geom = ArrayGeometry(n_x=3, n_z=4, dx=0.5, dz=0.5)
         assert geom.n_elements == 12
 
 
@@ -208,3 +205,5 @@ class TestSurfaceShape:
             SurfaceShape(np.full(4, 0.3)).validate(geom)
         with pytest.raises(ValueError):
             SurfaceShape(np.zeros(3)).validate(geom)
+        with pytest.raises(ValueError, match="non-finite"):
+            SurfaceShape(np.array([0.0, np.nan, 0.0, 0.0])).validate(geom)

@@ -17,15 +17,13 @@ from morphbeam.bcd import (
 from morphbeam.beampattern import target_powers
 from morphbeam.covariance import DEFAULT_SDP_TOL, solve_per_antenna_sdp
 from morphbeam.objective import cumulated_power
-from morphbeam.shape_opt import AscentConfig
 
 P_T = 10.0
 
 
 def make_instance(d_max, n=4, k=3, seed=0):
     rng = np.random.default_rng(seed)
-    geom = ArrayGeometry(n_x=n, n_z=n, dx=0.5, dz=0.5,
-                         wavelength=0.0107, d_max=d_max)
+    geom = ArrayGeometry(n_x=n, n_z=n, dx=0.5, dz=0.5, d_max=d_max)
     targets = TargetSet(thetas=rng.uniform(0.3, np.pi - 0.3, k),
                         phis=rng.uniform(0.3, np.pi - 0.3, k))
     return geom, targets
@@ -34,7 +32,7 @@ def make_instance(d_max, n=4, k=3, seed=0):
 def quick_cfg(**kw):
     kw.setdefault("n_starts", 2)
     kw.setdefault("max_outer_iters", 15)
-    kw.setdefault("ascent", AscentConfig(max_iters=200))
+    kw.setdefault("ascent_max_iters", 200)
     kw.setdefault("rng_seed", 0)
     return BcdConfig(**kw)
 
@@ -93,7 +91,7 @@ class TestBcdOptimize:
         cov1, shape1, trace1 = bcd_optimize(geom, targets, P_T, quick_cfg())
         obj1 = trace1.records[-1].objective_mw
         geom2 = ArrayGeometry(n_x=geom.n_x, n_z=geom.n_z, dx=geom.dx, dz=geom.dz,
-                              wavelength=geom.wavelength, d_max=0.5)
+                              d_max=0.5)
         _, _, trace2 = bcd_optimize(geom2, targets, P_T, quick_cfg(),
                                     provided_starts=((shape1, cov1),))
         assert trace2.records[-1].objective_mw >= obj1
@@ -168,7 +166,7 @@ class TestSolveBenchmark:
         mimo = solve_benchmark(Scheme.RAA_MIMO, geom, targets, P_T, quick_cfg())
         pa = solve_benchmark(Scheme.RAA_PA, geom, targets, P_T, quick_cfg())
         assert pa.objective_mw <= mimo.sdp_report.dual_bound * (1.0 + 1e-12)
-        gap = mimo.sdp_report.residuals["relative_gap"]
+        gap = mimo.sdp_report.relative_gap
         assert pa.objective_mw <= mimo.objective_mw * (1.0 + gap + 1e-12)
 
     def test_morphing_pa_never_loses_to_rigid_pa(self):
@@ -227,8 +225,7 @@ def edge_instances(draw):
     else:
         thetas = draw(st.lists(_angle_deg, min_size=k, max_size=k))
         phis = draw(st.lists(_angle_deg, min_size=k, max_size=k))
-    geom = ArrayGeometry(n_x=n_x, n_z=n_z, dx=0.5, dz=0.5,
-                         wavelength=0.0107, d_max=d_max)
+    geom = ArrayGeometry(n_x=n_x, n_z=n_z, dx=0.5, dz=0.5, d_max=d_max)
     return geom, TargetSet.from_degrees(thetas, phis)
 
 
@@ -238,7 +235,7 @@ class TestEdgeInputs:
     def test_every_scheme_solves_with_a_certificate(self, instance):
         # Covers N = 1, K >= N, coincident targets, poles and d_max = 0.
         geom, targets = instance
-        cfg = quick_cfg(max_outer_iters=4, ascent=AscentConfig(max_iters=30))
+        cfg = quick_cfg(max_outer_iters=4, ascent_max_iters=30)
         for scheme in Scheme:
             res = solve_benchmark(scheme, geom, targets, P_T, cfg)
             res.cov.validate()

@@ -9,7 +9,6 @@ from conftest import loop_beampattern_mw
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.beampattern import (
     BeampatternGrid,
-    default_axes,
     evaluate_beampattern,
     target_powers,
 )
@@ -17,17 +16,12 @@ from morphbeam.covariance import ConstraintKind, CovarianceMatrix, solve_per_ant
 from morphbeam.objective import cumulated_power
 
 
+# the config's default grid (output.grid_points): 181 points over [0, pi]
+AXIS = np.linspace(0.0, np.pi, 181)
+
+
 def make_geom(n=4, d_max=0.0):
-    return ArrayGeometry(n_x=n, n_z=n, dx=0.5, dz=0.5,
-                         wavelength=0.0107, d_max=d_max)
-
-
-def test_default_axes():
-    t, p = default_axes()
-    assert t.size == p.size == 181
-    assert t[0] == 0.0 and t[-1] == pytest.approx(np.pi)
-    t.sort()  # mutating one must not touch the other
-    assert t is not p
+    return ArrayGeometry(n_x=n, n_z=n, dx=0.5, dz=0.5, d_max=d_max)
 
 
 def test_uncorrelated_covariance_radiates_uniformly():
@@ -86,7 +80,7 @@ def test_power_bounded_by_budget_times_elements():
     shape = SurfaceShape(rng.uniform(-0.5, 0.5, geom.n_elements))
     rm = response_matrix(geom, targets, shape)
     cov, _ = solve_per_antenna_sdp(rm.a, p_t=7.0)
-    grid = evaluate_beampattern(cov, geom, shape)
+    grid = evaluate_beampattern(cov, geom, shape, AXIS, AXIS)
     # a^H R a <= lambda_max(R) * n <= tr(R) * n = p_t * n
     bound_dbm = 10.0 * np.log10(7.0 * geom.n_elements)
     assert float(grid.power_dbm.max()) <= bound_dbm + 1e-9
@@ -99,7 +93,7 @@ def test_rank1_nulls_hit_the_floor():
     r = np.outer(w, w.conj())
     orth = np.array([1.0, -1.0], dtype=complex)
     assert abs(orth.conj() @ r @ orth) < 1e-14
-    geom = ArrayGeometry(n_x=2, n_z=1, dx=0.5, dz=0.5, wavelength=0.0107)
+    geom = ArrayGeometry(n_x=2, n_z=1, dx=0.5, dz=0.5)
     # find the angle where the steering vector equals orth up to phase:
     # phase difference pi between the two x elements => dx sin(t) cos(p) = 1/2
     theta = np.pi / 2
@@ -121,7 +115,7 @@ def test_grid_matches_per_direction_loop():
     geom = make_geom(n=3, d_max=0.7)
     shape = SurfaceShape(rng.uniform(-0.7, 0.7, geom.n_elements))
     r = random_covariance(geom.n_elements, rng)
-    t_axis, p_axis = default_axes(19)
+    t_axis = p_axis = np.linspace(0.0, np.pi, 19)
     grid = evaluate_beampattern(r, geom, shape, t_axis, p_axis)
     want = loop_beampattern_mw(r, geom, shape, t_axis, p_axis)
     np.testing.assert_allclose(10.0 ** (grid.power_dbm / 10.0), want, rtol=1e-12)
@@ -137,7 +131,7 @@ def test_grid_memory_stays_bounded_at_n400():
     r = random_covariance(geom.n_elements, rng)
     tracemalloc.start()
     try:
-        grid = evaluate_beampattern(r, geom, shape)
+        grid = evaluate_beampattern(r, geom, shape, AXIS, AXIS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -151,9 +145,9 @@ def test_rejects_non_hermitian_or_misshaped_covariance():
     r = np.eye(4, dtype=complex)
     r[0, 1] = 0.5j                      # a hand-edited entry without its mirror
     with pytest.raises(ValueError, match="Hermitian"):
-        evaluate_beampattern(r, geom, shape)
+        evaluate_beampattern(r, geom, shape, AXIS, AXIS)
     with pytest.raises(ValueError, match="expected"):
-        evaluate_beampattern(np.eye(3), geom, shape)
+        evaluate_beampattern(np.eye(3), geom, shape, AXIS, AXIS)
 
 
 class TestBeampatternGrid:

@@ -42,7 +42,7 @@ def small_config_dict(n=3, seed=0, n_starts=2, max_outer=8, grid=13):
         "geometry": {
             "n_x": n, "n_z": n,
             "dx_wavelengths": 0.5, "dz_wavelengths": 0.5,
-            "frequency_hz": 28e9, "d_max_wavelengths": 0.5,
+            "d_max_wavelengths": 0.5,
         },
         "targets": [
             {"theta_deg": 40.0, "phi_deg": 70.0},
@@ -256,10 +256,17 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     ("targets", "rcs_re", 1.0),
     ("targets", "rcs_im", 0.0),
     ("algorithm", "init_scheme", "uniform-box"),
+    ("geometry", "frequency_hz", 28e9),
+    ("algorithm", "grad_tol", 1e-6),
+    ("algorithm", "armijo_c", 1e-4),
+    ("algorithm", "shrink", 0.5),
+    ("algorithm", "initial_step", 1e-2),
 ])
 def test_cli_rejects_removed_config_keys(tmp_path, capsys, block, key, value):
-    # targets carry no RCS weight and the start list has no scheme switch;
-    # a config that sets these keys is rejected, never silently accepted
+    # targets carry no RCS weight, the start list has no scheme switch,
+    # lengths are in wavelengths so no carrier frequency enters, and the
+    # ascent line search is fixed; a config that sets these keys is
+    # rejected, never silently accepted
     desk = Path(__file__).resolve().parent.parent / "configs" / "desk-10x10.json"
     raw = json.loads(desk.read_text())
     entry = raw[block][0] if block == "targets" else raw[block]

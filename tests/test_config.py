@@ -7,7 +7,6 @@ import pytest
 
 from morphbeam.bcd import BcdConfig, Scheme
 from morphbeam.config import ConfigError, ExperimentConfig, load_config
-from morphbeam.units import wavelength_from_frequency
 
 
 def base_dict(**overrides):
@@ -15,7 +14,7 @@ def base_dict(**overrides):
         "geometry": {
             "n_x": 3, "n_z": 3,
             "dx_wavelengths": 0.5, "dz_wavelengths": 0.5,
-            "frequency_hz": 28e9, "d_max_wavelengths": 0.5,
+            "d_max_wavelengths": 0.5,
         },
         "targets": [
             {"theta_deg": 30.0, "phi_deg": 60.0},
@@ -131,6 +130,10 @@ class TestParsing:
         d["output"]["grid_points"] = 1
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
+        d = base_dict()
+        d["algorithm"]["ascent_max_iters"] = 0
+        with pytest.raises(ConfigError, match="ascent_max_iters"):
+            ExperimentConfig.from_dict(d)
 
     def test_init_displacements_checked_against_geometry(self):
         d = base_dict()
@@ -160,7 +163,6 @@ class TestBuilders:
         geom = cfg.build_geometry()
         assert geom.n_elements == 9
         assert geom.dx == 0.5
-        assert geom.wavelength == wavelength_from_frequency(28e9)
         assert geom.d_max == 0.5
 
     def test_targets_in_radians(self):
@@ -172,13 +174,11 @@ class TestBuilders:
     def test_bcd_wiring(self):
         d = base_dict(seed=5)
         d["algorithm"]["rel_increase_threshold_db"] = -20.0
-        d["algorithm"]["grad_tol"] = 1e-5
         cfg = ExperimentConfig.from_dict(d)
         bcd = cfg.build_bcd()
         assert bcd.rng_seed == 5
         assert bcd.rel_increase_threshold == pytest.approx(1e-2)
-        assert bcd.ascent.grad_tol == 1e-5
-        assert bcd.ascent.max_iters == 120
+        assert bcd.ascent_max_iters == 120
 
     def test_init_shape_none_when_unset(self):
         cfg = ExperimentConfig.from_dict(base_dict())
@@ -215,4 +215,4 @@ class TestLoadConfig:
         from pathlib import Path
         path = Path(__file__).resolve().parent.parent / "configs" / "desk-10x10.json"
         assert load_config(path).digest() == (
-            "0859cb51717d2b9fa7b3b0a5ac25c828a15e73554055e88fce34b6e9a712c32e")
+            "7b7f2addfae57ea6d0651c8a092a408b590e84843ac746f2c5d428e97eb25dfb")

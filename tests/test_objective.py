@@ -10,8 +10,7 @@ from morphbeam.objective import cumulated_power, shape_gradient
 
 
 def make_geom(n_x=3, n_z=3, d_max=0.5):
-    return ArrayGeometry(n_x=n_x, n_z=n_z, dx=0.5, dz=0.5,
-                         wavelength=0.0107, d_max=d_max)
+    return ArrayGeometry(n_x=n_x, n_z=n_z, dx=0.5, dz=0.5, d_max=d_max)
 
 
 def random_feasible_r(n, p_t, rng):
@@ -79,6 +78,9 @@ def test_cumulated_power_validates_inputs():
     bad = np.eye(9, dtype=complex)
     bad[0, 1] = 1.0                              # not Hermitian
     with pytest.raises(ValueError):
+        cumulated_power(bad, rm)
+    bad[0, 1] = np.nan                           # not finite
+    with pytest.raises(ValueError, match="non-finite"):
         cumulated_power(bad, rm)
 
 

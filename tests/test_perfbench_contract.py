@@ -35,7 +35,7 @@ def _tiny_config():
         "geometry": {
             "n_x": 3, "n_z": 3,
             "dx_wavelengths": 0.5, "dz_wavelengths": 0.5,
-            "frequency_hz": 28e9, "d_max_wavelengths": 0.5,
+            "d_max_wavelengths": 0.5,
         },
         "targets": [
             {"theta_deg": 40.0, "phi_deg": 70.0},

@@ -17,7 +17,6 @@ from morphbeam.shape_opt import (
     STATUS_GRADIENT_TOL,
     STATUS_MAX_ITERS,
     STATUS_STEP_FLOOR,
-    AscentConfig,
     ascend_shape,
     project_shape,
 )
@@ -25,8 +24,7 @@ from morphbeam.shape_opt import (
 
 def make_instance(d_max, n=3, k=2, seed=0):
     rng = np.random.default_rng(seed)
-    geom = ArrayGeometry(n_x=n, n_z=n, dx=0.5, dz=0.5,
-                         wavelength=0.0107, d_max=d_max)
+    geom = ArrayGeometry(n_x=n, n_z=n, dx=0.5, dz=0.5, d_max=d_max)
     targets = TargetSet(thetas=rng.uniform(0.3, np.pi - 0.3, k),
                         phis=rng.uniform(0.3, np.pi - 0.3, k))
     rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
@@ -51,21 +49,13 @@ class TestProjectShape:
             project_shape(np.zeros(3), -0.1)
 
 
-class TestAscentConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AscentConfig(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            AscentConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            AscentConfig(armijo_c=1.0)
-        with pytest.raises(ValueError):
-            AscentConfig(shrink=0.0)
-        with pytest.raises(ValueError):
-            AscentConfig(initial_step=-1e-3)
-
-
 class TestAscendShape:
+    def test_rejects_nonpositive_max_iters(self):
+        geom, targets, cov = make_instance(d_max=0.5)
+        for max_iters in (0, -1):
+            with pytest.raises(ValueError, match="max_iters"):
+                ascend_shape(cov, geom, targets, SurfaceShape.zero(geom), max_iters)
+
     def test_objectives_nondecreasing(self):
         geom, targets, cov = make_instance(d_max=0.5)
         shape0 = SurfaceShape.zero(geom)
@@ -113,8 +103,7 @@ class TestAscendShape:
 
     def test_max_iters_status(self):
         geom, targets, cov = make_instance(d_max=0.5)
-        cfg = AscentConfig(max_iters=2)
-        _, trace = ascend_shape(cov, geom, targets, SurfaceShape.zero(geom), cfg)
+        _, trace = ascend_shape(cov, geom, targets, SurfaceShape.zero(geom), 2)
         assert trace.status == STATUS_MAX_ITERS
         assert trace.n_iters == 2
         assert trace.grad_norms.size == 3   # one per visited iterate
@@ -145,7 +134,7 @@ def test_trial_matrices_equal_steering_matrix_bit_for_bit(monkeypatch):
     # displacement phase. At the start and at the returned shape (the first
     # and last points whose gradient it takes) that must be steering_matrix
     # itself. Two targets are mirrored, so they share sin(theta) sin(phi).
-    geom = ArrayGeometry(n_x=4, n_z=4, dx=0.5, dz=0.5, wavelength=0.0107, d_max=0.4)
+    geom = ArrayGeometry(n_x=4, n_z=4, dx=0.5, dz=0.5, d_max=0.4)
     targets = TargetSet.from_degrees([30.0, 60.0, 135.0], [60.0, 30.0, 90.0])
     rng = np.random.default_rng(4)
     start = rng.uniform(-0.4, 0.4, geom.n_elements)
@@ -172,7 +161,7 @@ class TestAscentCounts:
     def test_counts_match_the_trace(self, d_max, seed, max_iters):
         geom, targets, cov = make_instance(d_max=d_max, seed=seed)
         _, trace = ascend_shape(cov, geom, targets, SurfaceShape.zero(geom),
-                                AscentConfig(max_iters=max_iters))
+                                max_iters)
         assert trace.n_evals >= trace.n_iters + 1
         assert trace.n_gradients == trace.grad_norms.size
 

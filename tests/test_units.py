@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from morphbeam.units import (
-    DBM_FLOOR,
-    SPEED_OF_LIGHT,
-    dbm_to_mw,
-    mw_to_dbm,
-    wavelength_from_frequency,
-)
+from morphbeam.units import DBM_FLOOR, dbm_to_mw, mw_to_dbm
 
 
 def test_dbm_mw_round_trip():
@@ -28,14 +22,3 @@ def test_dbm_floor_for_nonpositive_power():
     assert mw_to_dbm(0.0) == DBM_FLOOR
     assert mw_to_dbm(-3.0) == DBM_FLOOR
     assert mw_to_dbm(1e-300) <= DBM_FLOOR
-
-
-def test_wavelength_from_frequency():
-    assert wavelength_from_frequency(SPEED_OF_LIGHT) == 1.0
-    # 28 GHz carrier is roughly a centimeter wave
-    lam = wavelength_from_frequency(28e9)
-    assert lam == pytest.approx(0.0107068735, rel=1e-8)
-    with pytest.raises(ValueError):
-        wavelength_from_frequency(0.0)
-    with pytest.raises(ValueError):
-        wavelength_from_frequency(-1e9)
