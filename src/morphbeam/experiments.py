@@ -33,6 +33,7 @@ from .results import (
     write_sweep_power_csv,
     write_sweep_range_csv,
 )
+from .shape_opt import STATUS_GRADIENT_TOL, STATUS_MAX_ITERS, STATUS_STEP_FLOOR
 from .units import dbm_to_mw, mw_to_dbm
 
 logger = logging.getLogger(__name__)
@@ -72,8 +73,11 @@ def _make_record(cfg: ExperimentConfig, scheme: Scheme, res: BenchmarkResult,
                  geom: ArrayGeometry, targets: TargetSet,
                  wall: float) -> ResultRecord:
     per_dbm, _, min_dbm = target_powers(res.cov, geom, targets, res.shape)
+    stops = dict.fromkeys((STATUS_GRADIENT_TOL, STATUS_STEP_FLOOR, STATUS_MAX_ITERS), 0)
     if res.trace is not None:
         sdp = [(r.sdp_converged, r.sdp_gap) for r in res.trace.records]
+        for r in res.trace.records:
+            stops[r.ascent_status] += 1
     else:
         sdp = [(res.sdp_report.converged, res.sdp_report.relative_gap)]
     return ResultRecord(
@@ -87,6 +91,7 @@ def _make_record(cfg: ExperimentConfig, scheme: Scheme, res: BenchmarkResult,
         outer_iterations=res.trace.n_outer if res.trace is not None else 0,
         sdp_all_converged=all(ok for ok, _ in sdp),
         max_sdp_gap=max(gap for _, gap in sdp),
+        ascent_stops=stops,
         termination_reason=(res.trace.termination_reason.value
                             if res.trace is not None else ""),
         wall_time_seconds=wall,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .beampattern import BeampatternGrid
 
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 # fields excluded from the canonical form compared across reruns
 _VOLATILE_FIELDS = ("wall_time_seconds",)
@@ -52,6 +52,7 @@ class ResultRecord:
     outer_iterations: int
     sdp_all_converged: bool             # every SDP of the result reached its gap tolerance
     max_sdp_gap: float                  # largest certified relative gap among those SDPs
+    ascent_stops: dict[str, int]        # shape ascents of the result by stop status
     termination_reason: str = ""
     wall_time_seconds: float = 0.0
     artifact_version: int = ARTIFACT_VERSION
@@ -69,6 +70,7 @@ class ResultRecord:
             "outer_iterations": self.outer_iterations,
             "sdp_all_converged": self.sdp_all_converged,
             "max_sdp_gap": self.max_sdp_gap,
+            "ascent_stops": dict(self.ascent_stops),
             "termination_reason": self.termination_reason,
             "wall_time_seconds": self.wall_time_seconds,
         }

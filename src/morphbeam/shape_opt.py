@@ -7,6 +7,13 @@ probing power, starting from twice the last accepted step, and projects back
 onto the box. Only the displacement phase of A depends on the shape, so the
 planar factor is built once per ascent; each trial point costs one phase
 product and one R A, which also gives the gradient once the point is accepted.
+
+Once ARMIJO_C * step * ||g||^2 is below half an ulp of the power, the Armijo
+test passes a trial point bit-equal to the current one. The loop then cycles:
+a step of 2s is rejected and the no-op step s accepted, with the same state
+(x, power, gradient, first trial step) at the start of every iteration. Each
+iteration is a pure function of that state, so the loop stops at the first
+such repeat and returns exactly what running on to ``max_iters`` would.
 """
 
 from __future__ import annotations
@@ -25,6 +32,9 @@ logger = logging.getLogger(__name__)
 
 STATUS_GRADIENT_TOL = "gradient_tol"
 STATUS_MAX_ITERS = "max_iters"
+# No trial step above STEP_FLOOR passes the Armijo test, or the accepted one
+# leaves x bit-equal and the next iteration would repeat this one: either
+# way the line search can no longer move x.
 STATUS_STEP_FLOOR = "step_floor"
 
 # Stop once the euclidean norm of the raw gradient drops to this value.
@@ -35,7 +45,7 @@ ARMIJO_C = 1e-4
 SHRINK = 0.5
 # First trial step of the first iteration, in wavelengths per unit gradient.
 INITIAL_STEP = 1e-2
-# Default cap on accepted steps per ascent.
+# Default cap on accepted steps per ascent; a guard that no desk ascent reaches.
 MAX_ITERS = 1000
 STEP_FLOOR = 1e-12
 # First trial step is capped so no element moves more than this many
@@ -55,7 +65,10 @@ class AscentTrace:
     iterate the loop visited. ``projected_grad_norm`` is the norm of the
     gradient with components pushing against an active box face zeroed out,
     measured at the final iterate. ``n_evals`` counts power evaluations,
-    the start included; ``n_gradients`` counts gradients.
+    the start included; ``n_gradients`` counts gradients. ``status`` is
+    ``step_floor`` also when the loop stops on a repeated state; the no-op
+    step that closes the repeat is counted in ``n_evals`` but not in
+    ``n_iters`` or ``objectives``.
     """
 
     objectives: np.ndarray
@@ -100,7 +113,12 @@ def ascend_shape(
     last accepted step afterwards, capped so no element moves more than
     ``MAX_FIRST_MOVE`` at once. If the step collapses below the floor the
     loop stops with status ``step_floor`` rather than raising, since a
-    boundary iterate can be legitimately stuck.
+    boundary iterate can be legitimately stuck. It also stops with
+    ``step_floor`` when the accepted point is bit-equal to x and the next
+    first trial step, ``STEP_GROWTH * step``, equals this iteration's: the
+    next iteration would start from the same state and repeat this one, so
+    the shape, power and projected gradient returned are bit-equal to those
+    of the loop run on to ``max_iters``.
 
     Returns the final shape and an :class:`AscentTrace`.
     """
@@ -151,7 +169,9 @@ def ascend_shape(
                 accepted = True
                 break
             step *= SHRINK
-        if not accepted:
+        if not accepted or (STEP_GROWTH * step == trial and np.array_equal(x_try, x)):
+            # nothing passed, or x_try is x and the next iteration would
+            # start from this one's state (x, p, g, trial) and repeat it
             status = STATUS_STEP_FLOOR
             break
         x = x_try

@@ -10,8 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from morphbeam.array_model import ArrayGeometry, TargetSet, steering_matrix
+from morphbeam import shape_opt
+from morphbeam.array_model import TWO_PI, ArrayGeometry, SurfaceShape, TargetSet, steering_matrix
 from morphbeam.bcd import BcdConfig, Scheme, solve_benchmark
+from morphbeam.objective import column_powers, power_gradient
 
 # desk-scale reference instance: 10x10 half-wavelength grid, three targets,
 # 10 dBm budget
@@ -104,6 +106,64 @@ def finite_difference_gradient(r_x, geom, targets, shape, h=1e-6):
         lo = power_at(bumped)
         grad[n] = (hi - lo) / (2.0 * h)
     return grad
+
+
+def capped_ascend_shape(r_x, geom, targets, shape, max_iters=shape_opt.MAX_ITERS):
+    """The shape ascent without its repeated-state stop; verification oracle.
+
+    Runs the same Armijo line search as ``shape_opt.ascend_shape`` on the
+    same constants, but leaves only when no trial step passes, the gradient
+    vanishes or ``max_iters`` steps are accepted. Once the loop state
+    repeats, this loop keeps accepting the same no-op step until the cap, so
+    its outputs are what the early stop must return bit for bit.
+    """
+    r = getattr(r_x, "r", r_x)
+    planar = steering_matrix(geom, targets.thetas, targets.phis, np.zeros(geom.n_elements))
+    c = np.sin(targets.thetas) * np.sin(targets.phis)
+
+    def power(x):
+        a = planar * np.exp(-1j * TWO_PI * np.outer(x, c))
+        ra = r @ a
+        return float(np.sum(column_powers(a, ra)).real), a, ra
+
+    def boxed_norm(g, x):
+        g = g.copy()
+        g[(x >= geom.d_max) & (g > 0.0)] = 0.0
+        g[(x <= -geom.d_max) & (g < 0.0)] = 0.0
+        return float(np.linalg.norm(g))
+
+    x = np.clip(np.asarray(shape.displacements, dtype=float), -geom.d_max, geom.d_max)
+    p, a, ra = power(x)
+    g = power_gradient(a, ra, c)
+    n_evals, objectives, steps = 1, [p], []
+    status = shape_opt.STATUS_MAX_ITERS
+    trial = shape_opt.INITIAL_STEP
+    for _ in range(max_iters):
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= shape_opt.GRAD_TOL or boxed_norm(g, x) == 0.0:
+            status = shape_opt.STATUS_GRADIENT_TOL
+            break
+        step = min(trial, shape_opt.MAX_FIRST_MOVE / float(np.max(np.abs(g))))
+        while step > shape_opt.STEP_FLOOR:
+            x_try = np.clip(x + step * g, -geom.d_max, geom.d_max)
+            p_try, a, ra = power(x_try)
+            n_evals += 1
+            if p_try >= p + shape_opt.ARMIJO_C * step * gnorm * gnorm:
+                break
+            step *= shape_opt.SHRINK
+        else:
+            status = shape_opt.STATUS_STEP_FLOOR
+            break
+        x, p = x_try, p_try
+        g = power_gradient(a, ra, c)
+        objectives.append(p)
+        steps.append(step)
+        trial = shape_opt.STEP_GROWTH * step
+    trace = shape_opt.AscentTrace(
+        objectives=np.asarray(objectives), grad_norms=np.empty(0),
+        step_sizes=np.asarray(steps), projected_grad_norm=boxed_norm(g, x),
+        status=status, n_iters=len(steps), n_evals=n_evals, n_gradients=len(steps) + 1)
+    return SurfaceShape(x), trace
 
 
 @pytest.fixture(scope="session")

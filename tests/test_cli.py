@@ -116,7 +116,11 @@ def test_record_shows_unconverged_sdp(tmp_path, monkeypatch, scheme):
     assert record.max_sdp_gap > DEFAULT_SDP_TOL
     saved = json.loads((tmp_path / "record.json").read_text())
     assert saved["sdp_all_converged"] is False
-    assert saved["artifact_version"] == 2
+    assert saved["artifact_version"] == 3
+    # one stop per outer of the kept start; zeros for the rigid scheme
+    stops = saved["ascent_stops"]
+    assert sorted(stops) == ["gradient_tol", "max_iters", "step_floor"]
+    assert sum(stops.values()) == saved["outer_iterations"] == record.outer_iterations
 
 
 def test_run_beampattern_requires_prior_optimize(tmp_path):

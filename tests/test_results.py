@@ -43,6 +43,7 @@ def sample_record(**overrides):
         outer_iterations=18,
         sdp_all_converged=True,
         max_sdp_gap=1.1e-7,
+        ascent_stops={"gradient_tol": 9, "step_floor": 8, "max_iters": 1},
         termination_reason="threshold",
         wall_time_seconds=8.2,
     )

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from morphbeam import shape_opt
+from conftest import DESK_P_T_MW, capped_ascend_shape, desk_geometry, desk_targets
+from morphbeam import bcd, shape_opt
 from morphbeam.array_model import (
     ArrayGeometry,
     SurfaceShape,
@@ -11,6 +12,7 @@ from morphbeam.array_model import (
     response_matrix,
     steering_matrix,
 )
+from morphbeam.bcd import BcdConfig, Scheme, solve_benchmark
 from morphbeam.covariance import solve_per_antenna_sdp
 from morphbeam.objective import cumulated_power
 from morphbeam.shape_opt import (
@@ -170,3 +172,82 @@ class TestAscentCounts:
         evals = sum(r.ascent_evals for r in res.trace.records)
         gradients = sum(r.ascent_gradients for r in res.trace.records)
         assert evals <= 3 * gradients
+
+    def test_no_desk_ascent_runs_to_the_cap(self, morph_mimo_results):
+        for d_max, (res, _) in morph_mimo_results.items():
+            capped = [r.index for r in res.trace.records if r.ascent_status == STATUS_MAX_ITERS]
+            assert capped == [], f"d_max {d_max}: outers {capped} ran to the cap"
+
+
+@pytest.fixture(scope="module")
+def desk_zero_start_ascents():
+    "Covariance and start shape of the first three ascents of the desk d_max = 1 zero start."
+    geom = desk_geometry(1.0)
+    seen = []
+
+    def keep(cov, geom, targets, shape, max_iters):
+        seen.append((cov.r.copy(), shape.copy()))
+        return ascend_shape(cov, geom, targets, shape, max_iters)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bcd, "ascend_shape", keep)
+        solve_benchmark(Scheme.FIM_MIMO, geom, desk_targets(), DESK_P_T_MW,
+                        BcdConfig(n_starts=1, max_outer_iters=3))
+    return geom, seen
+
+
+def noop_then_move_instance():
+    """A 2x2 ascent whose first accepted steps leave x bit-equal, and a later one moves it.
+
+    R = w w^H with w the steering vector at x0 except for phase twists of
+    -/+1e-5 on the two elements pinned at +/-d_max. Those two pull outward
+    and carry the gradient norm; the free elements' gradient is at rounding
+    level. The first steps are too short to move them, yet pass the Armijo
+    test because its threshold rounds away; the doubled steps move them.
+    """
+    geom = ArrayGeometry(n_x=2, n_z=2, dx=0.5, dz=0.5, d_max=0.5)
+    targets = TargetSet(thetas=np.array([1.9]), phis=np.array([1e-3]))
+    x0 = np.array([0.5, -0.5, 0.1, 0.3])
+    a = steering_matrix(geom, targets.thetas, targets.phis, x0)[:, 0]
+    w = 10.0 * a * np.exp(1j * np.array([-1e-5, 1e-5, 0.0, 0.0]))
+    return np.outer(w, w.conj()), geom, targets, SurfaceShape(x0)
+
+
+class TestRepeatedStateStop:
+    """The ascent stops once its loop state repeats and returns what the capped loop returns."""
+
+    @staticmethod
+    def assert_matches_capped_loop(r, geom, targets, start):
+        final, trace = ascend_shape(r, geom, targets, start)
+        want, want_trace = capped_ascend_shape(r, geom, targets, start)
+        assert final.displacements.tobytes() == want.displacements.tobytes()
+        assert trace.objectives[-1] == want_trace.objectives[-1]
+        assert trace.projected_grad_norm == want_trace.projected_grad_norm
+        return final, trace, want_trace
+
+    def test_crawling_desk_ascent_stops_early(self, desk_zero_start_ascents):
+        # the third outer's ascent makes its last strict increase within 20
+        # steps, then repeats a rejected step and an accepted no-op step
+        geom, seen = desk_zero_start_ascents
+        r, start = seen[2]
+        _, trace, want = self.assert_matches_capped_loop(r, geom, desk_targets(), start)
+        assert want.status == STATUS_MAX_ITERS
+        assert trace.status == STATUS_STEP_FLOOR
+        assert 10 * trace.n_evals < want.n_evals
+
+    def test_equal_power_step_before_a_strict_increase(self, desk_zero_start_ascents):
+        geom, seen = desk_zero_start_ascents
+        r, start = seen[0]
+        _, trace, want = self.assert_matches_capped_loop(r, geom, desk_targets(), start)
+        rises = np.diff(want.objectives)
+        first_equal = np.flatnonzero(rises == 0.0)[0]
+        assert np.any(rises[first_equal:] > 0.0)
+        np.testing.assert_array_equal(trace.objectives, want.objectives)
+
+    def test_noop_step_before_a_move(self):
+        r, geom, targets, start = noop_then_move_instance()
+        final, trace, want = self.assert_matches_capped_loop(r, geom, targets, start)
+        after_one, _ = capped_ascend_shape(r, geom, targets, start, max_iters=1)
+        assert after_one.displacements.tobytes() == start.displacements.tobytes()
+        assert np.any(final.displacements != start.displacements)
+        assert trace.n_evals < want.n_evals
