@@ -19,7 +19,6 @@ from .bcd import (
     OuterRecord,
     Scheme,
     TerminationReason,
-    bcd_optimize,
     solve_benchmark,
 )
 from .beampattern import (
@@ -64,7 +63,6 @@ __all__ = [
     "TargetSet",
     "TerminationReason",
     "ascend_shape",
-    "bcd_optimize",
     "cumulated_power",
     "evaluate_beampattern",
     "load_config",

@@ -19,6 +19,10 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+# Displacements up to this far beyond d_max (wavelengths) still pass
+# ``SurfaceShape.validate``, so rounding at the box edge is not an error.
+_BOX_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -71,7 +75,7 @@ class SurfaceShape:
         "Draw each displacement uniformly from [-d_max, d_max]."
         return cls(rng.uniform(-geom.d_max, geom.d_max, size=geom.n_elements))
 
-    def validate(self, geom: ArrayGeometry, box_tol: float = 1e-12) -> None:
+    def validate(self, geom: ArrayGeometry) -> None:
         "Raise ValueError on length mismatch, non-finite or out-of-range displacements."
         if self.displacements.shape != (geom.n_elements,):
             raise ValueError(
@@ -81,7 +85,7 @@ class SurfaceShape:
         if not np.all(np.isfinite(self.displacements)):
             raise ValueError("shape has non-finite displacements")
         worst = float(np.max(np.abs(self.displacements), initial=0.0))
-        if worst > geom.d_max + box_tol:
+        if worst > geom.d_max + _BOX_TOL:
             raise ValueError(
                 f"displacement {worst:g} exceeds morphing limit {geom.d_max:g}"
             )

@@ -6,7 +6,8 @@ Both blocks are individually nondecreasing in cumulated power, so the outer
 objective sequence is monotone; iteration stops once the fractional increase
 drops below threshold. Several starts (the rigid zero shape is always one of
 them) run one after another and the best is kept, ties going to the lowest
-start index.
+start index. The rigid benchmark schemes are one covariance step at the
+zero shape, the same step the zero start's first outer iteration takes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from enum import Enum
 
 import numpy as np
 
-from .array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
+from .array_model import (
+    ArrayGeometry,
+    ResponseMatrix,
+    SurfaceShape,
+    TargetSet,
+    response_matrix,
+)
 from .covariance import (
     ConstraintKind,
     CovarianceMatrix,
@@ -157,10 +164,41 @@ class BenchmarkResult:
     sdp_report: SolveReport | None = None
 
 
-def _phased_array_covariance(weights: np.ndarray, p_t: float) -> CovarianceMatrix:
-    "The rank-1 covariance w w^H of constant-modulus weights."
-    return CovarianceMatrix(r=np.outer(weights, weights.conj()), power_budget=p_t,
-                            constraint_kind=ConstraintKind.PER_ANTENNA)
+def _covariance_step(
+    rm: ResponseMatrix,
+    p_t: float,
+    phased_array: bool,
+    draw_key: tuple[int, int, int],
+    cov: CovarianceMatrix | None,
+    weights: np.ndarray | None,
+) -> tuple[CovarianceMatrix, np.ndarray | None, SolveReport, float, float | None]:
+    """The covariance block at response ``rm``, given the held ``cov`` and ``weights``.
+
+    Solves the per-antenna SDP. For MIMO the fresh solution replaces the held
+    covariance unless the held one is strictly better on ``rm``. For PA the
+    SDP solution seeds the randomization drawn from the stream keyed by
+    ``draw_key`` = (seed, start, outer); the fresh weights replace the held
+    ones only when they win on ``rm``, and the covariance is w w^H.
+
+    Returns (covariance, weights, SDP report, SDP objective, rank-1 value);
+    weights and the rank-1 value are None for MIMO.
+    """
+    cov_sdp, rep = solve_per_antenna_sdp(rm.a, p_t)
+    sdp_obj = cumulated_power(cov_sdp, rm)
+    if not phased_array:
+        if cov is None or not cumulated_power(cov, rm) > sdp_obj:
+            cov = cov_sdp
+        return cov, None, rep, sdp_obj, None
+    seed, start_index, outer = draw_key
+    seq = np.random.SeedSequence([seed, _SEED_TAG_RAND, start_index, outer])
+    w_new, rank1_val = randomize_rank1(cov_sdp, rm.a, p_t, rng_seed=seq)
+    if weights is not None:
+        a_w = rm.a.conj().T @ weights  # w^H B w = ||A^H w||^2
+        if float(np.real(column_powers(a_w, a_w))) >= rank1_val:
+            w_new = weights
+    cov = CovarianceMatrix(r=np.outer(w_new, w_new.conj()), power_budget=p_t,
+                           constraint_kind=ConstraintKind.PER_ANTENNA)
+    return cov, w_new, rep, sdp_obj, rank1_val
 
 
 def _run_single_start(
@@ -181,14 +219,10 @@ def _run_single_start(
     makes warm starts dominate their seed value exactly instead of up to
     solver tolerance.
 
-    For ``FIM_PA`` the covariance block becomes relaxation plus
-    randomization: the SDP solution only seeds the Gaussian sampling and the
-    shape ascent sees the rank-1 covariance of the best constant-modulus
-    weights so far. The weight draws are keyed by (seed, start, outer), and a
-    fresh draw replaces the held weights only when it wins on the current
-    response matrix, so the objective stays monotone within the run.
+    For ``FIM_PA`` the covariance step is relaxation plus randomization, and
+    the shape ascent sees the rank-1 covariance of the best constant-modulus
+    weights so far, so the objective stays monotone within the run.
     """
-    phased_array = scheme is Scheme.FIM_PA
     shape = start_shape.copy()
     shape.validate(geom)
     cov = incumbent
@@ -200,26 +234,8 @@ def _run_single_start(
     for outer in range(1, cfg.max_outer_iters + 1):
         tic = time.perf_counter()
         rm = response_matrix(geom, targets, shape)
-        cov_sdp, rep = solve_per_antenna_sdp(rm.a, p_t)
-        sdp_obj = cumulated_power(cov_sdp, rm)
-        rank1_val = None
-
-        if phased_array:
-            seq = np.random.SeedSequence(
-                [cfg.rng_seed, _SEED_TAG_RAND, start_index, outer])
-            w_new, rank1_val = randomize_rank1(cov_sdp, rm.a, p_t, rng_seed=seq)
-            if weights is not None:
-                a_w = rm.a.conj().T @ weights  # w^H B w = ||A^H w||^2
-                held = float(np.real(column_powers(a_w, a_w)))
-                if held >= rank1_val:
-                    w_new = weights
-            weights = w_new
-            cov = _phased_array_covariance(weights, p_t)
-        else:
-            if cov is not None and cumulated_power(cov, rm) > sdp_obj:
-                pass                        # fresh solve lost; keep incumbent
-            else:
-                cov = cov_sdp
+        cov, weights, rep, sdp_obj, rank1_val = _covariance_step(
+            rm, p_t, scheme is Scheme.FIM_PA, (cfg.rng_seed, start_index, outer), cov, weights)
 
         shape, ascent_trace = ascend_shape(cov, geom, targets, shape,
                                            cfg.ascent_max_iters)
@@ -263,9 +279,9 @@ def _build_starts(
 ) -> list[tuple[SurfaceShape, str, CovarianceMatrix | None]]:
     """Starting shapes: the zero start, ``n_starts - 1`` uniform draws, then ``provided``.
 
-    ``provided`` entries may be ``SurfaceShape`` or ``(SurfaceShape,
-    CovarianceMatrix)`` pairs; pairs seed the run with an incumbent
-    covariance so the warm start cannot lose to its seed.
+    ``provided`` holds ``(SurfaceShape, CovarianceMatrix | None)`` pairs; a
+    covariance seeds the run with an incumbent so the warm start cannot lose
+    to its seed.
     """
     starts: list[tuple[SurfaceShape, str, CovarianceMatrix | None]] = [
         (SurfaceShape.zero(geom), InitScheme.ZERO.value, None)
@@ -276,61 +292,8 @@ def _build_starts(
                 np.random.SeedSequence([cfg.rng_seed, _SEED_TAG_START, i]))
             starts.append((SurfaceShape.uniform_random(geom, rng),
                            InitScheme.UNIFORM_BOX.value, None))
-    for entry in provided:
-        if isinstance(entry, SurfaceShape):
-            starts.append((entry, InitScheme.PROVIDED.value, None))
-        else:
-            shape, cov = entry
-            starts.append((shape, InitScheme.PROVIDED.value, cov))
+    starts.extend((shape, InitScheme.PROVIDED.value, cov) for shape, cov in provided)
     return starts
-
-
-def _best_of_starts(
-    geom: ArrayGeometry,
-    targets: TargetSet,
-    p_t: float,
-    cfg: BcdConfig,
-    scheme: Scheme,
-    provided_starts: tuple,
-) -> BenchmarkResult:
-    """Run every start in index order and keep the best.
-
-    Only a strictly larger objective replaces the incumbent, so ties go to
-    the lowest start index.
-    """
-    starts = _build_starts(geom, cfg, provided_starts)
-    best = None
-    for idx, (shape0, label, incumbent) in enumerate(starts):
-        cand = _run_single_start(geom, targets, p_t, cfg, scheme, shape0, idx,
-                                 label, incumbent=incumbent)
-        if best is None or cand.objective_mw > best.objective_mw:
-            best = cand
-    logger.info("bcd finished: %d starts, best objective %.6g mW from start %d",
-                len(starts), best.objective_mw, best.trace.start_index)
-    return best
-
-
-def bcd_optimize(
-    geom: ArrayGeometry,
-    targets: TargetSet,
-    p_t: float,
-    cfg: BcdConfig | None = None,
-    provided_starts: tuple = (),
-) -> tuple[CovarianceMatrix, SurfaceShape, OptimizationTrace]:
-    """Joint covariance and shape optimization, best over multiple starts.
-
-    Alternates the per-antenna SDP with projected gradient ascent until the
-    fractional objective increase falls below the configured threshold or
-    the outer cap is hit. The zero (rigid) start is always included, so the
-    result never falls below the rigid SDP value. Starts run serially in
-    index order and the best is kept, ties going to the lowest start index.
-    """
-    if p_t <= 0.0:
-        raise ValueError(f"power budget must be positive, got {p_t}")
-    if cfg is None:
-        cfg = BcdConfig()
-    best = _best_of_starts(geom, targets, p_t, cfg, Scheme.FIM_MIMO, provided_starts)
-    return best.cov, best.shape, best.trace
 
 
 def solve_benchmark(
@@ -343,16 +306,18 @@ def solve_benchmark(
 ) -> BenchmarkResult:
     """Run one of the four benchmark schemes on an instance.
 
-    Rigid schemes solve a single SDP at the zero shape; the PA variant then
-    extracts constant-modulus weights by randomization. Morphing schemes run
-    the full outer loop; the PA variant replaces each covariance step with
-    relaxation plus randomization, so the shape adapts to the phased-array
-    beam rather than to the relaxed covariance. The rank-1 sample streams
-    are keyed by (seed, start, outer): the rigid PA draw equals the morphing
-    PA draw at the zero start's first iteration, and within a run weights
-    are only ever replaced by better ones, so the morphing PA value can
-    never fall below the rigid one. Every SDP runs to the solver's default
-    gap tolerance and every randomization draws its default sample count.
+    Rigid schemes take one covariance step at the zero shape: the SDP, and
+    for PA the randomization drawn from the stream of the zero start's first
+    outer iteration. Morphing schemes run the full outer loop from every
+    start in index order and keep the best, ties going to the lowest start
+    index; the PA variant replaces each covariance step with relaxation plus
+    randomization, so the shape adapts to the phased-array beam rather than
+    to the relaxed covariance. The zero start's first outer iteration is the
+    rigid step and held weights or covariances are only ever replaced by
+    better ones, so a morphing scheme never falls below its rigid one.
+    ``provided_starts`` holds extra ``(SurfaceShape, CovarianceMatrix |
+    None)`` starts. Every SDP runs to the solver's default gap tolerance and
+    every randomization draws its default sample count.
     """
     scheme = Scheme(scheme)
     if cfg is None:
@@ -363,16 +328,19 @@ def solve_benchmark(
     if scheme in (Scheme.RAA_MIMO, Scheme.RAA_PA):
         shape = SurfaceShape.zero(geom)
         rm = response_matrix(geom, targets, shape)
-        cov, rep = solve_per_antenna_sdp(rm.a, p_t)
-        if scheme is Scheme.RAA_MIMO:
-            return BenchmarkResult(scheme=scheme, objective_mw=rep.objective,
-                                   cov=cov, shape=shape, sdp_report=rep)
-        seq = np.random.SeedSequence([cfg.rng_seed, _SEED_TAG_RAND, 0, 1])
-        w, val = randomize_rank1(cov, rm.a, p_t, rng_seed=seq)
-        return BenchmarkResult(scheme=scheme, objective_mw=val,
-                               cov=_phased_array_covariance(w, p_t),
-                               shape=shape, weights=w, sdp_report=rep)
+        cov, weights, rep, _, rank1_val = _covariance_step(
+            rm, p_t, scheme is Scheme.RAA_PA, (cfg.rng_seed, 0, 1), None, None)
+        return BenchmarkResult(scheme=scheme,
+                               objective_mw=rep.objective if weights is None else rank1_val,
+                               cov=cov, shape=shape, weights=weights, sdp_report=rep)
 
-    # FIM_PA: each covariance step is relaxation + randomization and the
-    # resulting rank-1 covariance drives the shape ascent.
-    return _best_of_starts(geom, targets, p_t, cfg, scheme, provided_starts)
+    starts = _build_starts(geom, cfg, provided_starts)
+    best = None
+    for idx, (shape0, label, incumbent) in enumerate(starts):
+        cand = _run_single_start(geom, targets, p_t, cfg, scheme, shape0, idx,
+                                 label, incumbent=incumbent)
+        if best is None or cand.objective_mw > best.objective_mw:
+            best = cand
+    logger.info("bcd finished: %d starts, best objective %.6g mW from start %d",
+                len(starts), best.objective_mw, best.trace.start_index)
+    return best

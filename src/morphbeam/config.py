@@ -168,19 +168,19 @@ class ExperimentConfig:
             geom = self.build_geometry()
             self.build_targets()
             self.build_bcd()
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        init = self.algorithm.init_displacements
-        if init:
-            if len(init) != geom.n_elements:
+        self.check_starts_fit(geom)
+
+    def check_starts_fit(self, geom: ArrayGeometry) -> None:
+        "Raise ConfigError unless every start of ``build_starts`` lies in ``geom``'s box."
+        for shape, _ in self.build_starts():
+            try:
+                shape.validate(geom)
+            except ValueError as exc:
                 raise ConfigError(
-                    f"algorithm: init_displacements has {len(init)} entries, "
-                    f"geometry has {geom.n_elements} elements")
-            worst = max(abs(float(v)) for v in init)
-            if worst > geom.d_max + 1e-12:
-                raise ConfigError(
-                    f"algorithm: init displacement {worst:g} exceeds morphing "
-                    f"limit {geom.d_max:g}")
+                    f"algorithm: init_displacements do not fit a {geom.n_x}x{geom.n_z} "
+                    f"array with d_max {geom.d_max:g}: {exc}") from exc
 
     def to_dict(self) -> dict:
         "The JSON form: every dataclass field, with ``p_t_dbm`` under ``power``."
@@ -220,10 +220,10 @@ class ExperimentConfig:
             rng_seed=self.seed,
         )
 
-    def build_init_shape(self) -> SurfaceShape | None:
-        if not self.algorithm.init_displacements:
-            return None
-        return SurfaceShape(np.asarray(self.algorithm.init_displacements, dtype=float))
+    def build_starts(self) -> tuple:
+        "The ``provided_starts`` pairs: the init shape without a covariance, if one is set."
+        init = self.algorithm.init_displacements
+        return ((SurfaceShape(np.asarray(init, dtype=float)), None),) if init else ()
 
     @property
     def scheme(self) -> Scheme:

@@ -55,6 +55,10 @@ logger = logging.getLogger(__name__)
 DEFAULT_SDP_TOL = 1e-6
 DEFAULT_ITER_CAP = 500
 
+# Largest relative deviation of a diagonal entry from P_t / N that
+# ``CovarianceMatrix.validate`` accepts.
+_DIAG_REL_TOL = 1e-8
+
 # Squared singular values of A (eigenvalues of B) at or below this fraction
 # of the largest are left out of the factor F that the SDP works on; the dual
 # bound pays for them.
@@ -77,7 +81,7 @@ class CovarianceMatrix:
     def n_elements(self) -> int:
         return self.r.shape[0]
 
-    def validate(self, rel_tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         "Raise ValueError if any covariance invariant is violated."
         r = self.r
         n = r.shape[0]
@@ -95,7 +99,7 @@ class CovarianceMatrix:
             raise ValueError(f"not PSD: smallest eigenvalue {eigvals[0]:g}")
         target = self.power_budget / n
         err = float(np.max(np.abs(np.real(np.diag(r)) - target)))
-        if err > rel_tol * target:
+        if err > _DIAG_REL_TOL * target:
             raise ValueError(f"per-antenna diagonal off by {err:g} (target {target:g})")
 
 
@@ -201,20 +205,18 @@ def _min_eigpair(g: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
 def solve_per_antenna_sdp(
     a: np.ndarray,
     p_t: float,
-    tol: float = DEFAULT_SDP_TOL,
     iter_cap: int = DEFAULT_ITER_CAP,
 ) -> tuple[CovarianceMatrix, SolveReport]:
     """Maximize tr(R B), B = A A^H, under diag(R) = p_t/N and R >= 0.
 
     ``a`` is the N x K steering matrix of the targets. Returns a feasible
     covariance together with a report whose ``dual_bound`` certifies the
-    relative optimality gap. A failure to reach ``tol`` within ``iter_cap``
-    Newton steps is reported via ``converged=False``, never silently.
+    relative optimality gap. A failure to reach ``DEFAULT_SDP_TOL`` within
+    ``iter_cap`` Newton steps is reported via ``converged=False``, never
+    silently.
     """
     if p_t <= 0.0:
         raise ValueError(f"power budget must be positive, got {p_t}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     a = _check_a(a)
     n = a.shape[0]
     rho = p_t / n
@@ -304,7 +306,7 @@ def solve_per_antenna_sdp(
         if best is None or gap < best[0]:
             best = (gap, v, d, phases, primal, dual)
 
-        if gap <= tol:
+        if gap <= DEFAULT_SDP_TOL:
             converged = True
             break
         if newton_total >= iter_cap:
@@ -362,7 +364,7 @@ def randomize_rank1(
         raise ValueError(f"covariance is {r.r.shape}, A has {n} rows")
     if float(np.real(np.trace(r.r))) <= 1e-300:
         raise ValueError("degenerate covariance: trace is numerically zero")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
 
     eigvals, eigvecs = np.linalg.eigh(r.r)
     root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))

@@ -17,11 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .array_model import ArrayGeometry, SurfaceShape, TargetSet
+from .array_model import ArrayGeometry, SurfaceShape
 from .bcd import BenchmarkResult, Scheme, solve_benchmark
 from .beampattern import evaluate_beampattern, target_powers
 from .config import ExperimentConfig
-from .covariance import CovarianceMatrix
 from .results import (
     ResultRecord,
     read_covariance_csv,
@@ -38,9 +37,6 @@ from .units import dbm_to_mw, mw_to_dbm
 
 logger = logging.getLogger(__name__)
 
-# canonical scheme order for multi-scheme outputs
-SCHEME_ORDER = (Scheme.RAA_PA, Scheme.FIM_PA, Scheme.RAA_MIMO, Scheme.FIM_MIMO)
-
 
 class SolverFailure(RuntimeError):
     """Numerical failure inside an optimization pipeline."""
@@ -50,28 +46,27 @@ class MissingInputError(FileNotFoundError):
     """A command needs artifacts a previous command did not produce."""
 
 
-def _provided_starts(cfg: ExperimentConfig):
-    shape = cfg.build_init_shape()
-    return (shape,) if shape is not None else ()
-
-
-def _solve(cfg: ExperimentConfig, scheme: Scheme,
-           geom: ArrayGeometry | None = None,
-           provided_starts: tuple = ()) -> BenchmarkResult:
-    geom = geom if geom is not None else cfg.build_geometry()
-    targets = cfg.build_targets()
-    p_t = dbm_to_mw(cfg.p_t_dbm)
-    starts = provided_starts if provided_starts else _provided_starts(cfg)
+def _solve(cfg: ExperimentConfig, scheme: Scheme, geom: ArrayGeometry,
+           provided_starts: tuple) -> BenchmarkResult:
     try:
-        return solve_benchmark(scheme, geom, targets, p_t, cfg.build_bcd(),
-                               provided_starts=starts)
+        return solve_benchmark(scheme, geom, cfg.build_targets(), dbm_to_mw(cfg.p_t_dbm),
+                               cfg.build_bcd(), provided_starts=provided_starts)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"linear algebra failure in scheme {scheme.value}: {exc}") from exc
 
 
-def _make_record(cfg: ExperimentConfig, scheme: Scheme, res: BenchmarkResult,
-                 geom: ArrayGeometry, targets: TargetSet,
-                 wall: float) -> ResultRecord:
+def _solve_and_write(cfg: ExperimentConfig, scheme: Scheme, out: Path,
+                     suffix: str) -> ResultRecord:
+    """Solve ``scheme`` on the configured instance and write its artifacts.
+
+    Writes ``record<suffix>.json``, ``covariance<suffix>.csv`` and
+    ``shape<suffix>.csv`` into ``out`` and returns the record.
+    """
+    geom = cfg.build_geometry()
+    targets = cfg.build_targets()
+    tic = time.perf_counter()
+    res = _solve(cfg, scheme, geom, cfg.build_starts())
+    wall = time.perf_counter() - tic
     per_dbm, _, min_dbm = target_powers(res.cov, geom, targets, res.shape)
     stops = dict.fromkeys((STATUS_GRADIENT_TOL, STATUS_STEP_FLOOR, STATUS_MAX_ITERS), 0)
     if res.trace is not None:
@@ -80,7 +75,7 @@ def _make_record(cfg: ExperimentConfig, scheme: Scheme, res: BenchmarkResult,
             stops[r.ascent_status] += 1
     else:
         sdp = [(res.sdp_report.converged, res.sdp_report.relative_gap)]
-    return ResultRecord(
+    record = ResultRecord(
         config_digest=cfg.digest(),
         scheme=scheme.value,
         seed=cfg.seed,
@@ -96,6 +91,10 @@ def _make_record(cfg: ExperimentConfig, scheme: Scheme, res: BenchmarkResult,
                             if res.trace is not None else ""),
         wall_time_seconds=wall,
     )
+    record.save(out / f"record{suffix}.json")
+    write_covariance_csv(out / f"covariance{suffix}.csv", res.cov.r)
+    write_shape_csv(out / f"shape{suffix}.csv", res.shape.displacements)
+    return record
 
 
 def _check_threads(threads: int) -> None:
@@ -110,15 +109,7 @@ def run_optimize(cfg: ExperimentConfig, out_dir: str | Path,
     _check_threads(threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    geom = cfg.build_geometry()
-    targets = cfg.build_targets()
-    tic = time.perf_counter()
-    res = _solve(cfg, cfg.scheme, geom=geom)
-    record = _make_record(cfg, cfg.scheme, res, geom, targets,
-                          time.perf_counter() - tic)
-    record.save(out / "record.json")
-    write_covariance_csv(out / "covariance.csv", res.cov.r)
-    write_shape_csv(out / "shape.csv", res.shape.displacements)
+    record = _solve_and_write(cfg, cfg.scheme, out, "")
     logger.info("optimize %s: %.6g mW (%.3f dBm) in %d outer iterations",
                 record.scheme, record.objective_mw, record.objective_dbm,
                 record.outer_iterations)
@@ -161,12 +152,13 @@ def run_sweep_power(cfg: ExperimentConfig, out_dir: str | Path,
     if not levels:
         raise ValueError("sweep-power needs at least one p_t level")
     p_ref = dbm_to_mw(cfg.p_t_dbm)
-    ref = {scheme: _solve(cfg, scheme) for scheme in SCHEME_ORDER}
+    geom = cfg.build_geometry()
+    ref = {scheme: _solve(cfg, scheme, geom, cfg.build_starts()) for scheme in Scheme}
 
     rows = []
     for p_dbm in levels:
         scale = dbm_to_mw(p_dbm) / p_ref
-        for scheme in SCHEME_ORDER:
+        for scheme in Scheme:
             cum = ref[scheme].objective_mw * scale
             rows.append((p_dbm, scheme.value, cum, mw_to_dbm(cum)))
     write_sweep_power_csv(out / "sweep_power.csv", rows)
@@ -179,9 +171,11 @@ def run_sweep_range(cfg: ExperimentConfig, out_dir: str | Path,
 
     Ranges are processed in increasing order; each optimum (shape and
     covariance) seeds the next range's starts, so the reported power is
-    nondecreasing in d_max by construction. The morphing MIMO scheme is used
-    regardless of the configured scheme since the sweep is about the shape
-    degrees of freedom.
+    nondecreasing in d_max by construction. The configured init shape, if
+    any, is an extra start on each size's first (smallest) range; a
+    ConfigError is raised before any solve unless it fits every size there.
+    The morphing MIMO scheme is used regardless of the configured scheme
+    since the sweep is about the shape degrees of freedom.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -193,17 +187,18 @@ def run_sweep_range(cfg: ExperimentConfig, out_dir: str | Path,
     base_geom = cfg.build_geometry()
     if sizes is None:
         sizes = [(base_geom.n_x, base_geom.n_z)]
+    for n_x, n_z in sizes:
+        cfg.check_starts_fit(dataclasses.replace(base_geom, n_x=n_x, n_z=n_z,
+                                                 d_max=ranges[0]))
 
     rows = []
     for n_x, n_z in sizes:
-        prev: tuple[SurfaceShape, CovarianceMatrix] | None = None
+        starts = cfg.build_starts()
         for d in ranges:
             geom = dataclasses.replace(base_geom, n_x=n_x, n_z=n_z, d_max=d)
-            provided = (prev,) if prev is not None else ()
-            res = _solve(cfg, Scheme.FIM_MIMO, geom=geom,
-                         provided_starts=provided)
+            res = _solve(cfg, Scheme.FIM_MIMO, geom, starts)
             rows.append((d, n_x, n_z, res.objective_mw))
-            prev = (res.shape, res.cov)
+            starts = ((res.shape, res.cov),)
     write_sweep_range_csv(out / "sweep_range.csv", rows)
     return rows
 
@@ -212,21 +207,8 @@ def run_compare(cfg: ExperimentConfig, out_dir: str | Path) -> list[ResultRecord
     """All four schemes on the configured instance, with per-scheme artifacts."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    geom = cfg.build_geometry()
-    targets = cfg.build_targets()
-
-    records = []
-    summary_rows = []
-    for scheme in SCHEME_ORDER:
-        tic = time.perf_counter()
-        res = _solve(cfg, scheme, geom=geom)
-        record = _make_record(cfg, scheme, res, geom, targets,
-                              time.perf_counter() - tic)
-        record.save(out / f"record-{scheme.value}.json")
-        write_covariance_csv(out / f"covariance-{scheme.value}.csv", res.cov.r)
-        write_shape_csv(out / f"shape-{scheme.value}.csv", res.shape.displacements)
-        records.append(record)
-        summary_rows.append((scheme.value, record.objective_mw,
-                             record.objective_dbm, record.min_target_dbm))
-    write_compare_csv(out / "summary.csv", summary_rows)
+    records = [_solve_and_write(cfg, scheme, out, f"-{scheme.value}") for scheme in Scheme]
+    write_compare_csv(out / "summary.csv",
+                      [(r.scheme, r.objective_mw, r.objective_dbm, r.min_target_dbm)
+                       for r in records])
     return records

@@ -18,7 +18,7 @@ import csv
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,22 +58,9 @@ class ResultRecord:
     artifact_version: int = ARTIFACT_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "artifact_version": self.artifact_version,
-            "config_digest": self.config_digest,
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "objective_mw": self.objective_mw,
-            "objective_dbm": self.objective_dbm,
-            "per_target_dbm": list(self.per_target_dbm),
-            "min_target_dbm": self.min_target_dbm,
-            "outer_iterations": self.outer_iterations,
-            "sdp_all_converged": self.sdp_all_converged,
-            "max_sdp_gap": self.max_sdp_gap,
-            "ascent_stops": dict(self.ascent_stops),
-            "termination_reason": self.termination_reason,
-            "wall_time_seconds": self.wall_time_seconds,
-        }
+        "Every field in declaration order, with ``artifact_version`` first."
+        d = asdict(self)
+        return {"artifact_version": d.pop("artifact_version"), **d}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultRecord":

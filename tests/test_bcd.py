@@ -11,7 +11,6 @@ from morphbeam.bcd import (
     InitScheme,
     Scheme,
     TerminationReason,
-    bcd_optimize,
     solve_benchmark,
 )
 from morphbeam.beampattern import target_powers
@@ -56,8 +55,9 @@ class TestBcdOptimize:
         geom, targets = make_instance(d_max=0.0)
         rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
         _, rep = solve_per_antenna_sdp(rm.a, P_T)
-        cov, shape, trace = bcd_optimize(geom, targets, P_T, quick_cfg())
-        np.testing.assert_array_equal(shape.displacements, np.zeros(geom.n_elements))
+        res = solve_benchmark(Scheme.FIM_MIMO, geom, targets, P_T, quick_cfg())
+        trace = res.trace
+        np.testing.assert_array_equal(res.shape.displacements, np.zeros(geom.n_elements))
         assert trace.records[-1].objective_mw == pytest.approx(rep.objective, rel=1e-9)
         # the second outer iteration sees no progress and stops
         assert trace.termination_reason is TerminationReason.STATIONARY
@@ -67,14 +67,14 @@ class TestBcdOptimize:
         # One steering direction: optimum is p_t * n regardless of the shape.
         geom, _ = make_instance(d_max=0.25)
         targets = TargetSet(thetas=np.array([np.pi / 3]), phis=np.array([np.pi / 4]))
-        cov, shape, trace = bcd_optimize(geom, targets, P_T, quick_cfg())
-        assert trace.records[-1].objective_mw == pytest.approx(
+        res = solve_benchmark(Scheme.FIM_MIMO, geom, targets, P_T, quick_cfg())
+        assert res.trace.records[-1].objective_mw == pytest.approx(
             P_T * geom.n_elements, rel=1e-8)
 
     def test_objectives_nondecreasing_within_run(self):
         geom, targets = make_instance(d_max=0.5, seed=1)
-        _, _, trace = bcd_optimize(geom, targets, P_T, quick_cfg())
-        assert np.all(np.diff(trace.objectives) >= 0.0)
+        res = solve_benchmark(Scheme.FIM_MIMO, geom, targets, P_T, quick_cfg())
+        assert np.all(np.diff(res.trace.objectives) >= 0.0)
 
     def test_morphing_never_loses_to_rigid(self):
         # The zero start's first outer iteration is exactly the rigid solve,
@@ -83,44 +83,44 @@ class TestBcdOptimize:
             geom, targets = make_instance(d_max=0.5, seed=seed)
             rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
             _, rep = solve_per_antenna_sdp(rm.a, P_T)
-            _, _, trace = bcd_optimize(geom, targets, P_T, quick_cfg())
-            assert trace.records[-1].objective_mw >= rep.objective * (1.0 - 1e-12)
+            res = solve_benchmark(Scheme.FIM_MIMO, geom, targets, P_T, quick_cfg())
+            assert res.trace.records[-1].objective_mw >= rep.objective * (1.0 - 1e-12)
 
     def test_provided_pair_start_dominates_its_seed(self):
         geom, targets = make_instance(d_max=0.25, seed=2)
-        cov1, shape1, trace1 = bcd_optimize(geom, targets, P_T, quick_cfg())
-        obj1 = trace1.records[-1].objective_mw
+        res1 = solve_benchmark(Scheme.FIM_MIMO, geom, targets, P_T, quick_cfg())
+        obj1 = res1.trace.records[-1].objective_mw
         geom2 = ArrayGeometry(n_x=geom.n_x, n_z=geom.n_z, dx=geom.dx, dz=geom.dz,
                               d_max=0.5)
-        _, _, trace2 = bcd_optimize(geom2, targets, P_T, quick_cfg(),
-                                    provided_starts=((shape1, cov1),))
-        assert trace2.records[-1].objective_mw >= obj1
+        res2 = solve_benchmark(Scheme.FIM_MIMO, geom2, targets, P_T, quick_cfg(),
+                               provided_starts=((res1.shape, res1.cov),))
+        assert res2.trace.records[-1].objective_mw >= obj1
 
     def test_deterministic_for_seed(self):
         geom, targets = make_instance(d_max=0.5, seed=3)
-        cov1, shape1, trace1 = bcd_optimize(geom, targets, P_T, quick_cfg())
-        cov2, shape2, trace2 = bcd_optimize(geom, targets, P_T, quick_cfg())
-        np.testing.assert_array_equal(shape1.displacements, shape2.displacements)
-        np.testing.assert_array_equal(cov1.r, cov2.r)
-        np.testing.assert_array_equal(trace1.objectives, trace2.objectives)
+        r1 = solve_benchmark(Scheme.FIM_MIMO, geom, targets, P_T, quick_cfg())
+        r2 = solve_benchmark(Scheme.FIM_MIMO, geom, targets, P_T, quick_cfg())
+        np.testing.assert_array_equal(r1.shape.displacements, r2.shape.displacements)
+        np.testing.assert_array_equal(r1.cov.r, r2.cov.r)
+        np.testing.assert_array_equal(r1.trace.objectives, r2.trace.objectives)
 
     def test_tie_goes_to_lowest_start_index(self):
         # With d_max = 0 a provided zero shape repeats the zero start exactly,
         # so the two runs tie and the earlier one must be kept.
         geom, targets = make_instance(d_max=0.0)
-        _, _, trace = bcd_optimize(geom, targets, P_T, quick_cfg(),
-                                   provided_starts=(SurfaceShape.zero(geom),))
-        assert trace.start_index == 0
-        assert trace.init_label == InitScheme.ZERO.value
+        res = solve_benchmark(Scheme.FIM_MIMO, geom, targets, P_T, quick_cfg(),
+                              provided_starts=((SurfaceShape.zero(geom), None),))
+        assert res.trace.start_index == 0
+        assert res.trace.init_label == InitScheme.ZERO.value
 
     def test_rejects_nonpositive_power(self):
         geom, targets = make_instance(d_max=0.5)
         with pytest.raises(ValueError):
-            bcd_optimize(geom, targets, 0.0, quick_cfg())
+            solve_benchmark(Scheme.FIM_MIMO, geom, targets, 0.0, quick_cfg())
 
     def test_trace_records_are_complete(self):
         geom, targets = make_instance(d_max=0.5, seed=5)
-        _, _, trace = bcd_optimize(geom, targets, P_T, quick_cfg())
+        trace = solve_benchmark(Scheme.FIM_MIMO, geom, targets, P_T, quick_cfg()).trace
         assert trace.n_outer == len(trace.records)
         for i, rec in enumerate(trace.records, start=1):
             assert rec.index == i
@@ -178,6 +178,19 @@ class TestSolveBenchmark:
             rigid = solve_benchmark(Scheme.RAA_PA, geom, targets, P_T, cfg)
             morph = solve_benchmark(Scheme.FIM_PA, geom, targets, P_T, cfg)
             assert morph.objective_mw >= rigid.objective_mw * (1.0 - 1e-12)
+
+    def test_rigid_schemes_are_the_first_bcd_covariance_step(self):
+        # On a flat surface one outer iteration of the zero start is the
+        # rigid step: the same SDP, draw stream and held-value rule.
+        for seed in range(3):
+            geom, targets = make_instance(d_max=0.0, seed=seed)
+            cfg = quick_cfg(rng_seed=seed, max_outer_iters=1, n_starts=1)
+            res = {scheme: solve_benchmark(scheme, geom, targets, P_T, cfg)
+                   for scheme in Scheme}
+            np.testing.assert_array_equal(res[Scheme.RAA_PA].weights,
+                                          res[Scheme.FIM_PA].weights)
+            np.testing.assert_array_equal(res[Scheme.RAA_MIMO].cov.r,
+                                          res[Scheme.FIM_MIMO].cov.r)
 
     def test_morphing_mimo_never_loses_to_rigid_mimo(self):
         for seed in range(3):

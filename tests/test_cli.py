@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from morphbeam.array_model import SurfaceShape
+from morphbeam.bcd import Scheme
 from morphbeam.beampattern import target_powers
 from morphbeam.cli import main
 from morphbeam.config import ExperimentConfig
 from morphbeam.covariance import DEFAULT_SDP_TOL, solve_per_antenna_sdp
 from morphbeam.experiments import (
-    SCHEME_ORDER,
     MissingInputError,
     SolverFailure,
     run_beampattern,
@@ -158,7 +158,7 @@ def test_run_compare_artifacts_and_scheme_ordering(tmp_path):
     cfg = ExperimentConfig.from_dict(small_config_dict())
     records = run_compare(cfg, tmp_path)
 
-    order = [s.value for s in SCHEME_ORDER]
+    order = [s.value for s in Scheme]
     assert [rec.scheme for rec in records] == order
     for value in order:
         assert (tmp_path / f"record-{value}.json").exists()
@@ -184,11 +184,11 @@ def test_run_sweep_power_scales_covariances_exactly(tmp_path):
     cfg = ExperimentConfig.from_dict(small_config_dict())
     rows = run_sweep_power(cfg, tmp_path, [20.0, 0.0, 10.0])
 
-    assert len(rows) == 3 * len(SCHEME_ORDER)
+    assert len(rows) == 3 * len(Scheme)
     levels = [row[0] for row in rows]
     assert levels == sorted(levels)
     by_level = {(row[0], row[1]): row[2] for row in rows}
-    for scheme in (s.value for s in SCHEME_ORDER):
+    for scheme in (s.value for s in Scheme):
         ref = by_level[(10.0, scheme)]
         assert by_level[(0.0, scheme)] == pytest.approx(0.1 * ref, rel=1e-12)
         assert by_level[(20.0, scheme)] == pytest.approx(10.0 * ref, rel=1e-12)
@@ -362,7 +362,7 @@ def test_cli_sweep_power_writes_rows(tmp_path, capsys):
                "--p-t-dbm", "0,10"])
     assert rc == 0
     lines = (out / "sweep_power.csv").read_text().strip().splitlines()
-    assert len(lines) == 1 + 2 * len(SCHEME_ORDER)
+    assert len(lines) == 1 + 2 * len(Scheme)
 
 
 def test_cli_sweep_range_writes_rows(tmp_path, capsys):
@@ -370,6 +370,33 @@ def test_cli_sweep_range_writes_rows(tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = main(["sweep-range", "--config", str(path), "--out", str(out),
                "--d-max", "0,0.25"])
+    assert rc == 0
+    lines = (out / "sweep_range.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 2
+
+
+@pytest.mark.parametrize("sweep_args", [
+    ["--d-max", "0,0.5"],                        # 0.4 exceeds the smallest range
+    ["--d-max", "0.5", "--sizes", "2x2,3x3"],    # four entries for nine elements
+])
+def test_cli_sweep_range_rejects_init_that_does_not_fit(tmp_path, capsys, sweep_args):
+    raw = tiny_config_dict()
+    raw["algorithm"]["init_displacements"] = [0.4] * 4
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "sweep"
+    rc = main(["sweep-range", "--config", str(path), "--out", str(out), *sweep_args])
+    assert rc == 2
+    assert "init_displacements" in capsys.readouterr().err
+    assert not (out / "sweep_range.csv").exists()
+
+
+def test_cli_sweep_range_runs_with_init_that_fits(tmp_path, capsys):
+    raw = tiny_config_dict()
+    raw["algorithm"]["init_displacements"] = [0.4] * 4
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "sweep"
+    rc = main(["sweep-range", "--config", str(path), "--out", str(out),
+               "--d-max", "0.4,0.5"])
     assert rc == 0
     lines = (out / "sweep_range.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2

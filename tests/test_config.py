@@ -149,9 +149,15 @@ class TestParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
         d = base_dict()
+        d["algorithm"]["init_displacements"] = [float("nan")] + [0.0] * 8
+        with pytest.raises(ConfigError, match="non-finite"):
+            ExperimentConfig.from_dict(d)
+        d = base_dict()
         d["algorithm"]["init_displacements"] = [0.1] * 9
         cfg = ExperimentConfig.from_dict(d)
-        np.testing.assert_allclose(cfg.build_init_shape().displacements, 0.1)
+        ((shape, cov),) = cfg.build_starts()
+        np.testing.assert_allclose(shape.displacements, 0.1)
+        assert cov is None
 
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigError, ValueError)
@@ -182,7 +188,7 @@ class TestBuilders:
 
     def test_init_shape_none_when_unset(self):
         cfg = ExperimentConfig.from_dict(base_dict())
-        assert cfg.build_init_shape() is None
+        assert cfg.build_starts() == ()
 
 
 class TestLoadConfig:

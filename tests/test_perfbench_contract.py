@@ -5,12 +5,14 @@
 A name that a refactor removes is reported as absent and its metrics drop
 out of the traced result, so the benchmark's last line no longer holds the
 per-layer names that ``BENCHMARK.json`` declares. These tests turn that
-into a test failure.
+into a test failure, and run each workload's own pass and output check once,
+so a change that breaks what ``perfbench/workloads.py`` captures fails here.
 """
 
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,20 @@ def tracing():
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports its sibling tracing.py by plain name
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
     return module
 
 
@@ -77,3 +93,15 @@ def test_traced_pass_binds_every_wrap_point_and_yields_the_declared_metrics(
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(metrics) == {m["name"] for m in declared}
     json.dumps(metrics, allow_nan=False)
+
+
+def test_desk_workload_pass_passes_its_check(workloads, tmp_path):
+    wl = workloads.Desk(tmp_path)
+    wl.run_pass()
+    assert len(wl.check()) == wl.instances == 1
+
+
+def test_pattern_io_workload_pass_passes_its_check(workloads, tmp_path):
+    wl = workloads.PatternIO(0, tmp_path)
+    wl.run_pass()
+    assert len(wl.check()) == wl.instances == 2
