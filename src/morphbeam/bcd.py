@@ -116,6 +116,7 @@ class OuterRecord:
     objective_mw: float
     sdp_objective_mw: float
     sdp_iterations: int
+    sdp_power_steps: int
     sdp_converged: bool
     sdp_gap: float
     ascent_iterations: int
@@ -246,6 +247,7 @@ def _run_single_start(
             objective_mw=obj,
             sdp_objective_mw=sdp_obj,
             sdp_iterations=rep.iterations,
+            sdp_power_steps=rep.power_steps,
             sdp_converged=rep.converged,
             sdp_gap=rep.relative_gap,
             ascent_iterations=ascent_trace.n_iters,

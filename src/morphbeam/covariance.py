@@ -6,7 +6,8 @@ per-antenna problem
 
     max tr(R B)   s.t.  diag(R) = P_t / N * 1,  R >= 0
 
-is solved by a log-barrier interior-point method on its dual
+is solved first by a certified rank-1 fast path and otherwise by a
+log-barrier interior-point method on its dual
 
     min (P_t / N) 1^T y   s.t.  Diag(y) >= B,
 
@@ -32,6 +33,18 @@ primal on its N x r factor, and only the best stage's R is formed. The
 rank-1 polish needs the principal eigenvector of that R, and the dual
 bound is tightened by lambda_min(S); both are diagonal-minus-rank-r
 eigenproblems, solved through their r x r secular equations.
+
+The fast path runs the generalized power method w <- exp(j arg(B w)) on
+the unit-modulus vectors from the phases of B's principal eigenvector,
+for at most ``_POWER_CAP`` steps. For any unit-modulus w, y_n =
+Re(conj(w_n) (B w)_n) sums to w^H B w and w^H (Diag(y) - B) w = 0, so
+lambda_min(Diag(y) - B) <= 0 and y - lambda_min 1 is dual feasible. When
+w w^H is the optimum that eigenvalue is 0 and the bound is tight. The
+fast path returns w w^H only when this certificate closes the gap to
+``DEFAULT_SDP_TOL``; otherwise the interior point runs exactly as it would
+without the fast path. The certificate's eigenvalue is again a
+diagonal-minus-rank-r problem, now indefinite, so its bracket starts
+below zero.
 
 Every solve returns a certified dual upper bound for B = A A^H. The primal
 and rank-1 values are measured against A itself (tr(R B) is the sum of the
@@ -63,6 +76,11 @@ _DIAG_REL_TOL = 1e-8
 # of the largest are left out of the factor F that the SDP works on; the dual
 # bound pays for them.
 _RANK_FLOOR = 1e-10
+
+# The rank-1 fast path's power iteration stops once its value rises by at
+# most this fraction, or after this many steps.
+_POWER_RISE_REL = 1e-14
+_POWER_CAP = 300
 
 
 class ConstraintKind(str, Enum):
@@ -108,10 +126,11 @@ class SolveReport:
     """Outcome of one covariance solve."""
 
     objective: float                    # certified primal value, mW
-    iterations: int                     # total Newton steps
+    iterations: int                     # Newton steps of the interior point
     dual_bound: float                   # valid upper bound, mW
     relative_gap: float                 # (dual_bound - objective) / dual_bound
     converged: bool = True
+    power_steps: int = 0                # steps of the rank-1 fast path
 
 
 def _check_a(a) -> np.ndarray:
@@ -169,19 +188,20 @@ def _newton_step(y: np.ndarray, w: np.ndarray, q: np.ndarray, grad: np.ndarray) 
     return (g - u @ ((u.T @ g) * (sv2 / (1.0 + sv2)))) / root_h
 
 
-def _min_eigpair(g: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and an eigenvector of Diag(g) - h h^H > 0, h of size N x r.
+def _min_eigpair(g: np.ndarray, h: np.ndarray, lo: float = 0.0) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue and an eigenvector of Diag(g) - h h^H, h of size N x r.
 
-    The eigenvalue lam is the root in (0, min g] of 1 / kappa(lam) = 1, where
-    kappa(lam) is the largest eigenvalue of the r x r matrix
-    K(lam) = h^H Diag(1/(g - lam)) h. That reciprocal is concave, decreasing
-    and linear near each pole, so Newton's method on it, kept inside a
-    bisection bracket, converges fast; the eigenvector is
+    ``lo`` is a lower bound on that eigenvalue; the default 0 suits a
+    positive definite matrix. The eigenvalue lam is the root in (lo, min g]
+    of 1 / kappa(lam) = 1, where kappa(lam) is the largest eigenvalue of the
+    r x r matrix K(lam) = h^H Diag(1/(g - lam)) h. That reciprocal is
+    concave, decreasing and linear near each pole, so Newton's method on it,
+    kept inside a bisection bracket, converges fast; the eigenvector is
     Diag(1/(g - lam)) h c for the top eigenvector c of K(lam).
     """
-    lo, hi = 0.0, float(np.min(g))
-    tol = 1e-15 * hi
-    lam = 0.0
+    hi = float(np.min(g))
+    tol = 1e-15 * (hi - lo)
+    lam = lo
     for _ in range(200):
         inv = 1.0 / (g - lam)
         hs = h * np.sqrt(inv)[:, None]
@@ -202,6 +222,46 @@ def _min_eigpair(g: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, vec
 
 
+def _certified_rank1(
+    an: np.ndarray,
+    f: np.ndarray,
+    dropped: float,
+) -> tuple[np.ndarray | None, int, float, float, float]:
+    """Rank-1 fast path on the normalized problem (diag(R) = 1, B = an an^H).
+
+    Runs the generalized power method w <- exp(j arg(B w)) from the phases
+    of B's principal eigenvector, then certifies w w^H with the dual point
+    y_n = Re(conj(w_n) (B w)_n), whose sum is w^H B w. Since
+    w^H (Diag(y) - B) w = 0, lambda_min(Diag(y) - B) <= 0, and shifting y
+    by it makes y feasible; that eigenvalue is at least
+    lambda_min(Diag(y) - F F^H) - dropped, a diagonal-minus-rank-r problem
+    bracketed below by min y - ||F||_F^2.
+
+    Returns (w, power steps, w^H B w, dual bound, gap); w is None when the
+    gap is above ``DEFAULT_SDP_TOL``, or when y is not positive (there is
+    then no certificate, and the bound and gap are inf).
+    """
+    w = np.exp(1j * np.angle(f[:, 0]))
+    a_w = an.conj().T @ w               # w^H B w = ||A^H w||^2
+    value = float(np.real(column_powers(a_w, a_w)))
+    steps = 0
+    while steps < _POWER_CAP:
+        steps += 1
+        w = np.exp(1j * np.angle(an @ a_w))
+        a_w = an.conj().T @ w
+        prev, value = value, float(np.real(column_powers(a_w, a_w)))
+        if value - prev <= _POWER_RISE_REL * value:
+            break
+    y = np.real(w.conj() * (an @ a_w))
+    y_min = float(np.min(y))
+    if y_min <= 0.0:
+        return None, steps, value, np.inf, np.inf
+    lam = _min_eigpair(y, f, lo=y_min - float(np.sum(np.abs(f) ** 2)))[0]
+    dual = float(np.sum(y)) - an.shape[0] * (lam - 1e-12 * max(float(np.max(y)), 1.0) - dropped)
+    gap = (dual - value) / max(abs(dual), 1e-300)
+    return (w if gap <= DEFAULT_SDP_TOL else None), steps, value, dual, gap
+
+
 def solve_per_antenna_sdp(
     a: np.ndarray,
     p_t: float,
@@ -211,9 +271,10 @@ def solve_per_antenna_sdp(
 
     ``a`` is the N x K steering matrix of the targets. Returns a feasible
     covariance together with a report whose ``dual_bound`` certifies the
-    relative optimality gap. A failure to reach ``DEFAULT_SDP_TOL`` within
-    ``iter_cap`` Newton steps is reported via ``converged=False``, never
-    silently.
+    relative optimality gap. The certified rank-1 fast path runs first and
+    ``iter_cap`` bounds only the interior point's Newton steps; a failure to
+    reach ``DEFAULT_SDP_TOL`` within them is reported via
+    ``converged=False``, never silently.
     """
     if p_t <= 0.0:
         raise ValueError(f"power budget must be positive, got {p_t}")
@@ -233,6 +294,38 @@ def solve_per_antenna_sdp(
     f = u[:, keep] * (sv[keep] / sv[0])
     dropped = float(np.max(eig_rel[~keep], initial=0.0))
 
+    phases, power_steps, primal, dual, gap = _certified_rank1(an, f, dropped)
+    if phases is not None:
+        r_feas = np.outer(phases, phases.conj())
+        newton_total, converged = 0, True
+    else:
+        r_feas, primal, dual, gap, newton_total, converged = _interior_point(
+            an, f, dropped, iter_cap)
+    cov = CovarianceMatrix(r=rho * r_feas, power_budget=p_t,
+                           constraint_kind=ConstraintKind.PER_ANTENNA)
+    report = SolveReport(
+        objective=rho * b_scale * primal,
+        iterations=newton_total,
+        dual_bound=rho * b_scale * dual,
+        relative_gap=gap,
+        converged=converged,
+        power_steps=power_steps,
+    )
+    return cov, report
+
+
+def _interior_point(
+    an: np.ndarray,
+    f: np.ndarray,
+    dropped: float,
+    iter_cap: int,
+) -> tuple[np.ndarray, float, float, float, int, bool]:
+    """Barrier method on the normalized problem (diag(R) = 1, B = an an^H).
+
+    Returns (R, primal, dual, gap, Newton steps, converged) for the barrier
+    stage with the smallest certified gap.
+    """
+    n = an.shape[0]
     y = np.full(n, 2.0)                 # Diag(y) - F F^H >= I: strictly feasible
     chol = _schur_cholesky(y, f)
     t = 1.0
@@ -327,16 +420,7 @@ def solve_per_antenna_sdp(
         gap = (dual - primal) / max(abs(dual), 1e-300)
     else:
         r_feas = np.outer(phases, phases.conj())
-    cov = CovarianceMatrix(r=rho * r_feas, power_budget=p_t,
-                           constraint_kind=ConstraintKind.PER_ANTENNA)
-    report = SolveReport(
-        objective=rho * b_scale * primal,
-        iterations=newton_total,
-        dual_bound=rho * b_scale * dual,
-        relative_gap=gap,
-        converged=converged,
-    )
-    return cov, report
+    return r_feas, primal, dual, gap, newton_total, converged
 
 
 def randomize_rank1(

@@ -20,7 +20,7 @@ import numpy as np
 from .array_model import ArrayGeometry, SurfaceShape
 from .bcd import BenchmarkResult, Scheme, solve_benchmark
 from .beampattern import evaluate_beampattern, target_powers
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .results import (
     ResultRecord,
     read_covariance_csv,
@@ -144,13 +144,14 @@ def run_sweep_power(cfg: ExperimentConfig, out_dir: str | Path,
     Each scheme is optimized once at the configured reference power; other
     levels follow by scaling the covariance, exact because the feasible set
     and the objective are both linear in the power budget (the optimal shape
-    does not depend on P_t).
+    does not depend on P_t). An empty level list raises ConfigError
+    before the output directory is made.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     levels = sorted(float(p) for p in p_t_dbm_list)
     if not levels:
-        raise ValueError("sweep-power needs at least one p_t level")
+        raise ConfigError("sweep-power needs at least one p_t level")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     p_ref = dbm_to_mw(cfg.p_t_dbm)
     geom = cfg.build_geometry()
     ref = {scheme: _solve(cfg, scheme, geom, cfg.build_starts()) for scheme in Scheme}
@@ -172,24 +173,29 @@ def run_sweep_range(cfg: ExperimentConfig, out_dir: str | Path,
     Ranges are processed in increasing order; each optimum (shape and
     covariance) seeds the next range's starts, so the reported power is
     nondecreasing in d_max by construction. The configured init shape, if
-    any, is an extra start on each size's first (smallest) range; a
-    ConfigError is raised before any solve unless it fits every size there.
+    any, is an extra start on each size's first (smallest) range. A
+    ConfigError is raised before the output directory is made unless the
+    ranges are nonempty and nonnegative, every size is a valid array, and
+    the init shape fits every size on its first range.
     The morphing MIMO scheme is used regardless of the configured scheme
     since the sweep is about the shape degrees of freedom.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ranges = sorted(float(d) for d in d_max_list)
     if not ranges:
-        raise ValueError("sweep-range needs at least one d_max value")
+        raise ConfigError("sweep-range needs at least one d_max value")
     if any(d < 0.0 for d in ranges):
-        raise ValueError("d_max values must be nonnegative")
+        raise ConfigError("d_max values must be nonnegative")
     base_geom = cfg.build_geometry()
     if sizes is None:
         sizes = [(base_geom.n_x, base_geom.n_z)]
     for n_x, n_z in sizes:
-        cfg.check_starts_fit(dataclasses.replace(base_geom, n_x=n_x, n_z=n_z,
-                                                 d_max=ranges[0]))
+        try:
+            geom = dataclasses.replace(base_geom, n_x=n_x, n_z=n_z, d_max=ranges[0])
+        except ValueError as exc:
+            raise ConfigError(f"sweep-range size {n_x}x{n_z}: {exc}") from exc
+        cfg.check_starts_fit(geom)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for n_x, n_z in sizes:

@@ -104,12 +104,17 @@ def test_run_optimize_artifacts_are_self_consistent(tmp_path):
 @pytest.mark.parametrize("scheme", ["fim-mimo", "raa-mimo"])
 def test_record_shows_unconverged_sdp(tmp_path, monkeypatch, scheme):
     # The trace records (fim-mimo) and the single rigid solve's report
-    # (raa-mimo) both reach record.json.
+    # (raa-mimo) both reach record.json. The 4x4 array with three targets
+    # has a rank-3 optimum at the zero shape, so the rank-1 fast path cannot
+    # certify it and the capped interior point runs.
     def capped(a, p_t):
         return solve_per_antenna_sdp(a, p_t, iter_cap=2)
 
     monkeypatch.setattr("morphbeam.bcd.solve_per_antenna_sdp", capped)
     raw = tiny_config_dict()
+    raw["geometry"]["n_x"] = raw["geometry"]["n_z"] = 4
+    raw["targets"] = [{"theta_deg": th, "phi_deg": ph}
+                      for th, ph in ((30.0, 60.0), (30.0, 120.0), (135.0, 90.0))]
     raw["algorithm"]["scheme"] = scheme
     record = run_optimize(ExperimentConfig.from_dict(raw), tmp_path)
     assert record.sdp_all_converged is False
@@ -353,6 +358,24 @@ def test_cli_rejects_threads_flag(tmp_path):
               "--threads", "2"])
     assert excinfo.value.code == 2
     assert not (tmp_path / "record.json").exists()
+
+
+@pytest.mark.parametrize("command, sweep_args", [
+    ("sweep-range", ["--d-max=-0.1,0.5"]),
+    ("sweep-range", ["--d-max="]),
+    ("sweep-range", ["--d-max", "0.5", "--sizes", "0x2"]),
+    ("sweep-power", ["--p-t-dbm="]),
+])
+def test_cli_rejects_bad_sweep_arguments_before_output(tmp_path, capsys, command,
+                                                       sweep_args):
+    # Invalid sweep arguments are configuration errors (exit 2), not solver
+    # failures, and are caught before the output directory is made.
+    path = write_config(tmp_path, tiny_config_dict())
+    out = tmp_path / "sweep"
+    rc = main([command, "--config", str(path), "--out", str(out), *sweep_args])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_cli_sweep_power_writes_rows(tmp_path, capsys):

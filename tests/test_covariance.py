@@ -8,10 +8,12 @@ import pytest
 from conftest import DESK_P_T_MW, desk_geometry, desk_targets, rank_profile
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.covariance import (
+    _POWER_CAP,
     _RANK_FLOOR,
     DEFAULT_SDP_TOL,
     ConstraintKind,
     CovarianceMatrix,
+    _min_eigpair,
     randomize_rank1,
     solve_per_antenna_sdp,
 )
@@ -203,6 +205,102 @@ class TestPerAntennaSdp:
         assert rep2.objective == pytest.approx(10.0 * rep1.objective, rel=1e-6)
         _, rep3 = solve_per_antenna_sdp(a, p_t=4.0)
         assert rep3.objective == pytest.approx(2.0 * rep1.objective, rel=1e-6)
+
+
+def _fast_path_panel():
+    "Seeded steering matrices: random N = 1-30, K = 1-5, K >= N, coincident targets."
+    rng = np.random.default_rng(12)
+    panel = []
+    for _ in range(40):
+        n = int(rng.integers(1, 31))
+        k = int(rng.integers(1, 6))
+        panel.append(random_a(n, k, rng))
+    for n, k in ((1, 3), (2, 4), (3, 5), (4, 4)):
+        panel.append(random_a(n, k, rng))
+    for n in (5, 12, 25):
+        col = random_a(n, 1, rng)
+        panel.append(np.concatenate([col, col, random_a(n, 1, rng)], axis=1))
+        panel.append(np.concatenate([unit_modulus_a(n, rng)] * 3, axis=1))
+    geom = desk_geometry(1.0)
+    for seed in (None, 1, 2, 3):
+        shape = (SurfaceShape.zero(geom) if seed is None else
+                 SurfaceShape.uniform_random(geom, np.random.default_rng(seed)))
+        panel.append(response_matrix(geom, desk_targets(), shape).a)
+    return panel
+
+
+class TestRank1FastPath:
+    def test_no_uncertified_result(self):
+        # Every solve, fast path or interior point, returns a covariance
+        # within the certified gap. On the fast path R = w w^H, and the dual
+        # point behind the reported bound is y' = y - lam 1 with
+        # y_n = Re(conj(w_n) (B w)_n); a dense eigensolver confirms that
+        # Diag(y') - B is PSD at small N.
+        n_fast = n_dense = 0
+        for a in _fast_path_panel():
+            n = a.shape[0]
+            b = gram(a)
+            p_t = 3.0
+            cov, report = solve_per_antenna_sdp(a, p_t)
+            assert report.converged
+            assert report.relative_gap <= DEFAULT_SDP_TOL
+            gap = (report.dual_bound - report.objective) / report.dual_bound
+            assert 0.0 <= gap <= DEFAULT_SDP_TOL + 1e-12
+            assert report.objective == pytest.approx(
+                float(np.real(np.sum(cov.r * b.T))), rel=1e-9)
+            assert 0 < report.power_steps <= _POWER_CAP
+            cov.validate()
+            if report.iterations > 0:
+                continue
+            n_fast += 1
+            w = cov.r[:, 0] / np.sqrt(cov.r[0, 0].real)
+            np.testing.assert_allclose(cov.r, np.outer(w, w.conj()), atol=1e-12 * p_t)
+            if n <= 12:
+                n_dense += 1
+                y = np.real(w.conj() * (b @ w))
+                y_dual = y - (float(np.sum(y)) - report.dual_bound) / n
+                assert float(np.sum(y_dual)) == pytest.approx(report.dual_bound, rel=1e-12)
+                scale = float(np.linalg.eigvalsh(b)[-1]) * p_t / n
+                assert np.linalg.eigvalsh(np.diag(y_dual) - b * p_t / n)[0] >= -1e-9 * scale
+        assert n_fast >= 10 and n_dense >= 5, (n_fast, n_dense)
+
+    def test_single_target_takes_the_fast_path(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 7, 30):
+            a = random_a(n, 1, rng)
+            cov, report = solve_per_antenna_sdp(a, p_t=5.0)
+            assert report.iterations == 0
+            assert report.power_steps > 0
+            assert report.relative_gap <= DEFAULT_SDP_TOL
+            lam, vec = np.linalg.eigh(cov.r)
+            w = np.sqrt(lam[-1]) * vec[:, -1]
+            np.testing.assert_allclose(np.abs(w) ** 2, 5.0 / n, rtol=1e-10)
+            np.testing.assert_allclose(cov.r, np.outer(w, w.conj()), atol=1e-12)
+
+    def test_desk_zero_shape_falls_back(self):
+        # Its optimum has rank 3, so no rank-1 point can be certified.
+        geom = desk_geometry(1.0)
+        a = response_matrix(geom, desk_targets(), SurfaceShape.zero(geom)).a
+        _, report = solve_per_antenna_sdp(a, DESK_P_T_MW)
+        assert report.iterations > 0
+        assert report.power_steps > 0
+        assert report.converged
+
+    def test_min_eigpair_below_zero(self):
+        # The certificate's eigenproblem Diag(g) - h h^H is indefinite; with
+        # the lower bracket min g - ||h||_F^2 the secular solve still finds
+        # its smallest eigenpair.
+        rng = np.random.default_rng(14)
+        for n, r in ((1, 1), (6, 1), (9, 3), (20, 5)):
+            g = rng.uniform(0.1, 2.0, n)
+            h = random_a(n, r, rng)
+            m = np.diag(g) - h @ h.conj().T
+            expected = float(np.linalg.eigvalsh(m)[0])
+            assert expected < 0.0
+            lam, vec = _min_eigpair(g, h, lo=float(np.min(g)) - float(np.sum(np.abs(h) ** 2)))
+            assert lam == pytest.approx(expected, rel=1e-12, abs=1e-12 * float(np.max(g)))
+            vec = vec / np.linalg.norm(vec)
+            assert np.linalg.norm(m @ vec - lam * vec) <= 1e-9 * np.linalg.norm(m, 2)
 
 
 class TestRandomizeRank1:
