@@ -47,10 +47,12 @@ class ArrayGeometry:
     def __post_init__(self) -> None:
         if self.n_x < 1 or self.n_z < 1:
             raise ValueError(f"element counts must be >= 1, got {self.n_x}x{self.n_z}")
-        if self.dx <= 0.0 or self.dz <= 0.0:
-            raise ValueError(f"spacings must be positive, got dx={self.dx}, dz={self.dz}")
-        if self.d_max < 0.0:
-            raise ValueError(f"morphing limit must be >= 0, got {self.d_max}")
+        # written so that NaN fails every check
+        if not (0.0 < self.dx < np.inf and 0.0 < self.dz < np.inf):
+            raise ValueError(
+                f"spacings must be finite and positive, got dx={self.dx}, dz={self.dz}")
+        if not 0.0 <= self.d_max < np.inf:
+            raise ValueError(f"morphing limit must be finite and >= 0, got {self.d_max}")
 
     @property
     def n_elements(self) -> int:
@@ -108,9 +110,9 @@ class TargetSet:
             raise ValueError("thetas and phis must have equal length")
         if self.thetas.size < 1:
             raise ValueError("at least one target is required")
-        if np.any(self.thetas < 0.0) or np.any(self.thetas > np.pi):
+        if not np.all((self.thetas >= 0.0) & (self.thetas <= np.pi)):   # NaN fails too
             raise ValueError("elevation angles must lie in [0, pi]")
-        if np.any(self.phis < 0.0) or np.any(self.phis > np.pi):
+        if not np.all((self.phis >= 0.0) & (self.phis <= np.pi)):
             raise ValueError("azimuth angles must lie in [0, pi]")
 
     @classmethod

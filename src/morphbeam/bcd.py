@@ -30,6 +30,7 @@ from .covariance import (
     ConstraintKind,
     CovarianceMatrix,
     SolveReport,
+    _check_power_budget,
     randomize_rank1,
     solve_per_antenna_sdp,
 )
@@ -324,8 +325,7 @@ def solve_benchmark(
     scheme = Scheme(scheme)
     if cfg is None:
         cfg = BcdConfig()
-    if p_t <= 0.0:
-        raise ValueError(f"power budget must be positive, got {p_t}")
+    _check_power_budget(p_t)
 
     if scheme in (Scheme.RAA_MIMO, Scheme.RAA_PA):
         shape = SurfaceShape.zero(geom)

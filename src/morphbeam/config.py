@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -35,7 +36,16 @@ def _take(block: dict, context: str, key: str, kind, default=_REQUIRED):
     else:
         raise ConfigError(f"{context}: missing required key '{key}'")
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        # json.loads accepts NaN, Infinity and integers beyond the float
+        # range, and every comparison with NaN is false, so a later range
+        # check would let NaN through
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{context}: key '{key}' must be finite, got {value}")
+        return value
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is str and isinstance(value, str):

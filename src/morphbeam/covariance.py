@@ -29,10 +29,7 @@ No N x N matrix is factorized. On the central path ``R = S^-1 / t`` has
 exactly the required diagonal, so the primal is recovered for free;
 off-path iterates are repaired by a diagonal congruence that preserves
 positive semidefiniteness. Each barrier stage measures the repaired
-primal on its N x r factor, and only the best stage's R is formed. The
-rank-1 polish needs the principal eigenvector of that R, and the dual
-bound is tightened by lambda_min(S); both are diagonal-minus-rank-r
-eigenproblems, solved through their r x r secular equations.
+primal on its N x r factor, and only the best stage's R is formed.
 
 The fast path runs the generalized power method w <- exp(j arg(B w)) on
 the unit-modulus vectors from the phases of B's principal eigenvector,
@@ -42,15 +39,16 @@ lambda_min(Diag(y) - B) <= 0 and y - lambda_min 1 is dual feasible. When
 w w^H is the optimum that eigenvalue is 0 and the bound is tight. The
 fast path returns w w^H only when this certificate closes the gap to
 ``DEFAULT_SDP_TOL``; otherwise the interior point runs exactly as it would
-without the fast path. The certificate's eigenvalue is again a
-diagonal-minus-rank-r problem, now indefinite, so its bracket starts
-below zero.
+without the fast path.
 
-Every solve returns a certified dual upper bound for B = A A^H. The primal
-and rank-1 values are measured against A itself (tr(R B) is the sum of the
-column quadratic forms a_k^H R a_k), y stays strictly feasible for F F^H,
-and the lambda_min shift is reduced by lambda_max(E), so
-``(P_t/N) 1^T y`` still dominates the optimum by weak duality.
+Every dual bound, the fast path's and each barrier stage's, shifts its y
+by lambda_min(Diag(y) - F F^H), a diagonal-minus-rank-r eigenvalue found
+through its r x r secular equation. The eigenvalue is at most 0 on the
+fast path and positive at a barrier iterate, so one bracket, starting at
+min y - ||F||_F^2, serves both. The primal values are measured against A
+itself (tr(R B) is the sum of the column quadratic forms a_k^H R a_k),
+and the shift is reduced by lambda_max(E), so ``(P_t/N) 1^T y`` still
+dominates the optimum for B = A A^H by weak duality.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from enum import Enum
 
 import numpy as np
 
-from .objective import column_powers
+from .objective import _check_covariance, column_powers
 
 logger = logging.getLogger(__name__)
 
@@ -101,16 +99,8 @@ class CovarianceMatrix:
 
     def validate(self) -> None:
         "Raise ValueError if any covariance invariant is violated."
-        r = self.r
-        n = r.shape[0]
-        if r.shape != (n, n):
-            raise ValueError(f"covariance must be square, got {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("covariance has non-finite entries")
-        scale = max(float(np.max(np.abs(r))), 1e-300)
-        herm_err = float(np.max(np.abs(r - r.conj().T)))
-        if herm_err > 1e-10 * max(1.0, scale):
-            raise ValueError(f"not Hermitian: max asymmetry {herm_err:g}")
+        n = self.n_elements
+        r = _check_covariance(self.r, n)
         eigvals = np.linalg.eigvalsh(r)
         lam_max = max(float(eigvals[-1]), 1e-300)
         if float(eigvals[0]) < -1e-8 * lam_max:
@@ -131,6 +121,12 @@ class SolveReport:
     relative_gap: float                 # (dual_bound - objective) / dual_bound
     converged: bool = True
     power_steps: int = 0                # steps of the rank-1 fast path
+
+
+def _check_power_budget(p_t: float) -> None:
+    "ValueError unless the power budget P_t (mW) is finite and positive; NaN fails too."
+    if not 0.0 < p_t < np.inf:
+        raise ValueError(f"power budget must be finite and positive, got {p_t}")
 
 
 def _check_a(a) -> np.ndarray:
@@ -188,13 +184,13 @@ def _newton_step(y: np.ndarray, w: np.ndarray, q: np.ndarray, grad: np.ndarray) 
     return (g - u @ ((u.T @ g) * (sv2 / (1.0 + sv2)))) / root_h
 
 
-def _min_eigpair(g: np.ndarray, h: np.ndarray, lo: float = 0.0) -> tuple[float, np.ndarray]:
+def _min_eigpair(g: np.ndarray, h: np.ndarray, lo: float) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and an eigenvector of Diag(g) - h h^H, h of size N x r.
 
-    ``lo`` is a lower bound on that eigenvalue; the default 0 suits a
-    positive definite matrix. The eigenvalue lam is the root in (lo, min g]
-    of 1 / kappa(lam) = 1, where kappa(lam) is the largest eigenvalue of the
-    r x r matrix K(lam) = h^H Diag(1/(g - lam)) h. That reciprocal is
+    ``lo`` is a lower bound on that eigenvalue, which may have either sign.
+    The eigenvalue lam is the root in (lo, min g] of 1 / kappa(lam) = 1,
+    where kappa(lam) is the largest eigenvalue of the r x r matrix
+    K(lam) = h^H Diag(1/(g - lam)) h. That reciprocal is
     concave, decreasing and linear near each pole, so Newton's method on it,
     kept inside a bisection bracket, converges fast; the eigenvector is
     Diag(1/(g - lam)) h c for the top eigenvector c of K(lam).
@@ -222,6 +218,18 @@ def _min_eigpair(g: np.ndarray, h: np.ndarray, lo: float = 0.0) -> tuple[float, 
     return lam, vec
 
 
+def _dual_bound(y: np.ndarray, f: np.ndarray, dropped: float) -> float:
+    """Dual bound on the normalized problem (diag(R) = 1, B = an an^H) from any y.
+
+    y - lambda_min(Diag(y) - B) 1 is dual feasible, and that eigenvalue is
+    at least lambda_min(Diag(y) - F F^H) - dropped, which in turn is at
+    least min y - ||F||_F^2, the secular solve's lower bracket. The 1e-12
+    relative margin covers the solve's rounding.
+    """
+    lam = _min_eigpair(y, f, float(np.min(y)) - float(np.sum(np.abs(f) ** 2)))[0]
+    return float(np.sum(y)) - y.size * (lam - 1e-12 * max(float(np.max(y)), 1.0) - dropped)
+
+
 def _certified_rank1(
     an: np.ndarray,
     f: np.ndarray,
@@ -232,10 +240,9 @@ def _certified_rank1(
     Runs the generalized power method w <- exp(j arg(B w)) from the phases
     of B's principal eigenvector, then certifies w w^H with the dual point
     y_n = Re(conj(w_n) (B w)_n), whose sum is w^H B w. Since
-    w^H (Diag(y) - B) w = 0, lambda_min(Diag(y) - B) <= 0, and shifting y
-    by it makes y feasible; that eigenvalue is at least
-    lambda_min(Diag(y) - F F^H) - dropped, a diagonal-minus-rank-r problem
-    bracketed below by min y - ||F||_F^2.
+    w^H (Diag(y) - B) w = 0, lambda_min(Diag(y) - B) <= 0, so
+    ``_dual_bound`` raises the sum of y by the least amount that makes it
+    feasible.
 
     Returns (w, power steps, w^H B w, dual bound, gap); w is None when the
     gap is above ``DEFAULT_SDP_TOL``, or when y is not positive (there is
@@ -253,11 +260,9 @@ def _certified_rank1(
         if value - prev <= _POWER_RISE_REL * value:
             break
     y = np.real(w.conj() * (an @ a_w))
-    y_min = float(np.min(y))
-    if y_min <= 0.0:
+    if float(np.min(y)) <= 0.0:
         return None, steps, value, np.inf, np.inf
-    lam = _min_eigpair(y, f, lo=y_min - float(np.sum(np.abs(f) ** 2)))[0]
-    dual = float(np.sum(y)) - an.shape[0] * (lam - 1e-12 * max(float(np.max(y)), 1.0) - dropped)
+    dual = _dual_bound(y, f, dropped)
     gap = (dual - value) / max(abs(dual), 1e-300)
     return (w if gap <= DEFAULT_SDP_TOL else None), steps, value, dual, gap
 
@@ -276,8 +281,7 @@ def solve_per_antenna_sdp(
     reach ``DEFAULT_SDP_TOL`` within them is reported via
     ``converged=False``, never silently.
     """
-    if p_t <= 0.0:
-        raise ValueError(f"power budget must be positive, got {p_t}")
+    _check_power_budget(p_t)
     a = _check_a(a)
     n = a.shape[0]
     rho = p_t / n
@@ -332,7 +336,7 @@ def _interior_point(
     mu = 10.0
     newton_total = 0
     an_rows = np.sum(np.abs(an) ** 2, axis=1)
-    best: tuple | None = None           # (gap, v, d, phases, primal, dual)
+    best: tuple | None = None           # (gap, v, d, dual)
 
     # Loose centering suffices: the certificate below measures the true gap
     # from a feasible primal/dual pair, so imperfect centering only costs an
@@ -376,28 +380,10 @@ def _interior_point(
         v = w * c[:, None]
         d = c ** 2 / y
         primal = float(np.sum(np.abs(v.conj().T @ an) ** 2)) + float(d @ an_rows)
-        # Rank-1 polish: a rank-1 optimum must have a constant-modulus
-        # eigenvector (the diagonal constraint pins every |u_n|), so the
-        # phase readout of the principal eigenvector is always feasible
-        # and lands on the exact optimum whenever that optimum is rank-1.
-        # R^{-1} = Diag(y / c^2) - (F/c)(F/c)^H, so that eigenvector is the
-        # smallest one of a diagonal-minus-rank-r matrix.
-        phases = np.exp(1j * np.angle(_min_eigpair(y / c ** 2, f / c[:, None])[1]))
-        a_w = an.conj().T @ phases          # w^H B w = ||A^H w||^2
-        rank1 = float(np.real(column_powers(a_w, a_w)))
-        if rank1 > primal:
-            primal = rank1
-        else:
-            phases = None
-        # Shifting y down by lambda_min(Diag(y) - an an^H) keeps it PSD and
-        # tightens the bound; that eigenvalue is at least
-        # lambda_min(Diag(y) - F F^H) - dropped.
-        lam_min_s = _min_eigpair(y, f)[0]
-        shift = max(lam_min_s - 1e-12 * max(float(np.max(y)), 1.0), 0.0) - dropped
-        dual = float(np.sum(y)) - n * shift
+        dual = _dual_bound(y, f, dropped)
         gap = (dual - primal) / max(abs(dual), 1e-300)
         if best is None or gap < best[0]:
-            best = (gap, v, d, phases, primal, dual)
+            best = (gap, v, d, dual)
 
         if gap <= DEFAULT_SDP_TOL:
             converged = True
@@ -411,15 +397,12 @@ def _interior_point(
             break
         t *= mu
 
-    gap, v, d, phases, primal, dual = best
-    if phases is None:
-        r_feas = v @ v.conj().T + np.diag(d)
-        r_feas = 0.5 * (r_feas + r_feas.conj().T)
-        # report the value of the matrix returned, measured on R itself
-        primal = float(np.real(np.sum(column_powers(an, r_feas @ an))))
-        gap = (dual - primal) / max(abs(dual), 1e-300)
-    else:
-        r_feas = np.outer(phases, phases.conj())
+    _, v, d, dual = best
+    r_feas = v @ v.conj().T + np.diag(d)
+    r_feas = 0.5 * (r_feas + r_feas.conj().T)
+    # report the value of the matrix returned, measured on R itself
+    primal = float(np.real(np.sum(column_powers(an, r_feas @ an))))
+    gap = (dual - primal) / max(abs(dual), 1e-300)
     return r_feas, primal, dual, gap, newton_total, converged
 
 
@@ -442,6 +425,7 @@ def randomize_rank1(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check_power_budget(p_t)
     a = _check_a(a)
     n = a.shape[0]
     if r.r.shape != (n, n):

@@ -36,6 +36,16 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             small_geom(d_max=-0.1)
 
+    @pytest.mark.parametrize("lengths", [
+        dict(dx=np.nan), dict(dz=np.nan), dict(dx=np.inf), dict(dz=np.inf),
+        dict(d_max=np.nan), dict(d_max=np.inf), dict(dx=np.nan, d_max=np.nan),
+    ])
+    def test_rejects_non_finite_lengths(self, lengths):
+        # every comparison with NaN is false, so each check must be one
+        # that NaN fails
+        with pytest.raises(ValueError):
+            small_geom(**lengths)
+
     def test_derived_quantities(self):
         geom = ArrayGeometry(n_x=3, n_z=4, dx=0.5, dz=0.5)
         assert geom.n_elements == 12
@@ -170,6 +180,14 @@ class TestTargetSet:
             TargetSet(thetas=np.array([-0.1]), phis=np.array([0.5]))
         with pytest.raises(ValueError):
             TargetSet(thetas=np.array([0.5]), phis=np.array([3.5]))
+
+    @pytest.mark.parametrize("thetas, phis", [
+        ([np.nan], [0.5]), ([0.5], [np.nan]), ([0.5, np.nan], [0.5, 0.6]),
+        ([np.inf], [0.5]),
+    ])
+    def test_non_finite_angles_rejected(self, thetas, phis):
+        with pytest.raises(ValueError, match=r"\[0, pi\]"):
+            TargetSet(thetas=np.array(thetas), phis=np.array(phis))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

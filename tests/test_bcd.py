@@ -118,6 +118,13 @@ class TestBcdOptimize:
         with pytest.raises(ValueError):
             solve_benchmark(Scheme.FIM_MIMO, geom, targets, 0.0, quick_cfg())
 
+    @pytest.mark.parametrize("p_t", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_power_budget_that_is_not_finite_and_positive(self, p_t):
+        geom, targets = make_instance(d_max=0.5)
+        for scheme in Scheme:
+            with pytest.raises(ValueError, match="finite and positive"):
+                solve_benchmark(scheme, geom, targets, p_t, quick_cfg())
+
     def test_trace_records_are_complete(self):
         geom, targets = make_instance(d_max=0.5, seed=5)
         trace = solve_benchmark(Scheme.FIM_MIMO, geom, targets, P_T, quick_cfg()).trace

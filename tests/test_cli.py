@@ -286,6 +286,29 @@ def test_cli_rejects_removed_config_keys(tmp_path, capsys, block, key, value):
     assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, key, value", [
+    ("power", "p_t_dbm", float("nan")),
+    ("geometry", "dx_wavelengths", float("nan")),
+    ("targets", "theta_deg", float("nan")),
+    ("geometry", "d_max_wavelengths", float("inf")),
+    ("algorithm", "rel_increase_threshold_db", float("nan")),
+])
+def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, block, key, value):
+    # json.loads reads the NaN and Infinity literals. They are configuration
+    # errors, caught before the output directory is made; a NaN threshold
+    # would otherwise be accepted and never stop the loop.
+    raw = tiny_config_dict()
+    entry = raw[block][0] if block == "targets" else raw[block]
+    entry[key] = value
+    path = write_config(tmp_path, raw)
+    assert ("NaN" if np.isnan(value) else "Infinity") in path.read_text()
+    out = tmp_path / "run"
+    rc = main(["optimize", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert f"key '{key}' must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     rc = main(["optimize", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path)])

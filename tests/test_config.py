@@ -97,6 +97,13 @@ class TestParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
 
+    def test_integer_beyond_float_range_is_config_error(self):
+        # float() overflows on it; it is as unusable as the Infinity literal
+        d = base_dict()
+        d["power"]["p_t_dbm"] = 10 ** 400
+        with pytest.raises(ConfigError, match="key 'p_t_dbm' must be finite"):
+            ExperimentConfig.from_dict(json.loads(json.dumps(d)))
+
     def test_target_entries_must_be_objects(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(base_dict(targets=[1.0]))

@@ -39,6 +39,10 @@ def _with_nan():
     return a
 
 
+# 0 < P_t < inf fails for each of these; NaN compares false with everything.
+BAD_POWER = [pytest.param(v, id=name) for name, v in
+             (("nan", np.nan), ("inf", np.inf), ("zero", 0.0), ("negative", -1.0))]
+
 BAD_STEERING = [
     pytest.param(np.ones(4, dtype=complex), "N x K", id="one-dimensional"),
     pytest.param(np.ones((4, 0), dtype=complex), "N x K", id="no-targets"),
@@ -92,6 +96,11 @@ class TestPerAntennaSdp:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             solve_per_antenna_sdp(np.eye(4), p_t=0.0)
+
+    @pytest.mark.parametrize("p_t", BAD_POWER)
+    def test_rejects_bad_power_budget(self, p_t):
+        with pytest.raises(ValueError, match="finite and positive"):
+            solve_per_antenna_sdp(np.eye(4), p_t)
 
     @pytest.mark.parametrize("bad, message", BAD_STEERING)
     def test_rejects_bad_steering_matrix(self, bad, message):
@@ -302,6 +311,25 @@ class TestRank1FastPath:
             vec = vec / np.linalg.norm(vec)
             assert np.linalg.norm(m @ vec - lam * vec) <= 1e-9 * np.linalg.norm(m, 2)
 
+    def test_min_eigpair_above_zero_with_the_wide_bracket(self):
+        # At a barrier iterate Diag(y) - F F^H is positive definite, and the
+        # dual bound still brackets its eigenvalue from min y - ||F||_F^2,
+        # which lies below zero.
+        rng = np.random.default_rng(15)
+        for n, r in ((2, 1), (6, 1), (9, 3), (20, 5), (100, 3)):
+            h = random_a(n, r, rng)
+            hh = h @ h.conj().T
+            g = rng.uniform(0.1, 2.0, n)
+            g += 1e-2 - float(np.linalg.eigvalsh(np.diag(g) - hh)[0])
+            m = np.diag(g) - hh
+            expected = float(np.linalg.eigvalsh(m)[0])
+            lo = float(np.min(g)) - float(np.sum(np.abs(h) ** 2))
+            assert lo < 0.0 < expected
+            lam, vec = _min_eigpair(g, h, lo)
+            assert lam == pytest.approx(expected, rel=1e-9, abs=1e-12 * float(np.max(g)))
+            vec = vec / np.linalg.norm(vec)
+            assert np.linalg.norm(m @ vec - lam * vec) <= 1e-9 * np.linalg.norm(m, 2)
+
 
 class TestRandomizeRank1:
     def test_weights_have_constant_modulus(self):
@@ -354,6 +382,13 @@ class TestRandomizeRank1:
         with pytest.raises(ValueError, match="rows"):
             randomize_rank1(cov, random_a(5, 1, rng), p_t=4.0, n_samples=10)
 
+    @pytest.mark.parametrize("p_t", BAD_POWER)
+    def test_rejects_bad_power_budget(self, p_t):
+        cov = CovarianceMatrix(r=np.eye(4, dtype=complex), power_budget=4.0,
+                               constraint_kind=ConstraintKind.PER_ANTENNA)
+        with pytest.raises(ValueError, match="finite and positive"):
+            randomize_rank1(cov, np.ones((4, 1), dtype=complex), p_t, n_samples=10)
+
     @pytest.mark.parametrize("bad, message", BAD_STEERING)
     def test_rejects_bad_steering_matrix(self, bad, message):
         cov = CovarianceMatrix(r=np.eye(4, dtype=complex), power_budget=4.0,
@@ -390,6 +425,26 @@ class TestCovarianceValidate:
                                constraint_kind=ConstraintKind.PER_ANTENNA)
         with pytest.raises(ValueError, match="non-finite"):
             cov.validate()
+
+    def test_catches_non_square(self):
+        cov = CovarianceMatrix(r=np.ones((3, 4), dtype=complex), power_budget=3.0,
+                               constraint_kind=ConstraintKind.PER_ANTENNA)
+        with pytest.raises(ValueError, match=r"covariance is \(3, 4\)"):
+            cov.validate()
+
+    def test_catches_non_hermitian(self):
+        # diagonal exactly p_t/N = 1; R[1, 0] should be conj(R[0, 1]) = -0.5j
+        r = np.eye(4, dtype=complex)
+        r[0, 1] = r[1, 0] = 0.5j
+        cov = CovarianceMatrix(r=r, power_budget=4.0,
+                               constraint_kind=ConstraintKind.PER_ANTENNA)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            cov.validate()
+        # an asymmetry within 1e-10 of the largest entry is rounding
+        r = np.eye(4, dtype=complex)
+        r[0, 1] = 1e-12
+        CovarianceMatrix(r=r, power_budget=4.0,
+                         constraint_kind=ConstraintKind.PER_ANTENNA).validate()
 
     def test_catches_indefinite(self):
         # diagonal exactly p_t/N = 1, but eigenvalues 3, 1, 1 and -1
