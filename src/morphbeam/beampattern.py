@@ -2,7 +2,10 @@
 
 Radiated power toward a direction is the quadratic form a^H R_X a of the
 steering vector, in linear milliwatts; grids convert to dBm with a floor so
-downstream files stay finite.
+downstream files stay finite. A grid factors R_X once, R_X = U Diag(lam) U^H
+over its k numerically nonzero eigenpairs, and takes each direction's power
+as sum_i lam_i |u_i^H a|^2: k inner products per direction instead of the
+N of R_X a. A certified rank-1 optimum has k = 1.
 """
 
 from __future__ import annotations
@@ -64,7 +67,15 @@ def evaluate_beampattern(
     theta_axis: np.ndarray,
     phi_axis: np.ndarray,
 ) -> BeampatternGrid:
-    """Quadratic-form power a^H R_X a on the cartesian product of the axes.
+    """Quadratic-form power Re(a^H R_X a) on the cartesian product of the axes.
+
+    R_X's Hermitian part is factored once by ``eigh``, and the eigenpairs
+    with |lam| > N eps max|lam| are kept, negative ones included, so an
+    indefinite R_X still gives its exact quadratic forms and R_X = 0 keeps
+    none (the grid sits at the dBm floor). Each direction's power is then
+    lam . |U_k^H a|^2. What is dropped is at most N^2 eps max|lam| per
+    direction, the size of the rounding of a^H (R_X a) itself; a full-rank
+    R_X keeps all N pairs and costs one product of the size of R_X A.
 
     Directions are visited in order of sin(theta) sin(phi) and in chunks of
     ``_GRID_CHUNK``, so the steering matrix never materializes for the whole
@@ -76,6 +87,10 @@ def evaluate_beampattern(
     theta_axis = np.asarray(theta_axis, dtype=float).ravel()
     phi_axis = np.asarray(phi_axis, dtype=float).ravel()
     r = _check_covariance(_as_matrix(r_x), geom.n_elements)
+    lam, u = np.linalg.eigh(0.5 * (r + r.conj().T))
+    keep = np.abs(lam) > r.shape[0] * np.finfo(float).eps * np.max(np.abs(lam))
+    lam, u_h = lam[keep], u[:, keep].conj().T
+    del u                               # the sweep needs U_k^H only; N x N is freed before it
 
     tt, pp = np.meshgrid(theta_axis, phi_axis, indexing="ij")
     order = np.argsort((np.sin(tt) * np.sin(pp)).ravel(), kind="stable")
@@ -85,7 +100,7 @@ def evaluate_beampattern(
     for lo in range(0, order.size, _GRID_CHUNK):
         hi = min(lo + _GRID_CHUNK, order.size)
         a = steering_matrix(geom, flat_t[lo:hi], flat_p[lo:hi], shape.displacements)
-        power[order[lo:hi]] = np.real(column_powers(a, r @ a))
+        power[order[lo:hi]] = lam @ np.abs(u_h @ a) ** 2
 
     grid = _mw_to_dbm_vec(power).reshape(theta_axis.size, phi_axis.size)
     return BeampatternGrid(theta_axis=theta_axis, phi_axis=phi_axis, power_dbm=grid)

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands map one-to-one onto the experiment runners. Exit codes: 0 on
-success, 2 for an invalid configuration, 3 for a solver failure, 4 for I/O
-problems (unreadable config, missing prior artifacts, unwritable output).
+success, 2 for an invalid configuration (including prior artifacts whose
+size does not fit its geometry), 3 for a solver failure, 4 for I/O problems
+(unreadable config, missing or unreadable prior artifacts, unwritable
+output).
 Set MORPHBEAM_LOG_LEVEL (DEBUG, INFO, ...) to control logging.
 """
 

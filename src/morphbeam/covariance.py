@@ -22,14 +22,16 @@ rest. With D = Diag(y) and S = D - F F^H:
 - ``S^-1 = D^-1 + W W^H`` with W of size N x r (Woodbury), which gives the
   gradient ``t - diag(S^-1)``;
 - the barrier Hessian ``|S^-1|^2`` (elementwise) is ``Diag(h) + Z Z^T``
-  with Z of size N x r^2, and the Newton system is solved by Woodbury on
-  that structure.
+  with Z of size N x r^2, and the Newton system is solved on its smaller
+  side: by Woodbury on that structure when r^2 < N, otherwise as the
+  N x N Hessian itself.
 
-No N x N matrix is factorized. On the central path ``R = S^-1 / t`` has
-exactly the required diagonal, so the primal is recovered for free;
-off-path iterates are repaired by a diagonal congruence that preserves
-positive semidefiniteness. Each barrier stage measures the repaired
-primal on its N x r factor, and only the best stage's R is formed.
+While r^2 < N no N x N matrix is factorized. On the central path
+``R = S^-1 / t`` has exactly the required diagonal, so the primal is
+recovered for free; off-path iterates are repaired by a diagonal
+congruence that preserves positive semidefiniteness. Each barrier stage
+measures the repaired primal on its N x r factor, and only the best
+stage's R is formed.
 
 The fast path runs the generalized power method w <- exp(j arg(B w)) on
 the unit-modulus vectors from the phases of B's principal eigenvector,
@@ -56,6 +58,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,15 +169,28 @@ def _inverse_factor(y: np.ndarray, f: np.ndarray, chol: np.ndarray) -> np.ndarra
     return np.linalg.solve(chol, (f / y[:, None]).conj().T).conj().T
 
 
+@lru_cache(maxsize=None)
+def _pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
+    "Column index pairs a < b of an r-column factor (np.triu_indices, built once per r)."
+    return np.triu_indices(r, 1)
+
+
 def _newton_step(y: np.ndarray, w: np.ndarray, q: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve H dy = -grad for the barrier Hessian H = |S^{-1}|^2 (elementwise).
 
     With S^{-1} = Diag(1/y) + W W^H and q the squared row norms of W,
     H = Diag((1/y + 2 q) / y) + Z Z^T, where row n of Z holds |W_na|^2 and
     the real and imaginary parts of sqrt(2) W_na conj(W_nb) for a < b, so
-    Z has r^2 columns. Woodbury runs through a thin SVD of the scaled Z.
+    Z has r^2 columns. The system is solved on its smaller side: for
+    r^2 < N by Woodbury through a thin SVD of the scaled Z (O(N r^4)),
+    otherwise by forming the N x N Hessian and solving it directly (O(N^3)).
     """
-    a, c = np.triu_indices(w.shape[1], 1)
+    n, r = w.shape
+    if r * r >= n:
+        s_inv = w @ w.conj().T
+        s_inv[np.diag_indices(n)] += 1.0 / y
+        return np.linalg.solve(np.abs(s_inv) ** 2, -grad)
+    a, c = _pairs(r)
     cross = np.sqrt(2.0) * w[:, a] * w[:, c].conj()
     z = np.concatenate([np.abs(w) ** 2, cross.real, cross.imag], axis=1)
     root_h = np.sqrt((1.0 / y + 2.0 * q) / y)
@@ -193,7 +209,9 @@ def _min_eigpair(g: np.ndarray, h: np.ndarray, lo: float) -> tuple[float, np.nda
     K(lam) = h^H Diag(1/(g - lam)) h. That reciprocal is
     concave, decreasing and linear near each pole, so Newton's method on it,
     kept inside a bisection bracket, converges fast; the eigenvector is
-    Diag(1/(g - lam)) h c for the top eigenvector c of K(lam).
+    Diag(1/(g - lam)) h c for the top eigenvector c of K(lam). A zero
+    Newton step (kappa == 1 exactly, or a step below the spacing of lam)
+    ends the solve at lam; bisecting there would throw the root away.
     """
     hi = float(np.min(g))
     tol = 1e-15 * (hi - lo)
@@ -209,7 +227,7 @@ def _min_eigpair(g: np.ndarray, h: np.ndarray, lo: float) -> tuple[float, np.nda
         else:
             hi = lam
         lam_next = lam + kappa * (1.0 - kappa) / max(float(np.sum(np.abs(vec) ** 2)), 1e-300)
-        if not lo < lam_next < hi:
+        if lam_next != lam and not lo < lam_next < hi:
             lam_next = 0.5 * (lo + hi)
         done = abs(lam_next - lam) <= tol
         lam = lam_next

@@ -118,7 +118,12 @@ def run_optimize(cfg: ExperimentConfig, out_dir: str | Path,
 
 def run_beampattern(cfg: ExperimentConfig, out_dir: str | Path,
                     threads: int = 1) -> Path:
-    """Evaluate the grid for a previously optimized covariance and shape."""
+    """Evaluate the grid for a previously optimized covariance and shape.
+
+    Before any grid work, an artifact that cannot be parsed raises OSError
+    and one whose size does not fit the config's geometry raises
+    ConfigError; both messages name the file.
+    """
     _check_threads(threads)
     out = Path(out_dir)
     cov_path = out / "covariance.csv"
@@ -127,9 +132,18 @@ def run_beampattern(cfg: ExperimentConfig, out_dir: str | Path,
         if not path.exists():
             raise MissingInputError(
                 f"{path} not found; run the optimize command into this directory first")
-    r = read_covariance_csv(cov_path)
-    shape = SurfaceShape(read_shape_csv(shape_path))
+    try:
+        r = read_covariance_csv(cov_path)
+        shape = SurfaceShape(read_shape_csv(shape_path))
+    except ValueError as exc:
+        raise OSError(f"unreadable artifact {exc}") from exc
     geom = cfg.build_geometry()
+    n = geom.n_elements
+    for path, got, want in ((cov_path, r.shape, (n, n)),
+                            (shape_path, shape.displacements.shape, (n,))):
+        if got != want:
+            raise ConfigError(f"{path} has shape {got}, but the config's geometry "
+                              f"({n} elements) needs {want}")
     axis = np.linspace(0.0, np.pi, cfg.output.grid_points)
     grid = evaluate_beampattern(r, geom, shape, axis, axis.copy())
     dest = out / "beampattern.csv"

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import loop_beampattern_mw
+from conftest import desk_targets, loop_beampattern_mw
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.beampattern import (
     BeampatternGrid,
@@ -14,6 +14,7 @@ from morphbeam.beampattern import (
 )
 from morphbeam.covariance import ConstraintKind, CovarianceMatrix, solve_per_antenna_sdp
 from morphbeam.objective import cumulated_power
+from morphbeam.units import DBM_FLOOR
 
 
 # the config's default grid (output.grid_points): 181 points over [0, pi]
@@ -119,6 +120,52 @@ def test_grid_matches_per_direction_loop():
     grid = evaluate_beampattern(r, geom, shape, t_axis, p_axis)
     want = loop_beampattern_mw(r, geom, shape, t_axis, p_axis)
     np.testing.assert_allclose(10.0 ** (grid.power_dbm / 10.0), want, rtol=1e-12)
+
+
+def _covariance_of_kind(kind, geom, shape, rng):
+    "A covariance of the named kind, and how many eigenpairs it has above rounding."
+    n = geom.n_elements
+    if kind == "rank-1":
+        w = np.sqrt(10.0 / n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        return np.outer(w, w.conj()), 1
+    if kind == "rank-3":
+        v = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        return v @ v.conj().T, 3
+    if kind == "interior-point":
+        # the desk targets at a seeded shape need the fallback, whose R = V V^H + Diag(d)
+        a = response_matrix(geom, desk_targets(), shape).a
+        cov, report = solve_per_antenna_sdp(a, p_t=10.0)
+        assert report.iterations > 0
+        return cov.r, n
+    if kind == "indefinite":
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return g + g.conj().T, n
+    return np.zeros((n, n), dtype=complex), 0
+
+
+@pytest.mark.parametrize("kind", ["rank-1", "rank-3", "interior-point", "indefinite", "zero"])
+def test_grid_matches_direct_quadratic_forms(kind):
+    # The grid runs on R's eigenpairs above N eps max|lam|; against the
+    # per-direction Re(a^H R a) it may differ by rounding only, and where
+    # that form is not positive the grid sits at the dBm floor.
+    rng = np.random.default_rng(4)
+    geom = make_geom(d_max=0.4)
+    shape = SurfaceShape(rng.uniform(-0.4, 0.4, geom.n_elements))
+    r, rank = _covariance_of_kind(kind, geom, shape, rng)
+    lam = np.linalg.eigvalsh(r)
+    rounding = geom.n_elements * np.finfo(float).eps * np.max(np.abs(lam), initial=0.0)
+    assert np.sum(np.abs(lam) > rounding) == rank
+    assert (kind == "indefinite") == bool(lam[0] < -1e-9 * lam[-1])
+    t_axis, p_axis = np.linspace(0.0, np.pi, 23), np.linspace(0.0, np.pi, 19)
+    grid = evaluate_beampattern(r, geom, shape, t_axis, p_axis)
+    want = loop_beampattern_mw(r, geom, shape, t_axis, p_axis)
+    got = np.where(grid.power_dbm == DBM_FLOOR, 0.0, 10.0 ** (grid.power_dbm / 10.0))
+    if kind == "zero":
+        assert np.all(grid.power_dbm == DBM_FLOOR)
+        return
+    peak = float(got.max())
+    assert peak > 0.0
+    np.testing.assert_array_less(np.abs(got - np.maximum(want, 0.0)), 1e-12 * peak)
 
 
 def test_grid_memory_stays_bounded_at_n400():

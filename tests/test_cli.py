@@ -32,6 +32,7 @@ from morphbeam.results import (
     read_beampattern_csv,
     read_covariance_csv,
     read_shape_csv,
+    write_covariance_csv,
 )
 from morphbeam.units import dbm_to_mw, mw_to_dbm
 
@@ -323,6 +324,50 @@ def test_cli_beampattern_before_optimize(tmp_path, capsys):
     rc = main(["beampattern", "--config", str(path), "--out", str(out)])
     assert rc == 4
     assert "missing input" in capsys.readouterr().err
+
+
+def _grid_must_not_run(*args, **kwargs):
+    raise AssertionError("the grid ran on a bad artifact")
+
+
+def test_cli_beampattern_unreadable_artifact_is_io_error(tmp_path, capsys, monkeypatch):
+    # A covariance.csv that does not parse is an I/O problem (exit 4), not a
+    # solver failure, and it is reported before any grid work.
+    path = write_config(tmp_path, tiny_config_dict())
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    cov = out / "covariance.csv"
+    lines = cov.read_text().splitlines()
+    cov.write_text("\n".join([lines[0]] + [",".join(ln.split(",")[:3]) for ln in lines[1:]]))
+    monkeypatch.setattr("morphbeam.experiments.evaluate_beampattern", _grid_must_not_run)
+    rc = main(["beampattern", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "covariance.csv" in err and "solver failure" not in err
+    assert not (out / "beampattern.csv").exists()
+
+
+@pytest.mark.parametrize("artifact", ["covariance.csv", "shape.csv"])
+def test_cli_beampattern_artifact_that_does_not_fit_is_config_error(tmp_path, capsys,
+                                                                    monkeypatch, artifact):
+    # Artifacts of a 2x2 run under a 3x3 config do not fit its geometry:
+    # a configuration error (exit 2) that names the file, before any grid work.
+    small = write_config(tmp_path, tiny_config_dict(), name="small.json")
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", str(small), "--out", str(out)]) == 0
+    capsys.readouterr()
+    if artifact == "shape.csv":
+        # keep a covariance that fits, so only the shape is the wrong size
+        r = np.eye(9, dtype=complex) * dbm_to_mw(10.0) / 9
+        write_covariance_csv(out / "covariance.csv", r)
+    large = write_config(tmp_path, small_config_dict(n=3), name="large.json")
+    monkeypatch.setattr("morphbeam.experiments.evaluate_beampattern", _grid_must_not_run)
+    rc = main(["beampattern", "--config", str(large), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and artifact in err
+    assert not (out / "beampattern.csv").exists()
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+import morphbeam.covariance as covariance
 from conftest import DESK_P_T_MW, desk_geometry, desk_targets, rank_profile
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.covariance import (
@@ -14,6 +15,7 @@ from morphbeam.covariance import (
     ConstraintKind,
     CovarianceMatrix,
     _min_eigpair,
+    _newton_step,
     randomize_rank1,
     solve_per_antenna_sdp,
 )
@@ -329,6 +331,70 @@ class TestRank1FastPath:
             assert lam == pytest.approx(expected, rel=1e-9, abs=1e-12 * float(np.max(g)))
             vec = vec / np.linalg.norm(vec)
             assert np.linalg.norm(m @ vec - lam * vec) <= 1e-9 * np.linalg.norm(m, 2)
+
+
+    def test_min_eigpair_stops_on_an_exact_root(self, monkeypatch):
+        # On the desk zero-shape solve one barrier stage's secular solve lands
+        # on kappa == 1 exactly. Bisecting away from that root and crawling
+        # back took 45 iterations; each iteration runs one r x r eigh, so
+        # counting eigh calls per secular solve bounds its iterations.
+        eigh_calls = [0]
+        per_solve = []
+        eigh = np.linalg.eigh
+        min_eigpair = covariance._min_eigpair
+
+        def counting_eigh(x, *args, **kwargs):
+            eigh_calls[0] += 1
+            return eigh(x, *args, **kwargs)
+
+        def counted(g, h, lo):
+            start = eigh_calls[0]
+            out = min_eigpair(g, h, lo)
+            per_solve.append(eigh_calls[0] - start)
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(covariance, "_min_eigpair", counted)
+        for a in _fast_path_panel():
+            _, report = solve_per_antenna_sdp(a, 3.0)
+            assert report.converged
+        assert len(per_solve) > 100
+        assert max(per_solve) <= 12, sorted(per_solve)[-5:]
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("n, r", [(20, 3), (9, 2), (9, 3), (6, 4), (1, 1)])
+    def test_both_sides_solve_the_dense_system(self, n, r):
+        # r^2 < N goes through Woodbury on the N x r^2 factor Z, r^2 >= N
+        # through the N x N Hessian; both solve |Diag(1/y) + W W^H|^2 dy = -grad.
+        rng = np.random.default_rng(16)
+        y = rng.uniform(0.5, 2.0, n)
+        w = random_a(n, r, rng)
+        grad = rng.standard_normal(n)
+        hessian = np.abs(np.diag(1.0 / y) + w @ w.conj().T) ** 2
+        want = np.linalg.solve(hessian, -grad)
+        got = _newton_step(y, w, np.sum(np.abs(w) ** 2, axis=1), grad)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.linalg.norm(want))
+
+    def test_k_above_n_certificate_and_exact_diagonal(self):
+        # K >= N makes the factor F full rank (r = N), so every Newton step
+        # takes the N x N side; the certificate and the diagonal must hold.
+        rng = np.random.default_rng(7)
+        n, p_t = 36, 2.0
+        a = random_a(n, 40, rng)
+        b = gram(a)
+        cov, report = solve_per_antenna_sdp(a, p_t)
+        assert report.iterations > 0
+        assert report.converged
+        assert report.relative_gap <= DEFAULT_SDP_TOL
+        assert report.objective <= report.dual_bound
+        assert report.objective == pytest.approx(
+            float(np.real(np.sum(cov.r * b.T))), rel=1e-9)
+        np.testing.assert_allclose(np.real(np.diag(cov.r)), p_t / n, rtol=1e-12)
+        cov.validate()
+        # the scaled identity is feasible, and no feasible R beats p_t lambda_max(B)
+        assert report.objective >= p_t / n * float(np.real(np.trace(b)))
+        assert report.dual_bound <= p_t * float(np.linalg.eigvalsh(b)[-1]) * (1.0 + 2e-6)
 
 
 class TestRandomizeRank1:
