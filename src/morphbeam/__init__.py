@@ -23,6 +23,7 @@ from .bcd import (
 )
 from .beampattern import (
     BeampatternGrid,
+    CovarianceFactor,
     evaluate_beampattern,
     target_powers,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "BenchmarkResult",
     "ConfigError",
     "ConstraintKind",
+    "CovarianceFactor",
     "CovarianceMatrix",
     "ExperimentConfig",
     "InitScheme",

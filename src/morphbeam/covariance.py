@@ -62,7 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .objective import _check_covariance, column_powers
+from .objective import _check_covariance, _check_psd, column_powers
 
 logger = logging.getLogger(__name__)
 
@@ -104,10 +104,7 @@ class CovarianceMatrix:
         "Raise ValueError if any covariance invariant is violated."
         n = self.n_elements
         r = _check_covariance(self.r, n)
-        eigvals = np.linalg.eigvalsh(r)
-        lam_max = max(float(eigvals[-1]), 1e-300)
-        if float(eigvals[0]) < -1e-8 * lam_max:
-            raise ValueError(f"not PSD: smallest eigenvalue {eigvals[0]:g}")
+        _check_psd(np.linalg.eigvalsh(r))
         target = self.power_budget / n
         err = float(np.max(np.abs(np.real(np.diag(r)) - target)))
         if err > _DIAG_REL_TOL * target:

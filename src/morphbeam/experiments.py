@@ -19,7 +19,7 @@ import numpy as np
 
 from .array_model import ArrayGeometry, SurfaceShape
 from .bcd import BenchmarkResult, Scheme, solve_benchmark
-from .beampattern import evaluate_beampattern, target_powers
+from .beampattern import CovarianceFactor, evaluate_beampattern, target_powers
 from .config import ConfigError, ExperimentConfig
 from .results import (
     ResultRecord,
@@ -120,9 +120,13 @@ def run_beampattern(cfg: ExperimentConfig, out_dir: str | Path,
                     threads: int = 1) -> Path:
     """Evaluate the grid for a previously optimized covariance and shape.
 
-    Before any grid work, an artifact that cannot be parsed raises OSError
-    and one whose size does not fit the config's geometry raises
-    ConfigError; both messages name the file.
+    The grid is swept on the factor G that ``covariance.csv`` stores
+    (R = G G^H), so no N x N matrix is read, formed or factored. Before any
+    grid work, an artifact that cannot be parsed (including a non-finite
+    entry, or a ``covariance.csv`` of artifact version 3, which held R's
+    entries) raises OSError, and one that does not fit the config's geometry
+    (a size mismatch, or a displacement outside d_max) raises ConfigError;
+    both messages name the file.
     """
     _check_threads(threads)
     out = Path(out_dir)
@@ -133,19 +137,22 @@ def run_beampattern(cfg: ExperimentConfig, out_dir: str | Path,
             raise MissingInputError(
                 f"{path} not found; run the optimize command into this directory first")
     try:
-        r = read_covariance_csv(cov_path)
+        g = read_covariance_csv(cov_path)
         shape = SurfaceShape(read_shape_csv(shape_path))
     except ValueError as exc:
         raise OSError(f"unreadable artifact {exc}") from exc
     geom = cfg.build_geometry()
     n = geom.n_elements
-    for path, got, want in ((cov_path, r.shape, (n, n)),
-                            (shape_path, shape.displacements.shape, (n,))):
-        if got != want:
-            raise ConfigError(f"{path} has shape {got}, but the config's geometry "
-                              f"({n} elements) needs {want}")
+    for path, got in ((cov_path, g.shape[0]), (shape_path, shape.displacements.size)):
+        if got != n:
+            raise ConfigError(f"{path} has {got} elements, but the config's geometry "
+                              f"has {n}")
+    try:
+        shape.validate(geom)
+    except ValueError as exc:
+        raise ConfigError(f"{shape_path}: {exc}") from exc
     axis = np.linspace(0.0, np.pi, cfg.output.grid_points)
-    grid = evaluate_beampattern(r, geom, shape, axis, axis.copy())
+    grid = evaluate_beampattern(CovarianceFactor(g), geom, shape, axis, axis.copy())
     dest = out / "beampattern.csv"
     write_beampattern_csv(dest, grid)
     return dest

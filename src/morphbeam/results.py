@@ -6,10 +6,17 @@ Python's shortest round-trip representation, which makes re-parsed values
 bit-equal to what was computed. The files are what ``csv.writer`` writes:
 comma-separated, CRLF line ends, no quoting of numbers.
 
+``covariance.csv`` holds a factor G of the covariance, R = G G^H, with one
+column per eigenpair of R above rounding (:func:`covariance_factor`), not
+R's N^2 entries: a rank-1 optimum is N rows. Its header differs from the
+``row,col,re,im`` of artifact version 3, so an old file of R's entries is
+rejected instead of being read as G.
+
 The readers check the header, parse the body with ``np.loadtxt`` and raise
-ValueError naming the file for an empty body, a negative, fractional or
-out-of-range index, a duplicate entry, or entries that do not cover the
-matrix, vector or grid exactly once.
+ValueError naming the file for an empty body, a NaN entry, a negative,
+fractional or out-of-range index, a duplicate entry, or entries that do not
+cover the matrix, vector or grid exactly once. The covariance reader also
+rejects an infinite entry of G.
 """
 
 from __future__ import annotations
@@ -23,14 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .beampattern import BeampatternGrid
+from .beampattern import BeampatternGrid, _eigenpairs
+from .objective import _check_covariance, _check_psd
 
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 
 # fields excluded from the canonical form compared across reruns
 _VOLATILE_FIELDS = ("wall_time_seconds",)
 
-COVARIANCE_HEADER = ["row", "col", "re", "im"]
+COVARIANCE_HEADER = ["element", "column", "re", "im"]
 SHAPE_HEADER = ["element", "displacement_wavelengths"]
 BEAMPATTERN_HEADER = ["theta_deg", "phi_deg", "power_dbm"]
 SWEEP_POWER_HEADER = ["p_t_dbm", "scheme", "cumulated_mw", "cumulated_dbm"]
@@ -113,6 +121,10 @@ def _read_body(path: str | Path, expected_header: list[str]) -> np.ndarray:
     if body.shape[1] != len(expected_header):
         raise ValueError(f"{path}: expected {len(expected_header)} columns, "
                          f"got {body.shape[1]}")
+    nan = np.isnan(body)
+    if np.any(nan):                 # NaN compares false against every later check
+        row, col = np.argwhere(nan)[0]
+        raise ValueError(f"{path}: data row {row + 1} has a nan {expected_header[col]}")
     return body
 
 
@@ -138,29 +150,50 @@ def _check_cover(path, flat: np.ndarray, size: int, label) -> None:
         raise ValueError(f"{path}: duplicate entry {label(np.argmax(counts > 1))}")
 
 
-def write_covariance_csv(path: str | Path, r: np.ndarray) -> None:
-    "Complex matrix as (row, col, re, im) tuples, row-major."
+def covariance_factor(r: np.ndarray) -> np.ndarray:
+    """The N x k factor G = U_k sqrt(lam_k), R = G G^H, that ``covariance.csv`` stores.
+
+    R must be a finite Hermitian N x N matrix that passes
+    ``CovarianceMatrix.validate``'s PSD test, and nonzero; otherwise
+    ValueError. Its Hermitian part is factored once by ``eigh``, and the
+    eigenpairs with lam > N eps max|lam| are kept, the same cut the grid
+    applies to a dense R. A certified rank-1 optimum gives k = 1.
+    """
     r = np.asarray(r, dtype=complex)
     if r.ndim != 2:
         raise ValueError(f"covariance must be a matrix, got shape {r.shape}")
+    lam, u = _eigenpairs(_check_covariance(r, r.shape[0]))
+    if lam.size == 0:
+        raise ValueError("covariance is zero")
+    _check_psd(lam)
+    pos = lam > 0.0
+    return u[:, pos] * np.sqrt(lam[pos])
+
+
+def write_covariance_csv(path: str | Path, r: np.ndarray) -> None:
+    "R's factor G (:func:`covariance_factor`) as (element, column, re, im) tuples, row-major."
+    g = covariance_factor(r)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(COVARIANCE_HEADER) + "\r\n")
-        for i, row in enumerate(r):
+        for i, row in enumerate(g):
             fh.writelines(f"{i},{j},{x!r},{y!r}\r\n"
                           for j, (x, y) in enumerate(zip(row.real.tolist(), row.imag.tolist())))
 
 
 def read_covariance_csv(path: str | Path) -> np.ndarray:
+    "The N x k factor G of ``covariance.csv``, R = G G^H."
     body = _read_body(path, COVARIANCE_HEADER)
-    rows = _index_column(path, body[:, 0], "row", body.shape[0])
-    cols = _index_column(path, body[:, 1], "col", body.shape[0])
+    if not np.all(np.isfinite(body[:, 2:])):
+        raise ValueError(f"{path}: covariance factor has an infinite entry")
+    rows = _index_column(path, body[:, 0], "element", body.shape[0])
+    cols = _index_column(path, body[:, 1], "column", body.shape[0])
     n, m = int(rows.max()) + 1, int(cols.max()) + 1
     flat = rows * m + cols
     _check_cover(path, flat, n * m, lambda f: divmod(int(f), m))
-    r = np.empty(n * m, dtype=complex)
-    r.real[flat] = body[:, 2]       # real and imaginary parts set apart keep -0.0
-    r.imag[flat] = body[:, 3]
-    return r.reshape(n, m)
+    g = np.empty(n * m, dtype=complex)
+    g.real[flat] = body[:, 2]       # real and imaginary parts set apart keep -0.0
+    g.imag[flat] = body[:, 3]
+    return g.reshape(n, m)
 
 
 def write_shape_csv(path: str | Path, displacements: np.ndarray) -> None:

@@ -9,11 +9,13 @@ from conftest import desk_targets, loop_beampattern_mw
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.beampattern import (
     BeampatternGrid,
+    CovarianceFactor,
     evaluate_beampattern,
     target_powers,
 )
 from morphbeam.covariance import ConstraintKind, CovarianceMatrix, solve_per_antenna_sdp
 from morphbeam.objective import cumulated_power
+from morphbeam.results import read_covariance_csv, write_covariance_csv
 from morphbeam.units import DBM_FLOOR
 
 
@@ -166,6 +168,34 @@ def test_grid_matches_direct_quadratic_forms(kind):
     peak = float(got.max())
     assert peak > 0.0
     np.testing.assert_array_less(np.abs(got - np.maximum(want, 0.0)), 1e-12 * peak)
+
+
+@pytest.mark.parametrize("kind", ["rank-1", "rank-3", "interior-point"])
+def test_grid_on_stored_factor_matches_grid_on_its_product(kind, tmp_path):
+    # covariance.csv stores G with R = G G^H; the grid swept on G (lam = 1,
+    # no eigh) agrees with the grid on the dense product to rounding.
+    rng = np.random.default_rng(6)
+    geom = make_geom(d_max=0.4)
+    shape = SurfaceShape(rng.uniform(-0.4, 0.4, geom.n_elements))
+    r, rank = _covariance_of_kind(kind, geom, shape, rng)
+    write_covariance_csv(tmp_path / "cov.csv", r)
+    g = read_covariance_csv(tmp_path / "cov.csv")
+    assert g.shape == (geom.n_elements, rank)
+    t_axis, p_axis = np.linspace(0.0, np.pi, 23), np.linspace(0.0, np.pi, 19)
+    on_g = evaluate_beampattern(CovarianceFactor(g), geom, shape, t_axis, p_axis)
+    on_r = evaluate_beampattern(g @ g.conj().T, geom, shape, t_axis, p_axis)
+    got, want = 10.0 ** (on_g.power_dbm / 10.0), 10.0 ** (on_r.power_dbm / 10.0)
+    np.testing.assert_array_less(np.abs(got - want), 1e-12 * want.max())
+
+
+def test_factor_must_fit_the_geometry():
+    geom = make_geom(n=2)
+    shape = SurfaceShape.zero(geom)
+    with pytest.raises(ValueError, match="rows"):
+        evaluate_beampattern(CovarianceFactor(np.ones((3, 1))), geom, shape, AXIS, AXIS)
+    for bad in (np.ones(4), np.ones((4, 0)), np.full((4, 1), np.inf)):
+        with pytest.raises(ValueError, match="covariance factor"):
+            CovarianceFactor(bad)
 
 
 def test_grid_memory_stays_bounded_at_n400():

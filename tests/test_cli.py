@@ -14,7 +14,7 @@ import pytest
 
 from morphbeam.array_model import SurfaceShape
 from morphbeam.bcd import Scheme
-from morphbeam.beampattern import target_powers
+from morphbeam.beampattern import evaluate_beampattern, target_powers
 from morphbeam.cli import main
 from morphbeam.config import ExperimentConfig
 from morphbeam.covariance import DEFAULT_SDP_TOL, solve_per_antenna_sdp
@@ -33,6 +33,7 @@ from morphbeam.results import (
     read_covariance_csv,
     read_shape_csv,
     write_covariance_csv,
+    write_shape_csv,
 )
 from morphbeam.units import dbm_to_mw, mw_to_dbm
 
@@ -83,7 +84,8 @@ def test_run_optimize_artifacts_are_self_consistent(tmp_path):
         assert (tmp_path / name).exists()
     assert ResultRecord.load(tmp_path / "record.json") == record
 
-    r = read_covariance_csv(tmp_path / "covariance.csv")
+    g = read_covariance_csv(tmp_path / "covariance.csv")
+    r = g @ g.conj().T                  # covariance.csv stores a factor, R = G G^H
     shape = SurfaceShape(read_shape_csv(tmp_path / "shape.csv"))
     geom = cfg.build_geometry()
     per_dbm, cum_mw, min_dbm = target_powers(r, geom, cfg.build_targets(), shape)
@@ -122,7 +124,7 @@ def test_record_shows_unconverged_sdp(tmp_path, monkeypatch, scheme):
     assert record.max_sdp_gap > DEFAULT_SDP_TOL
     saved = json.loads((tmp_path / "record.json").read_text())
     assert saved["sdp_all_converged"] is False
-    assert saved["artifact_version"] == 3
+    assert saved["artifact_version"] == 4
     # one stop per outer of the kept start; zeros for the rigid scheme
     stops = saved["ascent_stops"]
     assert sorted(stops) == ["gradient_tol", "max_iters", "step_floor"]
@@ -346,6 +348,66 @@ def test_cli_beampattern_unreadable_artifact_is_io_error(tmp_path, capsys, monke
     assert rc == 4
     assert "covariance.csv" in err and "solver failure" not in err
     assert not (out / "beampattern.csv").exists()
+
+
+def _set_line(k, text):
+    "An edit of an artifact's lines that replaces line ``k`` (0 is the header) by text(line)."
+    def edit(lines):
+        lines[k] = text(lines[k])
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, rc, reason", [
+    # a non-finite entry of the factor makes the artifact unreadable
+    ("covariance.csv", _set_line(1, lambda ln: ln.rsplit(",", 2)[0] + ",nan,0.0"), 4,
+     "nan re"),
+    # artifact version 3 stored R's entries under this header; read as G they
+    # would give a grid of R^2 without an error
+    ("covariance.csv", _set_line(0, lambda ln: "row,col,re,im"), 4, "expected header"),
+    # a displacement outside d_max does not fit the config's geometry
+    ("shape.csv", _set_line(1, lambda ln: ln.split(",")[0] + ",7.5"), 2,
+     "exceeds morphing limit"),
+], ids=["nan-factor", "version-3-header", "shape-outside-d-max"])
+def test_cli_beampattern_rejects_an_edited_artifact(tmp_path, capsys, monkeypatch,
+                                                    name, edit, rc, reason):
+    path = write_config(tmp_path, tiny_config_dict())
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = edit((out / name).read_text().splitlines())
+    (out / name).write_text("\r\n".join(lines) + "\r\n")
+    monkeypatch.setattr("morphbeam.experiments.evaluate_beampattern", _grid_must_not_run)
+    assert main(["beampattern", "--config", str(path), "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    assert name in err and reason in err and "solver failure" not in err
+    assert not (out / "beampattern.csv").exists()
+
+
+def test_run_beampattern_runs_no_eigh_on_a_rank1_artifact(tmp_path, monkeypatch):
+    # The grid sweeps the stored factor: on a rank-1 N = 400 artifact nothing
+    # factors an N x N matrix, and the grid matches the one on R = G G^H.
+    raw = small_config_dict(n=20, grid=31)
+    cfg = ExperimentConfig.from_dict(raw)
+    geom = cfg.build_geometry()
+    rng = np.random.default_rng(5)
+    w = np.sqrt(dbm_to_mw(10.0) / 400) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 400))
+    r = np.outer(w, w.conj())
+    write_covariance_csv(tmp_path / "covariance.csv", r)
+    shape = SurfaceShape(rng.uniform(-0.5, 0.5, 400))
+    write_shape_csv(tmp_path / "shape.csv", shape.displacements)
+    assert read_covariance_csv(tmp_path / "covariance.csv").shape == (400, 1)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran during the beampattern command")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    grid = read_beampattern_csv(run_beampattern(cfg, tmp_path))
+    monkeypatch.undo()
+    axis = np.linspace(0.0, np.pi, 31)
+    want = evaluate_beampattern(r, geom, shape, axis, axis)
+    mw, want_mw = 10.0 ** (grid.power_dbm / 10.0), 10.0 ** (want.power_dbm / 10.0)
+    np.testing.assert_array_less(np.abs(mw - want_mw), 1e-12 * want_mw.max())
 
 
 @pytest.mark.parametrize("artifact", ["covariance.csv", "shape.csv"])

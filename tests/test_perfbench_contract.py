@@ -105,3 +105,19 @@ def test_pattern_io_workload_pass_passes_its_check(workloads, tmp_path):
     wl = workloads.PatternIO(0, tmp_path)
     wl.run_pass()
     assert len(wl.check()) == wl.instances == 2
+
+
+def test_traced_pattern_io_pass_reads_the_factor_and_times_the_grid(tracing, workloads,
+                                                                    tmp_path):
+    # The tracer counts read_covariance_csv's result by its ``.size`` and
+    # takes the grid's geometry from evaluate_beampattern's second argument;
+    # a traced pass breaks if either contract does.
+    wl = workloads.PatternIO(0, tmp_path)
+    tracer = tracing.Tracer()
+    with tracer.traced_pass(1):
+        wl.run_pass()
+    assert tracer.absent == {}
+    metrics = tracer.pass_metrics()
+    for name in ("results.read_s", "results.rows", "beampattern.grid_s"):
+        assert metrics[name] > 0, name
+    assert len(wl.check()) == wl.instances == 2

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,6 +19,7 @@ from morphbeam.results import (
     SWEEP_POWER_HEADER,
     SWEEP_RANGE_HEADER,
     ResultRecord,
+    covariance_factor,
     read_beampattern_csv,
     read_covariance_csv,
     read_shape_csv,
@@ -84,7 +85,8 @@ class TestCsvRoundTrips:
         write_covariance_csv(path, r)
         assert path.read_text().splitlines()[0] == ",".join(COVARIANCE_HEADER)
         back = read_covariance_csv(path)
-        np.testing.assert_array_equal(back, r)   # str() round-trips doubles
+        np.testing.assert_array_equal(back, covariance_factor(r))   # repr round-trips doubles
+        assert np.linalg.norm(back @ back.conj().T - r) <= 1e-12 * np.linalg.norm(r)
 
     def test_shape_exact(self, tmp_path):
         d = np.array([0.0, -0.25, 0.3333333333333333, 1e-17])
@@ -149,16 +151,21 @@ def csv_writer_bytes(header, rows):
 class TestWriterBytes:
     @pytest.mark.parametrize("shape", [(3, 5), (5, 2), (1, 1)])
     def test_covariance_bytes_unchanged(self, tmp_path, shape):
+        # R = B B^H is square PSD, with B of the given shape drawn from doubles
+        # whose products stay finite and normal; the file holds R's factor G
         rng = np.random.default_rng(sum(shape))
-        r = np.empty(shape, dtype=complex)
-        r.real = rng.choice(EDGE_VALUES, shape)
-        r.imag = rng.choice(EDGE_VALUES, shape)
+        values = np.array([1.0 / 3.0, -1e-17, 123456789.0, -2.5])
+        b = np.empty(shape, dtype=complex)
+        b.real = rng.choice(values, shape)
+        b.imag = rng.choice(values, shape)
+        r = b @ b.conj().T
         for m in (r, r.real.copy()):
             path = tmp_path / "cov.csv"
             write_covariance_csv(path, m)
+            g = covariance_factor(m)
             want = csv_writer_bytes(COVARIANCE_HEADER, (
-                (i, j, float(m[i, j].real), float(m[i, j].imag))
-                for i in range(shape[0]) for j in range(shape[1])))
+                (i, j, float(g[i, j].real), float(g[i, j].imag))
+                for i in range(g.shape[0]) for j in range(g.shape[1])))
             assert path.read_bytes() == want
 
     def test_beampattern_bytes_unchanged(self, tmp_path):
@@ -176,27 +183,52 @@ class TestWriterBytes:
         assert path.read_bytes() == want
 
 
+class TestCovarianceWriterRejects:
+    # What the writer cannot store as R = G G^H is refused before a file is made.
+    @pytest.mark.parametrize("r, reason", [
+        (np.eye(3, 4), r"expected \(3, 3\)"),
+        (np.ones(3), "matrix"),
+        (np.array([[1.0, 0.5j], [0.5j, 1.0]]), "Hermitian"),
+        (np.diag([1.0, np.nan, 1.0]), "non-finite"),
+        (np.diag([1.0, 1.0, -1e-3]), "not PSD"),
+        (np.zeros((3, 3)), "zero"),
+    ], ids=["non-square", "vector", "non-hermitian", "non-finite", "indefinite", "zero"])
+    def test_rejected(self, tmp_path, r, reason):
+        path = tmp_path / "cov.csv"
+        with pytest.raises(ValueError, match=reason):
+            write_covariance_csv(path, r)
+        assert not path.exists()
+
+    def test_psd_rounding_is_accepted_and_not_stored(self):
+        # -1e-9 lam_max passes the PSD test; only the positive eigenpairs are stored
+        g = covariance_factor(np.diag([1.0, 0.5, -1e-9]))
+        assert g.shape == (3, 2)
+        np.testing.assert_allclose(g @ g.conj().T, np.diag([1.0, 0.5, 0.0]), atol=1e-15)
+
+
 def bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
 @st.composite
-def complex_matrices(draw):
+def psd_matrices(draw):
+    "R = B B^H for a finite, nonzero complex B whose products stay finite and normal."
     shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
-    parts = [draw(hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=False)))
-             for _ in range(2)]
-    r = np.empty(shape, dtype=complex)
-    r.real, r.imag = parts
-    return r
+    entries = st.floats(-1e100, 1e100, allow_subnormal=False)
+    parts = [draw(hnp.arrays(np.float64, shape, elements=entries)) for _ in range(2)]
+    b = np.empty(shape, dtype=complex)
+    b.real, b.imag = parts
+    assume(np.max(np.abs(b)) > 1e-100)
+    return b @ b.conj().T
 
 
 class TestRoundTripBits:
     @settings(max_examples=60, deadline=None)
-    @given(r=complex_matrices())
+    @given(r=psd_matrices())
     def test_covariance(self, tmp_path_factory, r):
         path = tmp_path_factory.mktemp("cov") / "cov.csv"
         write_covariance_csv(path, r)
-        np.testing.assert_array_equal(bits(read_covariance_csv(path)), bits(r))
+        np.testing.assert_array_equal(bits(read_covariance_csv(path)), bits(covariance_factor(r)))
 
     @settings(max_examples=60, deadline=None)
     @given(d=hnp.arrays(np.float64, st.integers(1, 12), elements=st.floats(allow_nan=False)))
@@ -275,6 +307,25 @@ class TestReadersRejectBadEntries:
         path = write_body(tmp_path / "bp.csv", BEAMPATTERN_HEADER, lines)
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
             read_beampattern_csv(path)
+
+    @pytest.mark.parametrize("reader, header, lines, reason", [
+        (read_covariance_csv, COVARIANCE_HEADER, COVARIANCE_ROWS[:3] + ["1,1,nan,0.0"],
+         "row 4 has a nan re"),
+        (read_shape_csv, SHAPE_HEADER, SHAPE_ROWS[:2] + ["2,nan"],
+         "row 3 has a nan displacement_wavelengths"),
+        (read_beampattern_csv, BEAMPATTERN_HEADER, BEAMPATTERN_ROWS[:5] + ["90.0,90.0,nan"],
+         "row 6 has a nan power_dbm"),
+    ], ids=["covariance", "shape", "beampattern"])
+    def test_nan_entry(self, tmp_path, reader, header, lines, reason):
+        path = write_body(tmp_path / "f.csv", header, lines)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
+            reader(path)
+
+    def test_infinite_covariance_factor(self, tmp_path):
+        path = write_body(tmp_path / "cov.csv", COVARIANCE_HEADER,
+                          COVARIANCE_ROWS[:3] + ["1,1,2.0,-inf"])
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*infinite"):
+            read_covariance_csv(path)
 
     def test_valid_bodies_load(self, tmp_path):
         r = read_covariance_csv(write_body(tmp_path / "c.csv", COVARIANCE_HEADER,
