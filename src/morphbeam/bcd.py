@@ -117,7 +117,6 @@ class OuterRecord:
     objective_mw: float
     sdp_objective_mw: float
     sdp_iterations: int
-    sdp_power_steps: int
     sdp_converged: bool
     sdp_gap: float
     ascent_iterations: int
@@ -248,7 +247,6 @@ def _run_single_start(
             objective_mw=obj,
             sdp_objective_mw=sdp_obj,
             sdp_iterations=rep.iterations,
-            sdp_power_steps=rep.power_steps,
             sdp_converged=rep.converged,
             sdp_gap=rep.relative_gap,
             ascent_iterations=ascent_trace.n_iters,

@@ -2,55 +2,31 @@
 
 Both take the targets' steering matrix A (N x K); the correlation matrix
 B = A A^H they depend on has rank at most K and is never formed. The
-per-antenna problem
+per-antenna problem max tr(R B) s.t. diag(R) = P_t/N, R >= 0 is solved in
+normalized form (diag(R) = 1, lambda_max(B) = 1), certified through its
+dual min (P_t/N) 1^T y s.t. Diag(y) >= B. The thin SVD of A gives
+B = F F^H + E, where the N x r factor F keeps the singular values whose
+square is above a relative floor (r = K for K targets, r = N when K >= N).
 
-    max tr(R B)   s.t.  diag(R) = P_t / N * 1,  R >= 0
-
-is solved first by a certified rank-1 fast path and otherwise by a
-log-barrier interior-point method on its dual
-
-    min (P_t / N) 1^T y   s.t.  Diag(y) >= B,
-
-using Newton steps on ``t * 1^T y - log det(Diag(y) - B)``. The steps run
-on an N x r factor F of B: the thin SVD A = U Sigma V^H gives B = F F^H + E,
-where F = U Sigma keeps the singular values whose square is above a
-relative floor (r = K for K targets, r = N when K >= N) and E holds the
-rest. With D = Diag(y) and S = D - F F^H:
-
-- ``log det S = sum(log y) + log det(I - F^H D^-1 F)``, so an r x r
-  Cholesky decides feasibility and gives the barrier value;
-- ``S^-1 = D^-1 + W W^H`` with W of size N x r (Woodbury), which gives the
-  gradient ``t - diag(S^-1)``;
-- the barrier Hessian ``|S^-1|^2`` (elementwise) is ``Diag(h) + Z Z^T``
-  with Z of size N x r^2, and the Newton system is solved on its smaller
-  side: by Woodbury on that structure when r^2 < N, otherwise as the
-  N x N Hessian itself.
-
-While r^2 < N no N x N matrix is factorized. On the central path
-``R = S^-1 / t`` has exactly the required diagonal, so the primal is
-recovered for free; off-path iterates are repaired by a diagonal
-congruence that preserves positive semidefiniteness. Each barrier stage
-measures the repaired primal on its N x r factor, and only the best
-stage's R is formed.
-
-The fast path runs the generalized power method w <- exp(j arg(B w)) on
-the unit-modulus vectors from the phases of B's principal eigenvector,
-for at most ``_POWER_CAP`` steps. For any unit-modulus w, y_n =
-Re(conj(w_n) (B w)_n) sums to w^H B w and w^H (Diag(y) - B) w = 0, so
-lambda_min(Diag(y) - B) <= 0 and y - lambda_min 1 is dual feasible. When
-w w^H is the optimum that eigenvalue is 0 and the bound is tight. The
-fast path returns w w^H only when this certificate closes the gap to
-``DEFAULT_SDP_TOL``; otherwise the interior point runs exactly as it would
-without the fast path.
-
-Every dual bound, the fast path's and each barrier stage's, shifts its y
-by lambda_min(Diag(y) - F F^H), a diagonal-minus-rank-r eigenvalue found
-through its r x r secular equation. The eigenvalue is at most 0 on the
-fast path and positive at a barrier iterate, so one bracket, starting at
-min y - ||F||_F^2, serves both. The primal values are measured against A
-itself (tr(R B) is the sum of the column quadratic forms a_k^H R a_k),
-and the shift is reduced by lambda_max(E), so ``(P_t/N) 1^T y`` still
-dominates the optimum for B = A A^H by weak duality.
+- **Power method.** For V with unit rows, V V^H is feasible, and
+  V <- rownorm(B V) never lowers tr(V^H B V): the Burer-Monteiro
+  factorization, every row updated at once as in the mixing method (Wang,
+  Chang and Kolter, arXiv:1706.00476). The rank-1 stage w <- exp(j arg(B w))
+  starts from the phases of B's principal eigenvector. If it cannot
+  certify a unique optimum, a block stage goes on with r columns from
+  rownorm([w, F[:, 1:]]): every optimum has rank at most rank(B) <= r.
+- **Certificate.** y_n = Re(v_n^H (B V)_n) sums to tr(V^H B V), and
+  tr(V^H (Diag(y) - B) V) = 0, so y' = y - lambda_min(Diag(y) - B) 1 is
+  dual feasible, and tight when V V^H is optimal. The eigenvalue comes from
+  the r x r secular equation of Diag(y) - F F^H, lowered by lambda_max(E).
+- **Optimal face.** Every optimum lies in the null space U of the certified
+  slack Diag(y') - F F^H. If U has one column, the optimum is unique and
+  the certified iterate is it. Otherwise the face {U Q U^H : Q >= 0,
+  diag(U Q U^H) = 1} may hold many optima, and the one the power method
+  reaches depends on its start; the solve returns the face's analytic
+  centre (max log det Q), which does not, and which is the limit of the
+  central path of an interior-point method (Halicka, de Klerk and Roos,
+  SIAM J. Optim. 12, 2002).
 """
 
 from __future__ import annotations
@@ -58,7 +34,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,7 +42,11 @@ from .objective import _check_covariance, _check_psd, column_powers
 logger = logging.getLogger(__name__)
 
 DEFAULT_SDP_TOL = 1e-6
-DEFAULT_ITER_CAP = 500
+# Cap on the power steps of one solve, both stages together. The desk
+# fim-mimo runs (d_max 0.25, 0.5 and 1) take at most 2,576 steps. The
+# slowest solve measured, from desk fim-pa at d_max 0.25, certifies at
+# DEFAULT_SDP_TOL after about 4,500 steps and stops here short of _FACE_GAP.
+DEFAULT_ITER_CAP = 10000
 
 # Largest relative deviation of a diagonal entry from P_t / N that
 # ``CovarianceMatrix.validate`` accepts.
@@ -78,10 +57,32 @@ _DIAG_REL_TOL = 1e-8
 # bound pays for them.
 _RANK_FLOOR = 1e-10
 
-# The rank-1 fast path's power iteration stops once its value rises by at
-# most this fraction, or after this many steps.
+# The rank-1 stage stops once its value rises by at most this fraction.
 _POWER_RISE_REL = 1e-14
-_POWER_CAP = 300
+
+# The block stage certifies its iterate every _CHECK_STEPS steps and stops
+# once the gap is at most _FACE_GAP, which puts the face read off the slack,
+# and so R, within about 4 _FACE_GAP of the exact one.
+_CHECK_STEPS = 32
+_FACE_GAP = 1e-10
+
+# Eigenvalues mu of F^H Diag(1/y') F at or above 1 - _FACE_TOL mark the
+# optimal face (1 - mu is the slack's eigenvalue relative to y'). 1 - mu is
+# at most 1.3e-8 on it and at least 1.5e-2 off it on the 120 desk solves,
+# 4e-9 and 1e-4 on the test panel, but 5.9e-7 and 2.2e-5 on solves that
+# stop at the cap; so the face's centre is kept only if it certifies.
+_FACE_TOL = 1e-6
+
+# Singular values of the face's constraint map at or below this fraction of
+# the largest are taken as zero. Measured on the desk and the test panel,
+# they are below 1e-15 or above 0.27.
+_MAP_RANK_REL = 1e-5
+
+# The centre's damped Newton iteration stops once the squared Newton
+# decrement is at most _CENTRE_DECREMENT, or after _CENTRE_STEPS steps; it
+# takes at most 19 on the desk, the test panel and desk fim-pa at d_max 0.25.
+_CENTRE_DECREMENT = 1e-20
+_CENTRE_STEPS = 50
 
 
 class ConstraintKind(str, Enum):
@@ -116,11 +117,10 @@ class SolveReport:
     """Outcome of one covariance solve."""
 
     objective: float                    # certified primal value, mW
-    iterations: int                     # Newton steps of the interior point
+    iterations: int                     # power steps of both stages
     dual_bound: float                   # valid upper bound, mW
     relative_gap: float                 # (dual_bound - objective) / dual_bound
     converged: bool = True
-    power_steps: int = 0                # steps of the rank-1 fast path
 
 
 def _check_power_budget(p_t: float) -> None:
@@ -139,62 +139,6 @@ def _check_a(a) -> np.ndarray:
     if not np.any(a):
         raise ValueError("A is all zero")
     return a
-
-
-def _schur_cholesky(y: np.ndarray, f: np.ndarray) -> np.ndarray | None:
-    """Cholesky factor of I - F^H Diag(y)^{-1} F, or None unless Diag(y) - F F^H > 0.
-
-    Diag(y) - F F^H is positive definite exactly when y > 0 and this r x r
-    Schur complement is.
-    """
-    if float(np.min(y)) <= 0.0:
-        return None
-    g = f / np.sqrt(y)[:, None]
-    try:
-        return np.linalg.cholesky(np.eye(f.shape[1]) - g.conj().T @ g)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _logdet(y: np.ndarray, chol: np.ndarray) -> float:
-    "log det(Diag(y) - F F^H) from the Schur-complement Cholesky factor."
-    return float(np.sum(np.log(y))) + 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
-
-
-def _inverse_factor(y: np.ndarray, f: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    "W (N x r) with (Diag(y) - F F^H)^{-1} = Diag(1/y) + W W^H, by Woodbury."
-    return np.linalg.solve(chol, (f / y[:, None]).conj().T).conj().T
-
-
-@lru_cache(maxsize=None)
-def _pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
-    "Column index pairs a < b of an r-column factor (np.triu_indices, built once per r)."
-    return np.triu_indices(r, 1)
-
-
-def _newton_step(y: np.ndarray, w: np.ndarray, q: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve H dy = -grad for the barrier Hessian H = |S^{-1}|^2 (elementwise).
-
-    With S^{-1} = Diag(1/y) + W W^H and q the squared row norms of W,
-    H = Diag((1/y + 2 q) / y) + Z Z^T, where row n of Z holds |W_na|^2 and
-    the real and imaginary parts of sqrt(2) W_na conj(W_nb) for a < b, so
-    Z has r^2 columns. The system is solved on its smaller side: for
-    r^2 < N by Woodbury through a thin SVD of the scaled Z (O(N r^4)),
-    otherwise by forming the N x N Hessian and solving it directly (O(N^3)).
-    """
-    n, r = w.shape
-    if r * r >= n:
-        s_inv = w @ w.conj().T
-        s_inv[np.diag_indices(n)] += 1.0 / y
-        return np.linalg.solve(np.abs(s_inv) ** 2, -grad)
-    a, c = _pairs(r)
-    cross = np.sqrt(2.0) * w[:, a] * w[:, c].conj()
-    z = np.concatenate([np.abs(w) ** 2, cross.real, cross.imag], axis=1)
-    root_h = np.sqrt((1.0 / y + 2.0 * q) / y)
-    u, sv, _ = np.linalg.svd(z / root_h[:, None], full_matrices=False)
-    g = -grad / root_h
-    sv2 = sv ** 2
-    return (g - u @ ((u.T @ g) * (sv2 / (1.0 + sv2)))) / root_h
 
 
 def _min_eigpair(g: np.ndarray, h: np.ndarray, lo: float) -> tuple[float, np.ndarray]:
@@ -245,41 +189,106 @@ def _dual_bound(y: np.ndarray, f: np.ndarray, dropped: float) -> float:
     return float(np.sum(y)) - y.size * (lam - 1e-12 * max(float(np.max(y)), 1.0) - dropped)
 
 
-def _certified_rank1(
-    an: np.ndarray,
-    f: np.ndarray,
-    dropped: float,
-) -> tuple[np.ndarray | None, int, float, float, float]:
-    """Rank-1 fast path on the normalized problem (diag(R) = 1, B = an an^H).
+def _rownorm(x: np.ndarray) -> np.ndarray:
+    "Rows of x scaled to unit norm, a zero row to e_1; a vector (p = 1) to exp(j arg x)."
+    if x.ndim == 1:
+        return np.exp(1j * np.angle(x))
+    norm = np.linalg.norm(x, axis=1, keepdims=True)
+    x = x / np.where(norm > 0.0, norm, 1.0)
+    x[norm[:, 0] == 0.0, 0] = 1.0
+    return x
 
-    Runs the generalized power method w <- exp(j arg(B w)) from the phases
-    of B's principal eigenvector, then certifies w w^H with the dual point
-    y_n = Re(conj(w_n) (B w)_n), whose sum is w^H B w. Since
-    w^H (Diag(y) - B) w = 0, lambda_min(Diag(y) - B) <= 0, so
-    ``_dual_bound`` raises the sum of y by the least amount that makes it
-    feasible.
 
-    Returns (w, power steps, w^H B w, dual bound, gap); w is None when the
-    gap is above ``DEFAULT_SDP_TOL``, or when y is not positive (there is
-    then no certificate, and the bound and gap are inf).
+def _power_method(an: np.ndarray, w: np.ndarray, cap: int) -> tuple[np.ndarray, int]:
+    """The rank-1 stage w <- exp(j arg(B w)), B = an an^H, for at most ``cap`` steps.
+
+    Stops once w^H B w rises by at most ``_POWER_RISE_REL`` of itself.
+    Returns (w, steps).
     """
-    w = np.exp(1j * np.angle(f[:, 0]))
-    a_w = an.conj().T @ w               # w^H B w = ||A^H w||^2
+    anh = an.conj().T
+    a_w = anh @ w
     value = float(np.real(column_powers(a_w, a_w)))
     steps = 0
-    while steps < _POWER_CAP:
+    while steps < cap:
         steps += 1
-        w = np.exp(1j * np.angle(an @ a_w))
-        a_w = an.conj().T @ w
+        w = _rownorm(an @ a_w)
+        a_w = anh @ w
         prev, value = value, float(np.real(column_powers(a_w, a_w)))
         if value - prev <= _POWER_RISE_REL * value:
             break
-    y = np.real(w.conj() * (an @ a_w))
-    if float(np.min(y)) <= 0.0:
-        return None, steps, value, np.inf, np.inf
+    return w, steps
+
+
+def _value(an: np.ndarray, v: np.ndarray) -> float:
+    "tr(V^H B V) = ||an^H V||_F^2; V may be the rank-1 stage's vector w."
+    a_v = an.conj().T @ v
+    return float(np.real(np.sum(column_powers(a_v, a_v))))
+
+
+def _certify(an, v, f, dropped) -> tuple[float, np.ndarray, float, float]:
+    "tr(V^H B V), the dual point y' of the iterate V (or w), its bound 1^T y' and the gap."
+    n = an.shape[0]
+    value = _value(an, v)
+    y = np.real(np.sum((v.conj() * (an @ (an.conj().T @ v))).reshape(n, -1), axis=1))
     dual = _dual_bound(y, f, dropped)
     gap = (dual - value) / max(abs(dual), 1e-300)
-    return (w if gap <= DEFAULT_SDP_TOL else None), steps, value, dual, gap
+    return value, y + (dual - float(np.sum(y))) / n, dual, gap
+
+
+def _face(y_dual: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Orthonormal basis U of the near-null space of the slack Diag(y') - F F^H.
+
+    For x = Diag(1/y') F c, (Diag(y') - F F^H) x = (1 - mu) Diag(y') x when
+    F^H Diag(1/y') F c = mu c, so the r x r eigenproblem gives that space.
+    """
+    g = f / y_dual[:, None]
+    mu, c = np.linalg.eigh(f.conj().T @ g)
+    return np.linalg.qr(g @ c[:, mu >= 1.0 - _FACE_TOL])[0]
+
+
+def _hermitian_basis(m: int) -> np.ndarray:
+    "An orthonormal basis (Frobenius inner product) of the m x m Hermitian matrices, m^2 x m x m."
+    e = np.eye(m)
+    rows, cols = np.triu_indices(m, 1)
+    pairs = e[rows, :, None] * e[cols, None, :]       # E_kl for k < l
+    flip = pairs.transpose(0, 2, 1)
+    return np.concatenate([e[:, :, None] * e[:, None, :], (pairs + flip) * np.sqrt(0.5),
+                           (pairs - flip) * 1j * np.sqrt(0.5)])
+
+
+def _face_centre(u: np.ndarray) -> np.ndarray | None:
+    """V with unit rows and V V^H the analytic centre of the face of U, or None.
+
+    The centre maximizes log det Q over Hermitian Q with diag(U Q U^H) = 1.
+    In the coordinates of an orthonormal basis E_i of the Hermitian m x m
+    matrices that constraint is a real N x m^2 map M q = 1. Its dual
+    minimizes 1^T mu - log det S over mu, with S = sum_i (M^T mu)_i E_i,
+    and the centre is Q = S^{-1}. Newton's method runs on mu in M's range,
+    mu = L c for the thin SVD M = L Sigma R^T, from c = L^T 1, where
+    S = U^H U = I. Its damped step 1/(1 + decrement) keeps S positive
+    definite (log det is self-concordant). The diagonal congruence that
+    scales the rows of U chol(Q) to unit norm then makes diag(R) exact.
+    None when Q is not numerically positive definite.
+    """
+    basis = _hermitian_basis(u.shape[1])
+    amap = np.real(np.einsum("nk,ikl,nl->ni", u, basis, u.conj()))
+    left, sv, right = np.linalg.svd(amap, full_matrices=False)
+    keep = sv > _MAP_RANK_REL * sv[0]
+    b = np.sum(left[:, keep], axis=0)           # L^T 1
+    to_q = right[keep].T * sv[keep]             # c -> M^T L c
+    c = b
+    for _ in range(_CENTRE_STEPS):
+        q_e = np.linalg.inv(np.tensordot(to_q @ c, basis, 1)) @ basis
+        grad = b - to_q.T @ np.real(np.einsum("ikk->i", q_e))
+        step = np.linalg.solve(to_q.T @ np.real(np.einsum("ikl,jlk->ij", q_e, q_e)) @ to_q, grad)
+        decrement = float(grad @ step)
+        c = c - step / (1.0 + np.sqrt(decrement))
+        if decrement <= _CENTRE_DECREMENT:
+            break
+    try:
+        return _rownorm(u @ np.linalg.cholesky(np.linalg.inv(np.tensordot(to_q @ c, basis, 1))))
+    except np.linalg.LinAlgError:
+        return None
 
 
 def solve_per_antenna_sdp(
@@ -291,10 +300,9 @@ def solve_per_antenna_sdp(
 
     ``a`` is the N x K steering matrix of the targets. Returns a feasible
     covariance together with a report whose ``dual_bound`` certifies the
-    relative optimality gap. The certified rank-1 fast path runs first and
-    ``iter_cap`` bounds only the interior point's Newton steps; a failure to
-    reach ``DEFAULT_SDP_TOL`` within them is reported via
-    ``converged=False``, never silently.
+    relative optimality gap. ``iter_cap`` bounds the power steps of both
+    stages; a failure to reach ``DEFAULT_SDP_TOL`` within them is reported
+    via ``converged=False``, never silently.
     """
     _check_power_budget(p_t)
     a = _check_a(a)
@@ -313,112 +321,42 @@ def solve_per_antenna_sdp(
     f = u[:, keep] * (sv[keep] / sv[0])
     dropped = float(np.max(eig_rel[~keep], initial=0.0))
 
-    phases, power_steps, primal, dual, gap = _certified_rank1(an, f, dropped)
-    if phases is not None:
-        r_feas = np.outer(phases, phases.conj())
-        newton_total, converged = 0, True
-    else:
-        r_feas, primal, dual, gap, newton_total, converged = _interior_point(
-            an, f, dropped, iter_cap)
+    v, steps = _power_method(an, _rownorm(f[:, 0]), iter_cap)
+    primal, y_dual, dual, gap = _certify(an, v, f, dropped)
+    if gap > DEFAULT_SDP_TOL or _face(y_dual, f).shape[1] > 1:
+        # Block stage, certified every _CHECK_STEPS steps until the slack is
+        # exact enough to read the optimal face off it.
+        anh = an.conj().T
+        v = _rownorm(np.column_stack([v, f[:, 1:]]))
+        while True:
+            for _ in range(min(_CHECK_STEPS, iter_cap - steps)):
+                v = _rownorm(an @ (anh @ v))
+                steps += 1
+            primal, y_dual, dual, gap = _certify(an, v, f, dropped)
+            if gap <= _FACE_GAP or steps >= iter_cap:
+                break
+        face = _face(y_dual, f)
+        centre = _face_centre(face) if gap <= DEFAULT_SDP_TOL and face.shape[1] > 1 else None
+        if centre is not None:
+            value = _value(an, centre)
+            centre_gap = (dual - value) / max(abs(dual), 1e-300)
+            if centre_gap <= DEFAULT_SDP_TOL:
+                v, primal, gap = centre, value, centre_gap
+    converged = gap <= DEFAULT_SDP_TOL
+    if not converged:
+        logger.warning("per-antenna SDP ended at relative gap %.3g after %d power steps "
+                       "(iteration cap %d)", gap, steps, iter_cap)
+    r_feas = np.outer(v, v.conj()) if v.ndim == 1 else v @ v.conj().T
     cov = CovarianceMatrix(r=rho * r_feas, power_budget=p_t,
                            constraint_kind=ConstraintKind.PER_ANTENNA)
     report = SolveReport(
         objective=rho * b_scale * primal,
-        iterations=newton_total,
+        iterations=steps,
         dual_bound=rho * b_scale * dual,
         relative_gap=gap,
         converged=converged,
-        power_steps=power_steps,
     )
     return cov, report
-
-
-def _interior_point(
-    an: np.ndarray,
-    f: np.ndarray,
-    dropped: float,
-    iter_cap: int,
-) -> tuple[np.ndarray, float, float, float, int, bool]:
-    """Barrier method on the normalized problem (diag(R) = 1, B = an an^H).
-
-    Returns (R, primal, dual, gap, Newton steps, converged) for the barrier
-    stage with the smallest certified gap.
-    """
-    n = an.shape[0]
-    y = np.full(n, 2.0)                 # Diag(y) - F F^H >= I: strictly feasible
-    chol = _schur_cholesky(y, f)
-    t = 1.0
-    mu = 10.0
-    newton_total = 0
-    an_rows = np.sum(np.abs(an) ** 2, axis=1)
-    best: tuple | None = None           # (gap, v, d, dual)
-
-    # Loose centering suffices: the certificate below measures the true gap
-    # from a feasible primal/dual pair, so imperfect centering only costs an
-    # extra barrier stage, never correctness.
-    eps_center = 1e-5
-
-    while True:
-        while newton_total < iter_cap:
-            w = _inverse_factor(y, f, chol)
-            q = np.sum(np.abs(w) ** 2, axis=1)
-            grad = t - 1.0 / y - q
-            dy = _newton_step(y, w, q, grad)
-            decrement2 = float(-grad @ dy)
-            if decrement2 / 2.0 <= eps_center:
-                break                      # centered enough for this t
-            newton_total += 1
-            # Backtrack into the PD cone with sufficient decrease.
-            phi0 = t * float(np.sum(y)) - _logdet(y, chol)
-            slope = float(grad @ dy)
-            step = 1.0
-            while step > 1e-14:
-                y_try = y + step * dy
-                chol_try = _schur_cholesky(y_try, f)
-                if chol_try is not None:
-                    phi_try = t * float(np.sum(y_try)) - _logdet(y_try, chol_try)
-                    if phi_try <= phi0 + 0.25 * step * slope:
-                        break
-                step *= 0.5
-            else:
-                break                      # stuck at numerical limits
-            y, chol = y_try, chol_try
-
-        # Primal recovery and true gap measurement: the diagonal congruence
-        # R = Diag(c) S^{-1} Diag(c), c = diag(S^{-1})^{-1/2}, of the
-        # central-path primal S^{-1} / t has diag exactly 1 and stays PSD.
-        # With S^{-1} = Diag(1/y) + W W^H that is R = V V^H + Diag(d) for
-        # V = Diag(c) W and d = c^2 / y, so tr(R B) = ||V^H an||_F^2 +
-        # sum_n d_n ||an_n||^2 needs no N x N matrix.
-        w = _inverse_factor(y, f, chol)
-        c = 1.0 / np.sqrt(1.0 / y + np.sum(np.abs(w) ** 2, axis=1))
-        v = w * c[:, None]
-        d = c ** 2 / y
-        primal = float(np.sum(np.abs(v.conj().T @ an) ** 2)) + float(d @ an_rows)
-        dual = _dual_bound(y, f, dropped)
-        gap = (dual - primal) / max(abs(dual), 1e-300)
-        if best is None or gap < best[0]:
-            best = (gap, v, d, dual)
-
-        if gap <= DEFAULT_SDP_TOL:
-            converged = True
-            break
-        if newton_total >= iter_cap:
-            converged = False
-            logger.warning(
-                "per-antenna SDP hit the %d-iteration cap with relative gap %.3g",
-                iter_cap, best[0],
-            )
-            break
-        t *= mu
-
-    _, v, d, dual = best
-    r_feas = v @ v.conj().T + np.diag(d)
-    r_feas = 0.5 * (r_feas + r_feas.conj().T)
-    # report the value of the matrix returned, measured on R itself
-    primal = float(np.real(np.sum(column_powers(an, r_feas @ an))))
-    gap = (dual - primal) / max(abs(dual), 1e-300)
-    return r_feas, primal, dual, gap, newton_total, converged
 
 
 def randomize_rank1(

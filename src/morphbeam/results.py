@@ -13,10 +13,9 @@ R's N^2 entries: a rank-1 optimum is N rows. Its header differs from the
 rejected instead of being read as G.
 
 The readers check the header, parse the body with ``np.loadtxt`` and raise
-ValueError naming the file for an empty body, a NaN entry, a negative,
-fractional or out-of-range index, a duplicate entry, or entries that do not
-cover the matrix, vector or grid exactly once. The covariance reader also
-rejects an infinite entry of G.
+ValueError naming the file for an empty body, a NaN or infinite entry, a
+negative, fractional or out-of-range index, a duplicate entry, or entries
+that do not cover the matrix, vector or grid exactly once.
 """
 
 from __future__ import annotations
@@ -121,10 +120,12 @@ def _read_body(path: str | Path, expected_header: list[str]) -> np.ndarray:
     if body.shape[1] != len(expected_header):
         raise ValueError(f"{path}: expected {len(expected_header)} columns, "
                          f"got {body.shape[1]}")
-    nan = np.isnan(body)
-    if np.any(nan):                 # NaN compares false against every later check
-        row, col = np.argwhere(nan)[0]
-        raise ValueError(f"{path}: data row {row + 1} has a nan {expected_header[col]}")
+    bad = ~np.isfinite(body)
+    if np.any(bad):                 # NaN compares false against every later check, and no
+                                    # entry of an artifact is infinite
+        row, col = np.argwhere(bad)[0]
+        kind = "a nan" if np.isnan(body[row, col]) else "an infinite"
+        raise ValueError(f"{path}: data row {row + 1} has {kind} {expected_header[col]}")
     return body
 
 
@@ -183,8 +184,6 @@ def write_covariance_csv(path: str | Path, r: np.ndarray) -> None:
 def read_covariance_csv(path: str | Path) -> np.ndarray:
     "The N x k factor G of ``covariance.csv``, R = G G^H."
     body = _read_body(path, COVARIANCE_HEADER)
-    if not np.all(np.isfinite(body[:, 2:])):
-        raise ValueError(f"{path}: covariance factor has an infinite entry")
     rows = _index_column(path, body[:, 0], "element", body.shape[0])
     cols = _index_column(path, body[:, 1], "column", body.shape[0])
     n, m = int(rows.max()) + 1, int(cols.max()) + 1

@@ -8,6 +8,13 @@ onto the box. Only the displacement phase of A depends on the shape, so the
 planar factor is built once per ascent; each trial point costs one phase
 product and one R A, which also gives the gradient once the point is accepted.
 
+The Armijo demand ARMIJO_C * step * ||g||^2 uses the raw gradient, which the
+elements pinned at +/-d_max can dominate, while a short projected step gains
+about step * ||g_boxed||^2 (g_boxed: g without the components that push
+against an active box face). Once ||g_boxed||^2 < ARMIJO_C * ||g||^2 no short
+step can pass, so the loop stops with ``gradient_tol`` instead of
+backtracking to the step floor.
+
 Once ARMIJO_C * step * ||g||^2 is below half an ulp of the power, the Armijo
 test passes a trial point bit-equal to the current one. The loop then cycles:
 a step of 2s is rejected and the no-op step s accepted, with the same state
@@ -111,9 +118,11 @@ def ascend_shape(
     otherwise the step shrinks by ``SHRINK``. The first trial step is
     ``INITIAL_STEP`` at the first iteration and ``STEP_GROWTH`` times the
     last accepted step afterwards, capped so no element moves more than
-    ``MAX_FIRST_MOVE`` at once. If the step collapses below the floor the
-    loop stops with status ``step_floor`` rather than raising, since a
-    boundary iterate can be legitimately stuck. It also stops with
+    ``MAX_FIRST_MOVE`` at once. The loop stops with status
+    ``gradient_tol`` when ||g|| <= ``GRAD_TOL`` or ||g_boxed||^2 <
+    ``ARMIJO_C`` ||g||^2 (module docstring). If the step collapses below the
+    floor the loop stops with status ``step_floor`` rather than raising,
+    since a boundary iterate can be legitimately stuck. It also stops with
     ``step_floor`` when the accepted point is bit-equal to x and the next
     first trial step, ``STEP_GROWTH * step``, equals this iteration's: the
     next iteration would start from the same state and repeat this one, so
@@ -151,10 +160,11 @@ def ascend_shape(
         if gnorm <= GRAD_TOL:
             status = STATUS_GRADIENT_TOL
             break
-        if _boxed_gradient_norm(g, x, geom.d_max) == 0.0:
-            # every coordinate is pinned to a box face with an outward
-            # gradient (or has zero gradient), so projection undoes any step
-            # exactly; the iterate is box-stationary
+        boxed = _boxed_gradient_norm(g, x, geom.d_max)
+        if boxed * boxed < ARMIJO_C * gnorm * gnorm:
+            # no short step can meet the Armijo demand; this includes the
+            # box-stationary iterate, where every coordinate is pinned to a
+            # box face with an outward gradient (or has zero gradient)
             status = STATUS_GRADIENT_TOL
             break
 

@@ -113,9 +113,10 @@ def capped_ascend_shape(r_x, geom, targets, shape, max_iters=shape_opt.MAX_ITERS
 
     Runs the same Armijo line search as ``shape_opt.ascend_shape`` on the
     same constants, but leaves only when no trial step passes, the gradient
-    vanishes or ``max_iters`` steps are accepted. Once the loop state
-    repeats, this loop keeps accepting the same no-op step until the cap, so
-    its outputs are what the early stop must return bit for bit.
+    vanishes, the boxed gradient cannot meet the Armijo demand or
+    ``max_iters`` steps are accepted. Once the loop state repeats, this loop
+    keeps accepting the same no-op step until the cap, so its outputs are
+    what the early stop must return bit for bit.
     """
     r = getattr(r_x, "r", r_x)
     planar = steering_matrix(geom, targets.thetas, targets.phis, np.zeros(geom.n_elements))
@@ -140,7 +141,8 @@ def capped_ascend_shape(r_x, geom, targets, shape, max_iters=shape_opt.MAX_ITERS
     trial = shape_opt.INITIAL_STEP
     for _ in range(max_iters):
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= shape_opt.GRAD_TOL or boxed_norm(g, x) == 0.0:
+        boxed = boxed_norm(g, x)
+        if gnorm <= shape_opt.GRAD_TOL or boxed * boxed < shape_opt.ARMIJO_C * gnorm * gnorm:
             status = shape_opt.STATUS_GRADIENT_TOL
             break
         step = min(trial, shape_opt.MAX_FIRST_MOVE / float(np.max(np.abs(g))))

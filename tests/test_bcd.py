@@ -133,7 +133,7 @@ class TestBcdOptimize:
             assert rec.index == i
             assert rec.sdp_converged
             assert rec.sdp_gap <= 1e-6
-            assert rec.sdp_power_steps > 0       # every solve tries the fast path
+            assert rec.sdp_iterations > 0        # every solve takes power steps
             assert rec.objective_mw >= rec.sdp_objective_mw * (1.0 - 1e-12)
         assert trace.init_label in {s.value for s in InitScheme}
 

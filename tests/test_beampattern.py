@@ -133,19 +133,20 @@ def _covariance_of_kind(kind, geom, shape, rng):
     if kind == "rank-3":
         v = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
         return v @ v.conj().T, 3
-    if kind == "interior-point":
-        # the desk targets at a seeded shape need the fallback, whose R = V V^H + Diag(d)
+    if kind == "face-centre":
+        # the desk targets at a seeded shape have a rank-2 optimum, the
+        # analytic centre of its face
         a = response_matrix(geom, desk_targets(), shape).a
         cov, report = solve_per_antenna_sdp(a, p_t=10.0)
-        assert report.iterations > 0
-        return cov.r, n
+        assert report.converged
+        return cov.r, 2
     if kind == "indefinite":
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return g + g.conj().T, n
     return np.zeros((n, n), dtype=complex), 0
 
 
-@pytest.mark.parametrize("kind", ["rank-1", "rank-3", "interior-point", "indefinite", "zero"])
+@pytest.mark.parametrize("kind", ["rank-1", "rank-3", "face-centre", "indefinite", "zero"])
 def test_grid_matches_direct_quadratic_forms(kind):
     # The grid runs on R's eigenpairs above N eps max|lam|; against the
     # per-direction Re(a^H R a) it may differ by rounding only, and where
@@ -170,7 +171,7 @@ def test_grid_matches_direct_quadratic_forms(kind):
     np.testing.assert_array_less(np.abs(got - np.maximum(want, 0.0)), 1e-12 * peak)
 
 
-@pytest.mark.parametrize("kind", ["rank-1", "rank-3", "interior-point"])
+@pytest.mark.parametrize("kind", ["rank-1", "rank-3", "face-centre"])
 def test_grid_on_stored_factor_matches_grid_on_its_product(kind, tmp_path):
     # covariance.csv stores G with R = G G^H; the grid swept on G (lam = 1,
     # no eigh) agrees with the grid on the dense product to rounding.

@@ -108,8 +108,8 @@ def test_run_optimize_artifacts_are_self_consistent(tmp_path):
 def test_record_shows_unconverged_sdp(tmp_path, monkeypatch, scheme):
     # The trace records (fim-mimo) and the single rigid solve's report
     # (raa-mimo) both reach record.json. The 4x4 array with three targets
-    # has a rank-3 optimum at the zero shape, so the rank-1 fast path cannot
-    # certify it and the capped interior point runs.
+    # has a rank-3 optimum at the zero shape, so no solve can certify it
+    # within the 2-step cap.
     def capped(a, p_t):
         return solve_per_antenna_sdp(a, p_t, iter_cap=2)
 
@@ -368,7 +368,10 @@ def _set_line(k, text):
     # a displacement outside d_max does not fit the config's geometry
     ("shape.csv", _set_line(1, lambda ln: ln.split(",")[0] + ",7.5"), 2,
      "exceeds morphing limit"),
-], ids=["nan-factor", "version-3-header", "shape-outside-d-max"])
+    # an infinite displacement is unreadable, like a nan one
+    ("shape.csv", _set_line(1, lambda ln: ln.split(",")[0] + ",inf"), 4,
+     "infinite displacement_wavelengths"),
+], ids=["nan-factor", "version-3-header", "shape-outside-d-max", "inf-shape"])
 def test_cli_beampattern_rejects_an_edited_artifact(tmp_path, capsys, monkeypatch,
                                                     name, edit, rc, reason):
     path = write_config(tmp_path, tiny_config_dict())

@@ -8,14 +8,15 @@ import pytest
 import morphbeam.covariance as covariance
 from conftest import DESK_P_T_MW, desk_geometry, desk_targets, rank_profile
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
+from morphbeam.bcd import BcdConfig, Scheme, solve_benchmark
+from morphbeam.beampattern import target_powers
 from morphbeam.covariance import (
-    _POWER_CAP,
     _RANK_FLOOR,
+    DEFAULT_ITER_CAP,
     DEFAULT_SDP_TOL,
     ConstraintKind,
     CovarianceMatrix,
     _min_eigpair,
-    _newton_step,
     randomize_rank1,
     solve_per_antenna_sdp,
 )
@@ -33,6 +34,11 @@ def gram(a):
 
 def unit_modulus_a(n, rng):
     return np.exp(1j * rng.uniform(0, 2 * np.pi, (n, 1)))
+
+
+def rank(r):
+    "Numerical rank of a covariance, relative to its largest entry."
+    return int(np.linalg.matrix_rank(r, tol=1e-9 * float(np.max(np.abs(r)))))
 
 
 def _with_nan():
@@ -130,9 +136,22 @@ class TestPerAntennaSdp:
         assert shapes
         assert all(shape[-2:] != (n, n) for shape in shapes), shapes
 
+    def test_zero_row_of_a(self):
+        # An element that no target sees has a zero row in A, and so in
+        # B V; the power steps must still keep its row of V at unit norm.
+        geom = desk_geometry(0.0, n_x=4, n_z=4)
+        a = response_matrix(geom, desk_targets(), SurfaceShape.zero(geom)).a
+        a[2] = 0.0
+        cov, report = solve_per_antenna_sdp(a, 6.0)
+        assert rank(cov.r) > 1              # the block stage ran
+        assert report.converged
+        cov.validate()
+        assert report.objective == pytest.approx(
+            float(np.real(np.sum(cov.r * gram(a).T))), rel=1e-9)
+
     def test_iteration_cap_is_reported(self, caplog):
-        # Stopping at the Newton cap must show in the report and the log, and
-        # still return a feasible covariance under a valid dual bound.
+        # Stopping at the power-step cap must show in the report and the log,
+        # and still return a feasible covariance under a valid dual bound.
         geom = ArrayGeometry(n_x=4, n_z=4, dx=0.5, dz=0.5)
         targets = TargetSet.from_degrees([30.0, 30.0, 135.0], [60.0, 120.0, 90.0])
         rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
@@ -242,9 +261,9 @@ def _fast_path_panel():
 
 class TestRank1FastPath:
     def test_no_uncertified_result(self):
-        # Every solve, fast path or interior point, returns a covariance
-        # within the certified gap. On the fast path R = w w^H, and the dual
-        # point behind the reported bound is y' = y - lam 1 with
+        # Every solve, rank 1 or not, returns a covariance within the
+        # certified gap. A rank-1 R is w w^H from the rank-1 stage, and the
+        # dual point behind the reported bound is y' = y - lam 1 with
         # y_n = Re(conj(w_n) (B w)_n); a dense eigensolver confirms that
         # Diag(y') - B is PSD at small N.
         n_fast = n_dense = 0
@@ -259,9 +278,9 @@ class TestRank1FastPath:
             assert 0.0 <= gap <= DEFAULT_SDP_TOL + 1e-12
             assert report.objective == pytest.approx(
                 float(np.real(np.sum(cov.r * b.T))), rel=1e-9)
-            assert 0 < report.power_steps <= _POWER_CAP
+            assert 0 < report.iterations <= DEFAULT_ITER_CAP
             cov.validate()
-            if report.iterations > 0:
+            if rank(cov.r) > 1:
                 continue
             n_fast += 1
             w = cov.r[:, 0] / np.sqrt(cov.r[0, 0].real)
@@ -280,8 +299,8 @@ class TestRank1FastPath:
         for n in (1, 7, 30):
             a = random_a(n, 1, rng)
             cov, report = solve_per_antenna_sdp(a, p_t=5.0)
-            assert report.iterations == 0
-            assert report.power_steps > 0
+            assert rank(cov.r) == 1
+            assert report.iterations > 0
             assert report.relative_gap <= DEFAULT_SDP_TOL
             lam, vec = np.linalg.eigh(cov.r)
             w = np.sqrt(lam[-1]) * vec[:, -1]
@@ -289,12 +308,13 @@ class TestRank1FastPath:
             np.testing.assert_allclose(cov.r, np.outer(w, w.conj()), atol=1e-12)
 
     def test_desk_zero_shape_falls_back(self):
-        # Its optimum has rank 3, so no rank-1 point can be certified.
+        # Its optimum has rank 3, so no rank-1 point can be certified and
+        # the block stage returns the centre of a rank-3 face.
         geom = desk_geometry(1.0)
         a = response_matrix(geom, desk_targets(), SurfaceShape.zero(geom)).a
-        _, report = solve_per_antenna_sdp(a, DESK_P_T_MW)
+        cov, report = solve_per_antenna_sdp(a, DESK_P_T_MW)
+        assert rank(cov.r) == 3
         assert report.iterations > 0
-        assert report.power_steps > 0
         assert report.converged
 
     def test_min_eigpair_below_zero(self):
@@ -314,9 +334,8 @@ class TestRank1FastPath:
             assert np.linalg.norm(m @ vec - lam * vec) <= 1e-9 * np.linalg.norm(m, 2)
 
     def test_min_eigpair_above_zero_with_the_wide_bracket(self):
-        # At a barrier iterate Diag(y) - F F^H is positive definite, and the
-        # dual bound still brackets its eigenvalue from min y - ||F||_F^2,
-        # which lies below zero.
+        # When Diag(g) - h h^H is positive definite, the dual bound's bracket
+        # still starts from min g - ||h||_F^2, which lies below zero.
         rng = np.random.default_rng(15)
         for n, r in ((2, 1), (6, 1), (9, 3), (20, 5), (100, 3)):
             h = random_a(n, r, rng)
@@ -334,10 +353,10 @@ class TestRank1FastPath:
 
 
     def test_min_eigpair_stops_on_an_exact_root(self, monkeypatch):
-        # On the desk zero-shape solve one barrier stage's secular solve lands
-        # on kappa == 1 exactly. Bisecting away from that root and crawling
-        # back took 45 iterations; each iteration runs one r x r eigh, so
-        # counting eigh calls per secular solve bounds its iterations.
+        # A secular solve can land on kappa == 1 exactly; bisecting away from
+        # that root and crawling back once took 45 iterations. Each iteration
+        # runs one r x r eigh, so counting eigh calls per secular solve
+        # bounds its iterations.
         eigh_calls = [0]
         per_solve = []
         eigh = np.linalg.eigh
@@ -355,36 +374,25 @@ class TestRank1FastPath:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(covariance, "_min_eigpair", counted)
-        for a in _fast_path_panel():
+        panel = _fast_path_panel()
+        for a in panel:
             _, report = solve_per_antenna_sdp(a, 3.0)
             assert report.converged
-        assert len(per_solve) > 100
+        assert len(per_solve) >= len(panel)
         assert max(per_solve) <= 12, sorted(per_solve)[-5:]
 
 
 class TestNewtonStep:
-    @pytest.mark.parametrize("n, r", [(20, 3), (9, 2), (9, 3), (6, 4), (1, 1)])
-    def test_both_sides_solve_the_dense_system(self, n, r):
-        # r^2 < N goes through Woodbury on the N x r^2 factor Z, r^2 >= N
-        # through the N x N Hessian; both solve |Diag(1/y) + W W^H|^2 dy = -grad.
-        rng = np.random.default_rng(16)
-        y = rng.uniform(0.5, 2.0, n)
-        w = random_a(n, r, rng)
-        grad = rng.standard_normal(n)
-        hessian = np.abs(np.diag(1.0 / y) + w @ w.conj().T) ** 2
-        want = np.linalg.solve(hessian, -grad)
-        got = _newton_step(y, w, np.sum(np.abs(w) ** 2, axis=1), grad)
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.linalg.norm(want))
+    """K >= N, where the factor F has full rank (r = N)."""
 
     def test_k_above_n_certificate_and_exact_diagonal(self):
-        # K >= N makes the factor F full rank (r = N), so every Newton step
-        # takes the N x N side; the certificate and the diagonal must hold.
+        # K >= N makes the factor F full rank (r = N), so the block stage
+        # runs with N columns; the certificate and the diagonal must hold.
         rng = np.random.default_rng(7)
         n, p_t = 36, 2.0
         a = random_a(n, 40, rng)
         b = gram(a)
         cov, report = solve_per_antenna_sdp(a, p_t)
-        assert report.iterations > 0
         assert report.converged
         assert report.relative_gap <= DEFAULT_SDP_TOL
         assert report.objective <= report.dual_bound
@@ -395,6 +403,40 @@ class TestNewtonStep:
         # the scaled identity is feasible, and no feasible R beats p_t lambda_max(B)
         assert report.objective >= p_t / n * float(np.real(np.trace(b)))
         assert report.dual_bound <= p_t * float(np.linalg.eigvalsh(b)[-1]) * (1.0 + 2e-6)
+
+
+class TestDegenerateFace:
+    """Orthogonal targets: every split of the power among them is optimal.
+
+    On a 16 x 16 array the desk targets' steering vectors are exactly
+    orthogonal at the zero shape. The optimal face is then all of
+    {R >= 0 : diag(R) = P_t/N, range(R) = span(A)}, and its analytic centre
+    is R = (P_t/N) A A^H / K, the equal split.
+    """
+
+    @staticmethod
+    def orthogonal_a():
+        geom = desk_geometry(0.0, n_x=16, n_z=16)
+        a = response_matrix(geom, desk_targets(), SurfaceShape.zero(geom)).a
+        assert np.max(np.abs(np.triu(a.conj().T @ a, 1))) <= 1e-12 * geom.n_elements
+        return a
+
+    def test_answer_does_not_depend_on_the_target_order(self):
+        a = self.orthogonal_a()
+        cov, report = solve_per_antenna_sdp(a, DESK_P_T_MW)
+        assert report.relative_gap <= DEFAULT_SDP_TOL
+        assert rank(cov.r) == 3
+        for order in ([2, 0, 1], [1, 0, 2], [0, 2, 1]):
+            moved, _ = solve_per_antenna_sdp(a[:, order], DESK_P_T_MW)
+            assert np.max(np.abs(moved.r - cov.r)) <= 1e-9 * np.max(np.abs(cov.r))
+
+    def test_raa_mimo_splits_the_power_equally(self):
+        geom = desk_geometry(0.0, n_x=16, n_z=16)
+        res = solve_benchmark(Scheme.RAA_MIMO, geom, desk_targets(), DESK_P_T_MW, BcdConfig())
+        per_dbm, total_mw, _ = target_powers(res.cov, geom, desk_targets(), res.shape)
+        assert total_mw == pytest.approx(DESK_P_T_MW * geom.n_elements, rel=1e-9)
+        assert float(np.max(per_dbm) - np.min(per_dbm)) <= 1e-6
+        assert per_dbm[0] == pytest.approx(10.0 * np.log10(DESK_P_T_MW * 256 / 3), abs=1e-6)
 
 
 class TestRandomizeRank1:

@@ -231,7 +231,8 @@ class TestRoundTripBits:
         np.testing.assert_array_equal(bits(read_covariance_csv(path)), bits(covariance_factor(r)))
 
     @settings(max_examples=60, deadline=None)
-    @given(d=hnp.arrays(np.float64, st.integers(1, 12), elements=st.floats(allow_nan=False)))
+    @given(d=hnp.arrays(np.float64, st.integers(1, 12),
+                        elements=st.floats(allow_nan=False, allow_infinity=False)))
     def test_shape(self, tmp_path_factory, d):
         path = tmp_path_factory.mktemp("shape") / "shape.csv"
         write_shape_csv(path, d)
@@ -315,7 +316,14 @@ class TestReadersRejectBadEntries:
          "row 3 has a nan displacement_wavelengths"),
         (read_beampattern_csv, BEAMPATTERN_HEADER, BEAMPATTERN_ROWS[:5] + ["90.0,90.0,nan"],
          "row 6 has a nan power_dbm"),
-    ], ids=["covariance", "shape", "beampattern"])
+        (read_covariance_csv, COVARIANCE_HEADER, COVARIANCE_ROWS[:3] + ["1,1,inf,0.0"],
+         "row 4 has an infinite re"),
+        (read_shape_csv, SHAPE_HEADER, SHAPE_ROWS[:2] + ["2,inf"],
+         "row 3 has an infinite displacement_wavelengths"),
+        (read_beampattern_csv, BEAMPATTERN_HEADER, BEAMPATTERN_ROWS[:5] + ["90.0,90.0,-inf"],
+         "row 6 has an infinite power_dbm"),
+    ], ids=["covariance", "shape", "beampattern", "covariance-inf", "shape-inf",
+            "beampattern-inf"])
     def test_nan_entry(self, tmp_path, reader, header, lines, reason):
         path = write_body(tmp_path / "f.csv", header, lines)
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):

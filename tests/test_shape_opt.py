@@ -181,7 +181,7 @@ class TestAscentCounts:
 
 @pytest.fixture(scope="module")
 def desk_zero_start_ascents():
-    "Covariance and start shape of the first three ascents of the desk d_max = 1 zero start."
+    "Covariance and start shape of the first five ascents of the desk d_max = 1 zero start."
     geom = desk_geometry(1.0)
     seen = []
 
@@ -192,18 +192,19 @@ def desk_zero_start_ascents():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bcd, "ascend_shape", keep)
         solve_benchmark(Scheme.FIM_MIMO, geom, desk_targets(), DESK_P_T_MW,
-                        BcdConfig(n_starts=1, max_outer_iters=3))
+                        BcdConfig(n_starts=1, max_outer_iters=5))
     return geom, seen
 
 
 def noop_then_move_instance():
-    """A 2x2 ascent whose first accepted steps leave x bit-equal, and a later one moves it.
+    """A 2x2 ascent whose boxed gradient is at rounding level.
 
     R = w w^H with w the steering vector at x0 except for phase twists of
     -/+1e-5 on the two elements pinned at +/-d_max. Those two pull outward
     and carry the gradient norm; the free elements' gradient is at rounding
-    level. The first steps are too short to move them, yet pass the Armijo
-    test because its threshold rounds away; the doubled steps move them.
+    level. The first steps would be too short to move the free elements yet
+    pass the Armijo test, whose threshold rounds away, and the doubled steps
+    would then move them; the Armijo-demand stop ends the ascent first.
     """
     geom = ArrayGeometry(n_x=2, n_z=2, dx=0.5, dz=0.5, d_max=0.5)
     targets = TargetSet(thetas=np.array([1.9]), phis=np.array([1e-3]))
@@ -226,10 +227,10 @@ class TestRepeatedStateStop:
         return final, trace, want_trace
 
     def test_crawling_desk_ascent_stops_early(self, desk_zero_start_ascents):
-        # the third outer's ascent makes its last strict increase within 20
+        # the fifth outer's ascent makes its last strict increase within 50
         # steps, then repeats a rejected step and an accepted no-op step
         geom, seen = desk_zero_start_ascents
-        r, start = seen[2]
+        r, start = seen[4]
         _, trace, want = self.assert_matches_capped_loop(r, geom, desk_targets(), start)
         assert want.status == STATUS_MAX_ITERS
         assert trace.status == STATUS_STEP_FLOOR
@@ -245,9 +246,12 @@ class TestRepeatedStateStop:
         np.testing.assert_array_equal(trace.objectives, want.objectives)
 
     def test_noop_step_before_a_move(self):
+        # Once ||g_boxed||^2 >= ARMIJO_C ||g||^2 is required, a no-op first
+        # step needs ||g|| < 1.1e-12 sqrt(N) d_max, below GRAD_TOL, so the
+        # ascent stops at the start.
         r, geom, targets, start = noop_then_move_instance()
         final, trace, want = self.assert_matches_capped_loop(r, geom, targets, start)
         after_one, _ = capped_ascend_shape(r, geom, targets, start, max_iters=1)
         assert after_one.displacements.tobytes() == start.displacements.tobytes()
-        assert np.any(final.displacements != start.displacements)
-        assert trace.n_evals < want.n_evals
+        assert final.displacements.tobytes() == start.displacements.tobytes()
+        assert trace.status == STATUS_GRADIENT_TOL
