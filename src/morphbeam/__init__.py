@@ -23,15 +23,16 @@ from .bcd import (
 )
 from .beampattern import (
     BeampatternGrid,
-    CovarianceFactor,
     evaluate_beampattern,
     target_powers,
 )
 from .config import ConfigError, ExperimentConfig, load_config
 from .covariance import (
     ConstraintKind,
+    CovarianceFactor,
     CovarianceMatrix,
     SolveReport,
+    covariance_factor,
     randomize_rank1,
     solve_per_antenna_sdp,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "TargetSet",
     "TerminationReason",
     "ascend_shape",
+    "covariance_factor",
     "cumulated_power",
     "evaluate_beampattern",
     "load_config",

@@ -97,6 +97,9 @@ class BcdConfig:
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
+        if not np.isfinite(self.rel_increase_threshold_db):    # NaN would never stop the loop
+            raise ValueError(f"rel_increase_threshold_db must be finite, "
+                             f"got {self.rel_increase_threshold_db}")
         if self.ascent_max_iters < 1:
             raise ValueError(f"ascent_max_iters must be >= 1, got {self.ascent_max_iters}")
         if self.n_starts < 1:

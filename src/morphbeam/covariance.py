@@ -27,6 +27,11 @@ square is above a relative floor (r = K for K targets, r = N when K >= N).
   centre (max log det Q), which does not, and which is the limit of the
   central path of an interior-point method (Halicka, de Klerk and Roos,
   SIAM J. Optim. 12, 2002).
+
+A covariance has two forms here: the dense :class:`CovarianceMatrix` the
+solves return, and the :class:`CovarianceFactor` G with R = G G^H that
+``covariance.csv`` stores and the beampattern grid sweeps.
+:func:`covariance_factor` is the one check-and-factor of a dense R.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from .objective import _check_covariance, _check_psd, column_powers
+from .objective import _check_covariance, column_powers
 
 logger = logging.getLogger(__name__)
 
@@ -89,6 +94,19 @@ class ConstraintKind(str, Enum):
     PER_ANTENNA = "per-antenna"
 
 
+def _check_power_budget(p_t: float) -> None:
+    "ValueError unless the power budget P_t (mW) is finite and positive; NaN fails too."
+    if not 0.0 < p_t < np.inf:
+        raise ValueError(f"power budget must be finite and positive, got {p_t}")
+
+
+def _check_psd(eigvals: np.ndarray) -> None:
+    "ValueError unless the smallest of these ascending eigenvalues is >= -1e-8 of the largest."
+    lam_max = max(float(eigvals[-1]), 1e-300)
+    if float(eigvals[0]) < -1e-8 * lam_max:
+        raise ValueError(f"not PSD: smallest eigenvalue {eigvals[0]:g}")
+
+
 @dataclass
 class CovarianceMatrix:
     """Hermitian PSD transmit covariance with its power-constraint metadata."""
@@ -103,6 +121,7 @@ class CovarianceMatrix:
 
     def validate(self) -> None:
         "Raise ValueError if any covariance invariant is violated."
+        _check_power_budget(self.power_budget)
         n = self.n_elements
         r = _check_covariance(self.r, n)
         _check_psd(np.linalg.eigvalsh(r))
@@ -110,6 +129,45 @@ class CovarianceMatrix:
         err = float(np.max(np.abs(np.real(np.diag(r)) - target)))
         if err > _DIAG_REL_TOL * target:
             raise ValueError(f"per-antenna diagonal off by {err:g} (target {target:g})")
+
+
+@dataclass(frozen=True)
+class CovarianceFactor:
+    """A covariance given by its N x k factor G, R_X = G G^H."""
+
+    g: np.ndarray
+
+    def __post_init__(self) -> None:
+        g = np.asarray(self.g, dtype=complex)
+        if g.ndim != 2 or 0 in g.shape:
+            raise ValueError(f"covariance factor must be a nonempty N x k matrix, "
+                             f"got shape {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("covariance factor has non-finite entries")
+        object.__setattr__(self, "g", g)
+
+
+def covariance_factor(r: np.ndarray) -> CovarianceFactor:
+    """The factor G = U_k sqrt(lam_k) of a dense R, R = G G^H.
+
+    R must be a finite, Hermitian, nonzero N x N matrix that passes
+    :func:`_check_psd`, the PSD test of ``CovarianceMatrix.validate``;
+    otherwise ValueError. Its Hermitian part is factored once by ``eigh``
+    (which alone would read one triangle), and the eigenpairs with
+    lam > N eps max|lam| are kept: what is dropped is at most
+    N^2 eps max|lam| in any a^H R a with unit-modulus a, the size of the
+    rounding of a^H (R a). A certified rank-1 optimum gives k = 1.
+    """
+    r = np.asarray(r, dtype=complex)
+    if r.ndim != 2:
+        raise ValueError(f"covariance must be a matrix, got shape {r.shape}")
+    r = _check_covariance(r, r.shape[0])
+    lam, u = np.linalg.eigh(0.5 * (r + r.conj().T))
+    _check_psd(lam)
+    keep = lam > r.shape[0] * np.finfo(float).eps * np.max(np.abs(lam))
+    if not np.any(keep):
+        raise ValueError("covariance is zero")
+    return CovarianceFactor(u[:, keep] * np.sqrt(lam[keep]))
 
 
 @dataclass
@@ -121,12 +179,6 @@ class SolveReport:
     dual_bound: float                   # valid upper bound, mW
     relative_gap: float                 # (dual_bound - objective) / dual_bound
     converged: bool = True
-
-
-def _check_power_budget(p_t: float) -> None:
-    "ValueError unless the power budget P_t (mW) is finite and positive; NaN fails too."
-    if not 0.0 < p_t < np.inf:
-        raise ValueError(f"power budget must be finite and positive, got {p_t}")
 
 
 def _check_a(a) -> np.ndarray:
@@ -383,6 +435,7 @@ def randomize_rank1(
     n = a.shape[0]
     if r.r.shape != (n, n):
         raise ValueError(f"covariance is {r.r.shape}, A has {n} rows")
+    _check_covariance(r.r, n)
     if float(np.real(np.trace(r.r))) <= 1e-300:
         raise ValueError("degenerate covariance: trace is numerically zero")
     rng = np.random.default_rng(rng_seed)

@@ -19,8 +19,9 @@ import numpy as np
 
 from .array_model import ArrayGeometry, SurfaceShape
 from .bcd import BenchmarkResult, Scheme, solve_benchmark
-from .beampattern import CovarianceFactor, evaluate_beampattern, target_powers
+from .beampattern import evaluate_beampattern, target_powers
 from .config import ConfigError, ExperimentConfig
+from .covariance import CovarianceFactor
 from .results import (
     ResultRecord,
     read_covariance_csv,

@@ -41,13 +41,6 @@ def _check_covariance(r: np.ndarray, n: int) -> np.ndarray:
     return r
 
 
-def _check_psd(eigvals: np.ndarray) -> None:
-    "ValueError unless the smallest of these ascending eigenvalues is >= -1e-8 of the largest."
-    lam_max = max(float(eigvals[-1]), 1e-300)
-    if float(eigvals[0]) < -1e-8 * lam_max:
-        raise ValueError(f"not PSD: smallest eigenvalue {eigvals[0]:g}")
-
-
 def _as_matrix(r_x) -> np.ndarray:
     "Accept a CovarianceMatrix or a bare ndarray."
     return getattr(r_x, "r", r_x)

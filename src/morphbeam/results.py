@@ -7,10 +7,11 @@ bit-equal to what was computed. The files are what ``csv.writer`` writes:
 comma-separated, CRLF line ends, no quoting of numbers.
 
 ``covariance.csv`` holds a factor G of the covariance, R = G G^H, with one
-column per eigenpair of R above rounding (:func:`covariance_factor`), not
-R's N^2 entries: a rank-1 optimum is N rows. Its header differs from the
-``row,col,re,im`` of artifact version 3, so an old file of R's entries is
-rejected instead of being read as G.
+column per eigenpair of R above rounding, not R's N^2 entries: a rank-1
+optimum is N rows. The writer takes a dense R and factors it with
+:func:`morphbeam.covariance.covariance_factor`; the reader returns G. The
+header differs from the ``row,col,re,im`` of artifact version 3, so an old
+file of R's entries is rejected instead of being read as G.
 
 The readers check the header, parse the body with ``np.loadtxt`` and raise
 ValueError naming the file for an empty body, a NaN or infinite entry, a
@@ -29,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .beampattern import BeampatternGrid, _eigenpairs
-from .objective import _check_covariance, _check_psd
+from .beampattern import BeampatternGrid
+from .covariance import covariance_factor
 
 ARTIFACT_VERSION = 4
 
@@ -151,29 +152,9 @@ def _check_cover(path, flat: np.ndarray, size: int, label) -> None:
         raise ValueError(f"{path}: duplicate entry {label(np.argmax(counts > 1))}")
 
 
-def covariance_factor(r: np.ndarray) -> np.ndarray:
-    """The N x k factor G = U_k sqrt(lam_k), R = G G^H, that ``covariance.csv`` stores.
-
-    R must be a finite Hermitian N x N matrix that passes
-    ``CovarianceMatrix.validate``'s PSD test, and nonzero; otherwise
-    ValueError. Its Hermitian part is factored once by ``eigh``, and the
-    eigenpairs with lam > N eps max|lam| are kept, the same cut the grid
-    applies to a dense R. A certified rank-1 optimum gives k = 1.
-    """
-    r = np.asarray(r, dtype=complex)
-    if r.ndim != 2:
-        raise ValueError(f"covariance must be a matrix, got shape {r.shape}")
-    lam, u = _eigenpairs(_check_covariance(r, r.shape[0]))
-    if lam.size == 0:
-        raise ValueError("covariance is zero")
-    _check_psd(lam)
-    pos = lam > 0.0
-    return u[:, pos] * np.sqrt(lam[pos])
-
-
 def write_covariance_csv(path: str | Path, r: np.ndarray) -> None:
     "R's factor G (:func:`covariance_factor`) as (element, column, re, im) tuples, row-major."
-    g = covariance_factor(r)
+    g = covariance_factor(r).g
     with open(path, "w", newline="") as fh:
         fh.write(",".join(COVARIANCE_HEADER) + "\r\n")
         for i, row in enumerate(g):

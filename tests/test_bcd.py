@@ -13,9 +13,16 @@ from morphbeam.bcd import (
     TerminationReason,
     solve_benchmark,
 )
-from morphbeam.beampattern import target_powers
-from morphbeam.covariance import DEFAULT_SDP_TOL, solve_per_antenna_sdp
+from morphbeam.beampattern import evaluate_beampattern, target_powers
+from morphbeam.covariance import (
+    DEFAULT_SDP_TOL,
+    CovarianceFactor,
+    covariance_factor,
+    solve_per_antenna_sdp,
+)
 from morphbeam.objective import cumulated_power
+from morphbeam.results import read_covariance_csv, write_covariance_csv
+from morphbeam.units import DBM_FLOOR
 
 P_T = 10.0
 
@@ -48,6 +55,10 @@ class TestBcdConfig:
             BcdConfig(n_starts=0)
         with pytest.raises(ValueError):
             BcdConfig(rng_seed=-1)
+        # a NaN threshold compares false and would turn the threshold stop off
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                BcdConfig(rel_increase_threshold_db=bad)
 
 
 class TestBcdOptimize:
@@ -253,9 +264,14 @@ def edge_instances(draw):
 class TestEdgeInputs:
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(edge_instances())
-    def test_every_scheme_solves_with_a_certificate(self, instance):
-        # Covers N = 1, K >= N, coincident targets, poles and d_max = 0.
+    def test_every_scheme_solves_with_a_certificate(self, tmp_path_factory, instance):
+        # Covers N = 1, K >= N, coincident targets, poles and d_max = 0, on
+        # the solve and on the grid path: R's factor, covariance.csv, the grid.
         geom, targets = instance
+        path = tmp_path_factory.mktemp("edge") / "covariance.csv"
+        t_axis, p_axis = np.unique(targets.thetas), np.unique(targets.phis)
+        at_targets = (np.searchsorted(t_axis, targets.thetas),
+                      np.searchsorted(p_axis, targets.phis))
         cfg = quick_cfg(max_outer_iters=4, ascent_max_iters=30)
         for scheme in Scheme:
             res = solve_benchmark(scheme, geom, targets, P_T, cfg)
@@ -271,3 +287,11 @@ class TestEdgeInputs:
             per_dbm, total_mw, min_dbm = target_powers(res.cov, geom, targets, res.shape)
             assert np.all(np.isfinite(per_dbm))
             assert np.isfinite(total_mw) and np.isfinite(min_dbm)
+            g = covariance_factor(res.cov.r).g
+            write_covariance_csv(path, res.cov.r)
+            back = read_covariance_csv(path)
+            np.testing.assert_array_equal(back, g)
+            grid = evaluate_beampattern(CovarianceFactor(back), geom, res.shape, t_axis, p_axis)
+            lit = per_dbm > DBM_FLOOR
+            np.testing.assert_allclose(10.0 ** (grid.power_dbm[at_targets][lit] / 10.0),
+                                       10.0 ** (per_dbm[lit] / 10.0), rtol=1e-9)

@@ -7,13 +7,14 @@ import pytest
 
 from conftest import desk_targets, loop_beampattern_mw
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
-from morphbeam.beampattern import (
-    BeampatternGrid,
+from morphbeam.beampattern import BeampatternGrid, evaluate_beampattern, target_powers
+from morphbeam.covariance import (
+    ConstraintKind,
     CovarianceFactor,
-    evaluate_beampattern,
-    target_powers,
+    CovarianceMatrix,
+    covariance_factor,
+    solve_per_antenna_sdp,
 )
-from morphbeam.covariance import ConstraintKind, CovarianceMatrix, solve_per_antenna_sdp
 from morphbeam.objective import cumulated_power
 from morphbeam.results import read_covariance_csv, write_covariance_csv
 from morphbeam.units import DBM_FLOOR
@@ -33,7 +34,7 @@ def test_uncorrelated_covariance_radiates_uniformly():
     geom = make_geom()
     n = geom.n_elements
     r = (10.0 / n) * np.eye(n, dtype=complex)
-    grid = evaluate_beampattern(r, geom, SurfaceShape.zero(geom),
+    grid = evaluate_beampattern(covariance_factor(r), geom, SurfaceShape.zero(geom),
                                 np.linspace(0, np.pi, 21),
                                 np.linspace(0, np.pi, 19))
     np.testing.assert_allclose(grid.power_dbm, 10.0, atol=1e-10)
@@ -48,7 +49,8 @@ def test_grid_agrees_with_target_powers():
     rm = response_matrix(geom, targets, shape)
     cov, _ = solve_per_antenna_sdp(rm.a, p_t=10.0)
 
-    grid = evaluate_beampattern(cov, geom, shape, targets.thetas, targets.phis)
+    grid = evaluate_beampattern(covariance_factor(cov.r), geom, shape,
+                                targets.thetas, targets.phis)
     per_dbm, cum_mw, min_dbm = target_powers(cov, geom, targets, shape)
     for k in range(3):
         assert grid.power_dbm[k, k] == pytest.approx(per_dbm[k], abs=1e-12)
@@ -67,7 +69,8 @@ def test_single_target_peak_value_and_location():
     axis = np.linspace(0.0, np.pi, 90)   # lattice avoids theta0/phi0 exactly
     t_axis = np.sort(np.append(axis, theta0))
     p_axis = np.sort(np.append(axis, phi0))
-    grid = evaluate_beampattern(cov, geom, SurfaceShape.zero(geom), t_axis, p_axis)
+    grid = evaluate_beampattern(covariance_factor(cov.r), geom, SurfaceShape.zero(geom),
+                                t_axis, p_axis)
     peak_dbm = 10.0 * np.log10(10.0 * geom.n_elements)
     i = int(np.searchsorted(t_axis, theta0))
     j = int(np.searchsorted(p_axis, phi0))
@@ -83,7 +86,7 @@ def test_power_bounded_by_budget_times_elements():
     shape = SurfaceShape(rng.uniform(-0.5, 0.5, geom.n_elements))
     rm = response_matrix(geom, targets, shape)
     cov, _ = solve_per_antenna_sdp(rm.a, p_t=7.0)
-    grid = evaluate_beampattern(cov, geom, shape, AXIS, AXIS)
+    grid = evaluate_beampattern(covariance_factor(cov.r), geom, shape, AXIS, AXIS)
     # a^H R a <= lambda_max(R) * n <= tr(R) * n = p_t * n
     bound_dbm = 10.0 * np.log10(7.0 * geom.n_elements)
     assert float(grid.power_dbm.max()) <= bound_dbm + 1e-9
@@ -101,7 +104,7 @@ def test_rank1_nulls_hit_the_floor():
     # phase difference pi between the two x elements => dx sin(t) cos(p) = 1/2
     theta = np.pi / 2
     phi = 0.0  # cos(phi) = 1, sin(theta) = 1 -> path difference 0.5 -> phase pi
-    grid = evaluate_beampattern(r, geom, SurfaceShape.zero(geom),
+    grid = evaluate_beampattern(covariance_factor(r), geom, SurfaceShape.zero(geom),
                                 np.array([theta]), np.array([phi]))
     assert grid.power_dbm[0, 0] == -200.0
 
@@ -119,13 +122,13 @@ def test_grid_matches_per_direction_loop():
     shape = SurfaceShape(rng.uniform(-0.7, 0.7, geom.n_elements))
     r = random_covariance(geom.n_elements, rng)
     t_axis = p_axis = np.linspace(0.0, np.pi, 19)
-    grid = evaluate_beampattern(r, geom, shape, t_axis, p_axis)
+    grid = evaluate_beampattern(covariance_factor(r), geom, shape, t_axis, p_axis)
     want = loop_beampattern_mw(r, geom, shape, t_axis, p_axis)
     np.testing.assert_allclose(10.0 ** (grid.power_dbm / 10.0), want, rtol=1e-12)
 
 
 def _covariance_of_kind(kind, geom, shape, rng):
-    "A covariance of the named kind, and how many eigenpairs it has above rounding."
+    "A PSD covariance of the named kind, and how many eigenpairs it has above rounding."
     n = geom.n_elements
     if kind == "rank-1":
         w = np.sqrt(10.0 / n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
@@ -133,39 +136,34 @@ def _covariance_of_kind(kind, geom, shape, rng):
     if kind == "rank-3":
         v = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
         return v @ v.conj().T, 3
-    if kind == "face-centre":
-        # the desk targets at a seeded shape have a rank-2 optimum, the
-        # analytic centre of its face
-        a = response_matrix(geom, desk_targets(), shape).a
-        cov, report = solve_per_antenna_sdp(a, p_t=10.0)
-        assert report.converged
-        return cov.r, 2
-    if kind == "indefinite":
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return g + g.conj().T, n
-    return np.zeros((n, n), dtype=complex), 0
+    # "face-centre": the desk targets at a seeded shape have a rank-2
+    # optimum, the analytic centre of its face
+    a = response_matrix(geom, desk_targets(), shape).a
+    cov, report = solve_per_antenna_sdp(a, p_t=10.0)
+    assert report.converged
+    return cov.r, 2
 
 
-@pytest.mark.parametrize("kind", ["rank-1", "rank-3", "face-centre", "indefinite", "zero"])
+@pytest.mark.parametrize("kind", ["rank-1", "rank-3", "face-centre", "zero"])
 def test_grid_matches_direct_quadratic_forms(kind):
-    # The grid runs on R's eigenpairs above N eps max|lam|; against the
-    # per-direction Re(a^H R a) it may differ by rounding only, and where
-    # that form is not positive the grid sits at the dBm floor.
+    # The grid runs on R's factor, its eigenpairs above N eps max lam;
+    # against the per-direction Re(a^H R a) it may differ by rounding only.
+    # An all-zero factor puts the whole grid at the dBm floor.
     rng = np.random.default_rng(4)
     geom = make_geom(d_max=0.4)
     shape = SurfaceShape(rng.uniform(-0.4, 0.4, geom.n_elements))
-    r, rank = _covariance_of_kind(kind, geom, shape, rng)
-    lam = np.linalg.eigvalsh(r)
-    rounding = geom.n_elements * np.finfo(float).eps * np.max(np.abs(lam), initial=0.0)
-    assert np.sum(np.abs(lam) > rounding) == rank
-    assert (kind == "indefinite") == bool(lam[0] < -1e-9 * lam[-1])
     t_axis, p_axis = np.linspace(0.0, np.pi, 23), np.linspace(0.0, np.pi, 19)
-    grid = evaluate_beampattern(r, geom, shape, t_axis, p_axis)
-    want = loop_beampattern_mw(r, geom, shape, t_axis, p_axis)
-    got = np.where(grid.power_dbm == DBM_FLOOR, 0.0, 10.0 ** (grid.power_dbm / 10.0))
     if kind == "zero":
+        zero = CovarianceFactor(np.zeros((geom.n_elements, 1)))
+        grid = evaluate_beampattern(zero, geom, shape, t_axis, p_axis)
         assert np.all(grid.power_dbm == DBM_FLOOR)
         return
+    r, rank = _covariance_of_kind(kind, geom, shape, rng)
+    factor = covariance_factor(r)
+    assert factor.g.shape[1] == rank
+    grid = evaluate_beampattern(factor, geom, shape, t_axis, p_axis)
+    want = loop_beampattern_mw(r, geom, shape, t_axis, p_axis)
+    got = np.where(grid.power_dbm == DBM_FLOOR, 0.0, 10.0 ** (grid.power_dbm / 10.0))
     peak = float(got.max())
     assert peak > 0.0
     np.testing.assert_array_less(np.abs(got - np.maximum(want, 0.0)), 1e-12 * peak)
@@ -173,8 +171,8 @@ def test_grid_matches_direct_quadratic_forms(kind):
 
 @pytest.mark.parametrize("kind", ["rank-1", "rank-3", "face-centre"])
 def test_grid_on_stored_factor_matches_grid_on_its_product(kind, tmp_path):
-    # covariance.csv stores G with R = G G^H; the grid swept on G (lam = 1,
-    # no eigh) agrees with the grid on the dense product to rounding.
+    # covariance.csv stores G with R = G G^H; the grid swept on the G read
+    # back agrees with the grid on a fresh factor of G G^H to rounding.
     rng = np.random.default_rng(6)
     geom = make_geom(d_max=0.4)
     shape = SurfaceShape(rng.uniform(-0.4, 0.4, geom.n_elements))
@@ -184,7 +182,8 @@ def test_grid_on_stored_factor_matches_grid_on_its_product(kind, tmp_path):
     assert g.shape == (geom.n_elements, rank)
     t_axis, p_axis = np.linspace(0.0, np.pi, 23), np.linspace(0.0, np.pi, 19)
     on_g = evaluate_beampattern(CovarianceFactor(g), geom, shape, t_axis, p_axis)
-    on_r = evaluate_beampattern(g @ g.conj().T, geom, shape, t_axis, p_axis)
+    on_r = evaluate_beampattern(covariance_factor(g @ g.conj().T), geom, shape,
+                                t_axis, p_axis)
     got, want = 10.0 ** (on_g.power_dbm / 10.0), 10.0 ** (on_r.power_dbm / 10.0)
     np.testing.assert_array_less(np.abs(got - want), 1e-12 * want.max())
 
@@ -209,7 +208,7 @@ def test_grid_memory_stays_bounded_at_n400():
     r = random_covariance(geom.n_elements, rng)
     tracemalloc.start()
     try:
-        grid = evaluate_beampattern(r, geom, shape, AXIS, AXIS)
+        grid = evaluate_beampattern(covariance_factor(r), geom, shape, AXIS, AXIS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -217,15 +216,15 @@ def test_grid_memory_stays_bounded_at_n400():
     assert peak < 48e6, f"peak traced memory {peak / 1e6:.1f} MB"
 
 
-def test_rejects_non_hermitian_or_misshaped_covariance():
+def test_takes_only_a_factor():
+    # An N x N R read as G would draw R^2, so a dense R is refused, not factored.
     geom = make_geom(n=2)
     shape = SurfaceShape.zero(geom)
     r = np.eye(4, dtype=complex)
-    r[0, 1] = 0.5j                      # a hand-edited entry without its mirror
-    with pytest.raises(ValueError, match="Hermitian"):
-        evaluate_beampattern(r, geom, shape, AXIS, AXIS)
-    with pytest.raises(ValueError, match="expected"):
-        evaluate_beampattern(np.eye(3), geom, shape, AXIS, AXIS)
+    cov = CovarianceMatrix(r=r, power_budget=4.0, constraint_kind=ConstraintKind.PER_ANTENNA)
+    for dense in (r, cov):
+        with pytest.raises(TypeError, match="covariance_factor"):
+            evaluate_beampattern(dense, geom, shape, AXIS, AXIS)
 
 
 class TestBeampatternGrid:

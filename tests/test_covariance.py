@@ -490,6 +490,20 @@ class TestRandomizeRank1:
         with pytest.raises(ValueError, match="rows"):
             randomize_rank1(cov, random_a(5, 1, rng), p_t=4.0, n_samples=10)
 
+    def test_rejects_non_hermitian_or_non_finite_covariance(self):
+        # eigh reads one triangle only: an edited upper triangle would draw
+        # the same weights as before, and a NaN would draw NaN weights
+        rng = np.random.default_rng(10)
+        a = random_a(4, 2, rng)
+        cov, _ = solve_per_antenna_sdp(a, p_t=4.0)
+        for edit, message in ((0.5j, "not Hermitian"), (np.nan, "non-finite")):
+            r = cov.r.copy()
+            r[0, 1] += edit
+            bad = CovarianceMatrix(r=r, power_budget=4.0,
+                                   constraint_kind=ConstraintKind.PER_ANTENNA)
+            with pytest.raises(ValueError, match=message):
+                randomize_rank1(bad, a, p_t=4.0, n_samples=10)
+
     @pytest.mark.parametrize("p_t", BAD_POWER)
     def test_rejects_bad_power_budget(self, p_t):
         cov = CovarianceMatrix(r=np.eye(4, dtype=complex), power_budget=4.0,
@@ -553,6 +567,15 @@ class TestCovarianceValidate:
         r[0, 1] = 1e-12
         CovarianceMatrix(r=r, power_budget=4.0,
                          constraint_kind=ConstraintKind.PER_ANTENNA).validate()
+
+    @pytest.mark.parametrize("p_t", BAD_POWER)
+    def test_rejects_bad_power_budget(self, p_t):
+        # R = 0 with P_t = 0 meets every other check
+        for r in (np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex)):
+            cov = CovarianceMatrix(r=r, power_budget=p_t,
+                                   constraint_kind=ConstraintKind.PER_ANTENNA)
+            with pytest.raises(ValueError, match="finite and positive"):
+                cov.validate()
 
     def test_catches_indefinite(self):
         # diagonal exactly p_t/N = 1, but eigenvalues 3, 1, 1 and -1

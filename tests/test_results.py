@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from morphbeam.beampattern import BeampatternGrid
+from morphbeam.covariance import covariance_factor
 from morphbeam.results import (
     BEAMPATTERN_HEADER,
     COMPARE_HEADER,
@@ -19,7 +20,6 @@ from morphbeam.results import (
     SWEEP_POWER_HEADER,
     SWEEP_RANGE_HEADER,
     ResultRecord,
-    covariance_factor,
     read_beampattern_csv,
     read_covariance_csv,
     read_shape_csv,
@@ -85,7 +85,7 @@ class TestCsvRoundTrips:
         write_covariance_csv(path, r)
         assert path.read_text().splitlines()[0] == ",".join(COVARIANCE_HEADER)
         back = read_covariance_csv(path)
-        np.testing.assert_array_equal(back, covariance_factor(r))   # repr round-trips doubles
+        np.testing.assert_array_equal(back, covariance_factor(r).g)   # repr round-trips doubles
         assert np.linalg.norm(back @ back.conj().T - r) <= 1e-12 * np.linalg.norm(r)
 
     def test_shape_exact(self, tmp_path):
@@ -162,7 +162,7 @@ class TestWriterBytes:
         for m in (r, r.real.copy()):
             path = tmp_path / "cov.csv"
             write_covariance_csv(path, m)
-            g = covariance_factor(m)
+            g = covariance_factor(m).g
             want = csv_writer_bytes(COVARIANCE_HEADER, (
                 (i, j, float(g[i, j].real), float(g[i, j].imag))
                 for i in range(g.shape[0]) for j in range(g.shape[1])))
@@ -201,7 +201,7 @@ class TestCovarianceWriterRejects:
 
     def test_psd_rounding_is_accepted_and_not_stored(self):
         # -1e-9 lam_max passes the PSD test; only the positive eigenpairs are stored
-        g = covariance_factor(np.diag([1.0, 0.5, -1e-9]))
+        g = covariance_factor(np.diag([1.0, 0.5, -1e-9])).g
         assert g.shape == (3, 2)
         np.testing.assert_allclose(g @ g.conj().T, np.diag([1.0, 0.5, 0.0]), atol=1e-15)
 
@@ -228,7 +228,8 @@ class TestRoundTripBits:
     def test_covariance(self, tmp_path_factory, r):
         path = tmp_path_factory.mktemp("cov") / "cov.csv"
         write_covariance_csv(path, r)
-        np.testing.assert_array_equal(bits(read_covariance_csv(path)), bits(covariance_factor(r)))
+        np.testing.assert_array_equal(bits(read_covariance_csv(path)),
+                                      bits(covariance_factor(r).g))
 
     @settings(max_examples=60, deadline=None)
     @given(d=hnp.arrays(np.float64, st.integers(1, 12),
