@@ -143,6 +143,24 @@ class ResponseMatrix:
         return self.a.shape[1]
 
 
+def phasor(phase) -> np.ndarray:
+    """exp(-j 2 pi phase), elementwise, for a real array ``phase``.
+
+    The angle is the same product ``-2 pi * phase`` that
+    ``np.exp(-2j * np.pi * phase)`` exponentiates; its cosine is written
+    into the real part and its sine into the imaginary part of one complex
+    array, with no complex temporary. Entries agree with that ``np.exp``
+    to 2 eps. Where numpy's cos and sin round as the C library's complex
+    exp does (they do with numpy 2.4 on x86-64 Linux), they are bit-equal,
+    except that a phase of +0.0 gives an imaginary part of -0.0.
+    """
+    angle = np.multiply(phase, -TWO_PI)
+    out = np.empty(np.shape(angle), dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
 def steering_matrix(
     geom: ArrayGeometry,
     thetas: np.ndarray,
@@ -151,17 +169,25 @@ def steering_matrix(
 ) -> np.ndarray:
     """Steering vectors for several directions at once, as columns.
 
-    Phase model per element and direction (theta, phi):
-    x and z contributions from the rigid grid, plus the displacement term
-    ``exp(-j 2 pi d_n sin(theta) sin(phi))``.
+    Phase model per element (i_x, i_z, d_n) and direction (theta, phi):
+    ``exp(-j 2 pi (i_x dx u + i_z dz w + d_n v))`` with
+    ``u = sin(theta) cos(phi)``, ``w = cos(theta)`` and
+    ``v = sin(theta) sin(phi)``, built as the product of the three
+    phasors.
 
     Returns an (n_elements, n_directions) complex matrix whose entries all
     have unit modulus.
 
-    The displacement term depends on a direction only through
-    ``sin(theta) sin(phi)``, so it is exponentiated once per distinct value
-    and gathered into the columns; every entry has the same bits as when
-    each column is computed on its own.
+    The z and displacement phasors depend on a direction only through
+    ``dz w`` and ``v``, so each is built once per distinct value and
+    gathered into the columns. ``dz w`` is never zero, and ``v`` is read as
+    ``v + 0.0``, which turns -0.0 into +0.0, so merging equal values merges
+    equal bits. ``u`` is not deduplicated: it is -0.0 at theta = -0.0 and
+    +0.0 at theta = 0.0, whose phasors differ in the sign of a zero. So
+    every column has the same bits as when it is built on its own. The
+    planar product is written straight into the result and the
+    displacement phasors are multiplied in place, so the gathered phasors
+    are the one N x M temporary.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
@@ -173,15 +199,17 @@ def steering_matrix(
         )
 
     sin_t = np.sin(thetas)
-    v_x = geom.dx * sin_t * np.cos(phis)          # wavelengths
-    v_z = geom.dz * np.cos(thetas)
-    a_x = np.exp(-1j * TWO_PI * np.outer(np.arange(geom.n_x), v_x))   # (n_x, M)
-    a_z = np.exp(-1j * TWO_PI * np.outer(np.arange(geom.n_z), v_z))   # (n_z, M)
+    u = geom.dx * sin_t * np.cos(phis)          # wavelengths
+    w, inv_w = np.unique(geom.dz * np.cos(thetas), return_inverse=True)
+    v, inv_v = np.unique(sin_t * np.sin(phis) + 0.0, return_inverse=True)
+    a_x = phasor(np.outer(np.arange(geom.n_x), u))              # (n_x, M)
+    a_z = phasor(np.outer(np.arange(geom.n_z), w))              # (n_z, distinct w)
     # kron(a_z, a_x) for every direction: flat index i_z * n_x + i_x
-    planar = (a_z[:, None, :] * a_x[None, :, :]).reshape(geom.n_elements, -1)
-    s, inv = np.unique(sin_t * np.sin(phis), return_inverse=True)
-    a_y = np.exp(-1j * TWO_PI * np.outer(displacements, s))
-    return planar * a_y[:, inv]
+    out = np.empty((geom.n_z, geom.n_x, u.size), dtype=complex)
+    np.multiply(np.take(a_z, inv_w, axis=1)[:, None, :], a_x[None, :, :], out=out)
+    out = out.reshape(geom.n_elements, u.size)
+    out *= np.take(phasor(np.outer(displacements, v)), inv_v, axis=1)
+    return out
 
 
 def response_matrix(

@@ -195,7 +195,7 @@ def _covariance_step(
         return cov, None, rep, sdp_obj, None
     seed, start_index, outer = draw_key
     seq = np.random.SeedSequence([seed, _SEED_TAG_RAND, start_index, outer])
-    w_new, rank1_val = randomize_rank1(cov_sdp, rm.a, p_t, rng_seed=seq)
+    w_new, rank1_val = randomize_rank1(cov_sdp, rm.a, rng_seed=seq)
     if weights is not None:
         a_w = rm.a.conj().T @ weights  # w^H B w = ||A^H w||^2
         if float(np.real(column_powers(a_w, a_w))) >= rank1_val:

@@ -414,22 +414,22 @@ def solve_per_antenna_sdp(
 def randomize_rank1(
     r: CovarianceMatrix,
     a: np.ndarray,
-    p_t: float,
     n_samples: int = 1000,
     rng_seed=0,
 ) -> tuple[np.ndarray, float]:
     """Extract per-antenna-feasible phased-array weights from an SDP solution.
 
     Draws ``n_samples`` complex Gaussian vectors with covariance ``r.r``,
-    maps each to constant-modulus weights ``sqrt(p_t/N) exp(j arg(.))``, and
-    returns the weights maximizing ``w^H B w = ||A^H w||^2`` for the N x K
-    steering matrix ``a``, plus that value. Samples are drawn sequentially
-    from one seeded stream, so the best value over a prefix of the stream
-    is nondecreasing in ``n_samples``, up to last-bit rounding of the
-    batched matrix products.
+    maps each to constant-modulus weights ``sqrt(P_t/N) exp(j arg(.))`` for
+    the budget P_t = ``r.power_budget``, and returns the weights maximizing
+    ``w^H B w = ||A^H w||^2`` for the N x K steering matrix ``a``, plus that
+    value. Samples are drawn sequentially from one seeded stream, so the
+    best value over a prefix of the stream is nondecreasing in
+    ``n_samples``, up to last-bit rounding of the batched matrix products.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    p_t = r.power_budget
     _check_power_budget(p_t)
     a = _check_a(a)
     n = a.shape[0]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import TWO_PI, ArrayGeometry, SurfaceShape, TargetSet, steering_matrix
+from .array_model import ArrayGeometry, SurfaceShape, TargetSet, phasor, steering_matrix
 from .objective import _as_matrix, _check_covariance, column_powers, power_gradient
 # bound here only so perfbench/tracing.py WRAP_POINTS can wrap it
 from .objective import shape_gradient  # noqa: F401
@@ -140,7 +140,7 @@ def ascend_shape(
     c = np.sin(targets.thetas) * np.sin(targets.phis)
 
     def power(x):
-        a = planar * np.exp(-1j * TWO_PI * np.outer(x, c))
+        a = planar * phasor(np.outer(x, c))
         ra = r @ a
         return float(np.sum(column_powers(a, ra)).real), a, ra
 

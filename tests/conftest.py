@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from morphbeam import shape_opt
-from morphbeam.array_model import TWO_PI, ArrayGeometry, SurfaceShape, TargetSet, steering_matrix
+from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, phasor, steering_matrix
 from morphbeam.bcd import BcdConfig, Scheme, solve_benchmark
 from morphbeam.objective import column_powers, power_gradient
 
@@ -123,7 +123,7 @@ def capped_ascend_shape(r_x, geom, targets, shape, max_iters=shape_opt.MAX_ITERS
     c = np.sin(targets.thetas) * np.sin(targets.phis)
 
     def power(x):
-        a = planar * np.exp(-1j * TWO_PI * np.outer(x, c))
+        a = planar * phasor(np.outer(x, c))
         ra = r @ a
         return float(np.sum(column_powers(a, ra)).real), a, ra
 

@@ -2,17 +2,32 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import loop_steering, steering_vector
 from morphbeam.array_model import (
     ArrayGeometry,
     SurfaceShape,
     TargetSet,
+    phasor,
     response_matrix,
     steering_matrix,
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+# angles in [0, pi], with the signed zero and the ends drawn often
+ANGLES = st.one_of(st.sampled_from([0.0, -0.0, np.pi / 2, np.pi]),
+                   st.floats(0.0, np.pi))
+
+
+def loop_matrix(geom, thetas, phis, displacements):
+    "The loop oracle's columns side by side: np.exp of each element's whole phase."
+    return np.column_stack([loop_steering(geom, theta, phi, displacements)
+                            for theta, phi in zip(thetas, phis)])
 
 
 def small_geom(n_x=2, n_z=2, dx=0.5, dz=0.5, d_max=0.0):
@@ -49,6 +64,19 @@ class TestGeometryValidation:
     def test_derived_quantities(self):
         geom = ArrayGeometry(n_x=3, n_z=4, dx=0.5, dz=0.5)
         assert geom.n_elements == 12
+
+
+class TestPhasor:
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, max_side=8),
+                      elements=st.one_of(st.sampled_from([0.0, -0.0]),
+                                         st.floats(-1e300, 1e300))))
+    def test_matches_complex_exp(self, x):
+        got = phasor(x)
+        want = np.exp(-2j * np.pi * x)
+        assert got.shape == x.shape and got.dtype == complex
+        two_eps = 2 * np.finfo(float).eps
+        assert np.all(np.abs(got.real - want.real) <= two_eps)
+        assert np.all(np.abs(got.imag - want.imag) <= two_eps)
 
 
 class TestSteeringVector:
@@ -113,6 +141,34 @@ class TestSteeringVector:
         want = np.column_stack([steering_matrix(geom, th, ph, d)[:, 0]
                                 for th, ph in zip(thetas, phis)])
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n_x, n_z", [(1, 1), (1, 4), (4, 1), (3, 2)])
+    def test_edge_directions_match_the_loop_oracle(self, n_x, n_z):
+        # the poles, theta = -0.0, phi = pi and boresight, in every pairing,
+        # on a single element and on one-row and one-column arrays
+        geom = small_geom(n_x=n_x, n_z=n_z, d_max=1.0)
+        special = np.array([0.0, -0.0, np.pi / 2, np.pi, 0.3])
+        thetas, phis = (g.ravel() for g in np.meshgrid(special, special))
+        d = np.random.default_rng(n_x * 10 + n_z).uniform(-1.0, 1.0, geom.n_elements)
+        got = steering_matrix(geom, thetas, phis, d)
+        np.testing.assert_array_less(
+            np.abs(got - loop_matrix(geom, thetas, phis, d)), 1e-13)
+        one_at_a_time = np.column_stack([steering_matrix(geom, th, ph, d)[:, 0]
+                                         for th, ph in zip(thetas, phis)])
+        np.testing.assert_array_equal(got.view(np.uint64), one_at_a_time.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_x=st.integers(1, 4), n_z=st.integers(1, 4),
+           directions=st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batches_match_the_loop_oracle(self, n_x, n_z, directions, seed):
+        geom = small_geom(n_x=n_x, n_z=n_z, d_max=1.0)
+        thetas, phis = np.array(directions).T
+        d = np.random.default_rng(seed).uniform(-1.0, 1.0, geom.n_elements)
+        got = steering_matrix(geom, thetas, phis, d)
+        assert got.shape == (geom.n_elements, len(directions))
+        np.testing.assert_array_less(
+            np.abs(got - loop_matrix(geom, thetas, phis, d)), 1e-13)
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(3)

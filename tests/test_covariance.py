@@ -444,7 +444,7 @@ class TestRandomizeRank1:
         rng = np.random.default_rng(6)
         a = random_a(8, 3, rng)
         cov, _ = solve_per_antenna_sdp(a, p_t=8.0)
-        w, val = randomize_rank1(cov, a, p_t=8.0, n_samples=200, rng_seed=1)
+        w, val = randomize_rank1(cov, a, n_samples=200, rng_seed=1)
         np.testing.assert_allclose(np.abs(w), 1.0, rtol=1e-12)
         assert val == pytest.approx(float(np.real(w.conj() @ gram(a) @ w)), rel=1e-12)
 
@@ -452,7 +452,7 @@ class TestRandomizeRank1:
         rng = np.random.default_rng(7)
         a = random_a(8, 3, rng)
         cov, report = solve_per_antenna_sdp(a, p_t=8.0)
-        _, val = randomize_rank1(cov, a, p_t=8.0, n_samples=500, rng_seed=2)
+        _, val = randomize_rank1(cov, a, n_samples=500, rng_seed=2)
         assert val <= report.dual_bound * (1.0 + 1e-9)
 
     def test_value_nondecreasing_in_sample_count(self):
@@ -462,7 +462,7 @@ class TestRandomizeRank1:
         a = random_a(6, 2, rng)
         cov, _ = solve_per_antenna_sdp(a, p_t=6.0)
         vals = [
-            randomize_rank1(cov, a, p_t=6.0, n_samples=m, rng_seed=3)[1]
+            randomize_rank1(cov, a, n_samples=m, rng_seed=3)[1]
             for m in (1, 10, 100, 400)
         ]
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
@@ -471,8 +471,8 @@ class TestRandomizeRank1:
         rng = np.random.default_rng(9)
         a = random_a(5, 2, rng)
         cov, _ = solve_per_antenna_sdp(a, p_t=5.0)
-        w1, v1 = randomize_rank1(cov, a, p_t=5.0, n_samples=50, rng_seed=42)
-        w2, v2 = randomize_rank1(cov, a, p_t=5.0, n_samples=50, rng_seed=42)
+        w1, v1 = randomize_rank1(cov, a, n_samples=50, rng_seed=42)
+        w2, v2 = randomize_rank1(cov, a, n_samples=50, rng_seed=42)
         np.testing.assert_array_equal(w1, w2)
         assert v1 == v2
 
@@ -481,14 +481,14 @@ class TestRandomizeRank1:
         a = random_a(4, 1, rng)
         cov, _ = solve_per_antenna_sdp(a, p_t=4.0)
         with pytest.raises(ValueError):
-            randomize_rank1(cov, a, p_t=4.0, n_samples=0)
+            randomize_rank1(cov, a, n_samples=0)
         degenerate = CovarianceMatrix(r=np.zeros((4, 4), dtype=complex),
                                       power_budget=4.0,
                                       constraint_kind=ConstraintKind.PER_ANTENNA)
         with pytest.raises(ValueError):
-            randomize_rank1(degenerate, a, p_t=4.0, n_samples=10)
+            randomize_rank1(degenerate, a, n_samples=10)
         with pytest.raises(ValueError, match="rows"):
-            randomize_rank1(cov, random_a(5, 1, rng), p_t=4.0, n_samples=10)
+            randomize_rank1(cov, random_a(5, 1, rng), n_samples=10)
 
     def test_rejects_non_hermitian_or_non_finite_covariance(self):
         # eigh reads one triangle only: an edited upper triangle would draw
@@ -502,21 +502,30 @@ class TestRandomizeRank1:
             bad = CovarianceMatrix(r=r, power_budget=4.0,
                                    constraint_kind=ConstraintKind.PER_ANTENNA)
             with pytest.raises(ValueError, match=message):
-                randomize_rank1(bad, a, p_t=4.0, n_samples=10)
+                randomize_rank1(bad, a, n_samples=10)
+
+    def test_weights_spend_the_covariance_budget(self):
+        # the budget is read off the covariance, so it is given once
+        rng = np.random.default_rng(12)
+        a = random_a(8, 2, rng)
+        cov, _ = solve_per_antenna_sdp(a, p_t=2.0)
+        w, val = randomize_rank1(cov, a, n_samples=50, rng_seed=4)
+        np.testing.assert_allclose(np.abs(w) ** 2, 2.0 / 8, rtol=1e-12)
+        assert val == pytest.approx(float(np.real(w.conj() @ gram(a) @ w)), rel=1e-12)
 
     @pytest.mark.parametrize("p_t", BAD_POWER)
     def test_rejects_bad_power_budget(self, p_t):
-        cov = CovarianceMatrix(r=np.eye(4, dtype=complex), power_budget=4.0,
+        cov = CovarianceMatrix(r=np.eye(4, dtype=complex), power_budget=p_t,
                                constraint_kind=ConstraintKind.PER_ANTENNA)
         with pytest.raises(ValueError, match="finite and positive"):
-            randomize_rank1(cov, np.ones((4, 1), dtype=complex), p_t, n_samples=10)
+            randomize_rank1(cov, np.ones((4, 1), dtype=complex), n_samples=10)
 
     @pytest.mark.parametrize("bad, message", BAD_STEERING)
     def test_rejects_bad_steering_matrix(self, bad, message):
         cov = CovarianceMatrix(r=np.eye(4, dtype=complex), power_budget=4.0,
                                constraint_kind=ConstraintKind.PER_ANTENNA)
         with pytest.raises(ValueError, match=message):
-            randomize_rank1(cov, bad, p_t=4.0, n_samples=10)
+            randomize_rank1(cov, bad, n_samples=10)
 
 
 class TestRankProfile:
