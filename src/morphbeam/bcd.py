@@ -284,8 +284,8 @@ def _build_starts(
     """Starting shapes: the zero start, ``n_starts - 1`` uniform draws, then ``provided``.
 
     ``provided`` holds ``(SurfaceShape, CovarianceMatrix | None)`` pairs; a
-    covariance seeds the run with an incumbent so the warm start cannot lose
-    to its seed.
+    covariance seeds a MIMO run with an incumbent so the warm start cannot
+    lose to its seed.
     """
     starts: list[tuple[SurfaceShape, str, CovarianceMatrix | None]] = [
         (SurfaceShape.zero(geom), InitScheme.ZERO.value, None)
@@ -320,13 +320,19 @@ def solve_benchmark(
     rigid step and held weights or covariances are only ever replaced by
     better ones, so a morphing scheme never falls below its rigid one.
     ``provided_starts`` holds extra ``(SurfaceShape, CovarianceMatrix |
-    None)`` starts. Every SDP runs to the solver's default gap tolerance and
-    every randomization draws its default sample count.
+    None)`` starts. A PA scheme holds weights, not a covariance, so it
+    raises ValueError for a provided covariance instead of ignoring it.
+    Every SDP runs to the solver's default gap tolerance and every
+    randomization draws its default sample count.
     """
     scheme = Scheme(scheme)
     if cfg is None:
         cfg = BcdConfig()
     _check_power_budget(p_t)
+    if scheme in (Scheme.RAA_PA, Scheme.FIM_PA) and any(
+            cov is not None for _, cov in provided_starts):
+        raise ValueError(f"{scheme.value} cannot start from a provided covariance: "
+                         f"it holds phased-array weights")
 
     if scheme in (Scheme.RAA_MIMO, Scheme.RAA_PA):
         shape = SurfaceShape.zero(geom)

@@ -156,7 +156,8 @@ def covariance_factor(r: np.ndarray) -> CovarianceFactor:
     (which alone would read one triangle), and the eigenpairs with
     lam > N eps max|lam| are kept: what is dropped is at most
     N^2 eps max|lam| in any a^H R a with unit-modulus a, the size of the
-    rounding of a^H (R a). A certified rank-1 optimum gives k = 1.
+    rounding of a^H (R a). A certified rank-1 optimum gives k = 1. The
+    columns come in ascending eigenvalue order, as ``eigh`` returns them.
     """
     r = np.asarray(r, dtype=complex)
     if r.ndim != 2:
@@ -343,18 +344,14 @@ def _face_centre(u: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def solve_per_antenna_sdp(
-    a: np.ndarray,
-    p_t: float,
-    iter_cap: int = DEFAULT_ITER_CAP,
-) -> tuple[CovarianceMatrix, SolveReport]:
+def solve_per_antenna_sdp(a: np.ndarray, p_t: float) -> tuple[CovarianceMatrix, SolveReport]:
     """Maximize tr(R B), B = A A^H, under diag(R) = p_t/N and R >= 0.
 
     ``a`` is the N x K steering matrix of the targets. Returns a feasible
     covariance together with a report whose ``dual_bound`` certifies the
-    relative optimality gap. ``iter_cap`` bounds the power steps of both
-    stages; a failure to reach ``DEFAULT_SDP_TOL`` within them is reported
-    via ``converged=False``, never silently.
+    relative optimality gap. ``DEFAULT_ITER_CAP``, read at each call, bounds
+    the power steps of both stages; a failure to reach ``DEFAULT_SDP_TOL``
+    within them is reported via ``converged=False``, never silently.
     """
     _check_power_budget(p_t)
     a = _check_a(a)
@@ -373,7 +370,7 @@ def solve_per_antenna_sdp(
     f = u[:, keep] * (sv[keep] / sv[0])
     dropped = float(np.max(eig_rel[~keep], initial=0.0))
 
-    v, steps = _power_method(an, _rownorm(f[:, 0]), iter_cap)
+    v, steps = _power_method(an, _rownorm(f[:, 0]), DEFAULT_ITER_CAP)
     primal, y_dual, dual, gap = _certify(an, v, f, dropped)
     if gap > DEFAULT_SDP_TOL or _face(y_dual, f).shape[1] > 1:
         # Block stage, certified every _CHECK_STEPS steps until the slack is
@@ -381,11 +378,11 @@ def solve_per_antenna_sdp(
         anh = an.conj().T
         v = _rownorm(np.column_stack([v, f[:, 1:]]))
         while True:
-            for _ in range(min(_CHECK_STEPS, iter_cap - steps)):
+            for _ in range(min(_CHECK_STEPS, DEFAULT_ITER_CAP - steps)):
                 v = _rownorm(an @ (anh @ v))
                 steps += 1
             primal, y_dual, dual, gap = _certify(an, v, f, dropped)
-            if gap <= _FACE_GAP or steps >= iter_cap:
+            if gap <= _FACE_GAP or steps >= DEFAULT_ITER_CAP:
                 break
         face = _face(y_dual, f)
         centre = _face_centre(face) if gap <= DEFAULT_SDP_TOL and face.shape[1] > 1 else None
@@ -397,7 +394,7 @@ def solve_per_antenna_sdp(
     converged = gap <= DEFAULT_SDP_TOL
     if not converged:
         logger.warning("per-antenna SDP ended at relative gap %.3g after %d power steps "
-                       "(iteration cap %d)", gap, steps, iter_cap)
+                       "(iteration cap %d)", gap, steps, DEFAULT_ITER_CAP)
     r_feas = np.outer(v, v.conj()) if v.ndim == 1 else v @ v.conj().T
     cov = CovarianceMatrix(r=rho * r_feas, power_budget=p_t,
                            constraint_kind=ConstraintKind.PER_ANTENNA)
@@ -419,9 +416,11 @@ def randomize_rank1(
 ) -> tuple[np.ndarray, float]:
     """Extract per-antenna-feasible phased-array weights from an SDP solution.
 
-    Draws ``n_samples`` complex Gaussian vectors with covariance ``r.r``,
-    maps each to constant-modulus weights ``sqrt(P_t/N) exp(j arg(.))`` for
-    the budget P_t = ``r.power_budget``, and returns the weights maximizing
+    Draws ``n_samples`` complex Gaussian vectors G z with covariance
+    ``r.r`` = G G^H, G from :func:`covariance_factor`, which refuses an R
+    that is not finite, Hermitian, PSD and nonzero. Maps each draw to
+    constant-modulus weights ``sqrt(P_t/N) exp(j arg(.))`` for the budget
+    P_t = ``r.power_budget``, and returns the weights maximizing
     ``w^H B w = ||A^H w||^2`` for the N x K steering matrix ``a``, plus that
     value. Samples are drawn sequentially from one seeded stream, so the
     best value over a prefix of the stream is nondecreasing in
@@ -435,17 +434,16 @@ def randomize_rank1(
     n = a.shape[0]
     if r.r.shape != (n, n):
         raise ValueError(f"covariance is {r.r.shape}, A has {n} rows")
-    _check_covariance(r.r, n)
-    if float(np.real(np.trace(r.r))) <= 1e-300:
-        raise ValueError("degenerate covariance: trace is numerically zero")
+    g = covariance_factor(r.r).g
+    k = g.shape[1]
     rng = np.random.default_rng(rng_seed)
 
-    eigvals, eigvecs = np.linalg.eigh(r.r)
-    root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
     # Sample-major draws: sample s takes stream entries [2 N s, 2 N (s + 1)),
-    # so a smaller n_samples sees a prefix of the same samples.
+    # so a smaller n_samples sees a prefix of the same samples. G's columns
+    # are the top k eigenpairs in ascending order, so each takes the normals
+    # that the same eigenpair takes in the full N x N root of R.
     noise = rng.standard_normal((n_samples, 2, n))
-    xi = root @ ((noise[:, 0] + 1j * noise[:, 1]).T / np.sqrt(2.0))
+    xi = g @ ((noise[:, 0, n - k:] + 1j * noise[:, 1, n - k:]).T / np.sqrt(2.0))
     w_all = np.sqrt(p_t / n) * np.exp(1j * np.angle(xi))
     a_w = a.conj().T @ w_all
     values = np.real(column_powers(a_w, a_w))

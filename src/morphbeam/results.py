@@ -1,10 +1,9 @@
 """Result records and flat-file persistence for experiment outputs.
 
 Records serialize to JSON; matrices and grids go to CSV with fixed headers so
-downstream plotting never guesses column meanings. Floats are written with
-Python's shortest round-trip representation, which makes re-parsed values
-bit-equal to what was computed. The files are what ``csv.writer`` writes:
-comma-separated, CRLF line ends, no quoting of numbers.
+downstream plotting never guesses column meanings. :func:`_write_csv` writes
+every CSV, comma-separated with CRLF line ends; floats take Python's shortest
+round-trip form, so re-parsed values are bit-equal to what was computed.
 
 ``covariance.csv`` holds a factor G of the covariance, R = G G^H, with one
 column per eigenpair of R above rounding, not R's N^2 entries: a rank-1
@@ -13,15 +12,16 @@ optimum is N rows. The writer takes a dense R and factors it with
 header differs from the ``row,col,re,im`` of artifact version 3, so an old
 file of R's entries is rejected instead of being read as G.
 
-The readers check the header, parse the body with ``np.loadtxt`` and raise
-ValueError naming the file for an empty body, a NaN or infinite entry, a
-negative, fractional or out-of-range index, a duplicate entry, or entries
-that do not cover the matrix, vector or grid exactly once.
+A reader takes exactly the rows its writer writes, in the writer's order:
+``covariance.csv`` element-major with k columns per element, ``shape.csv``
+in element order, ``beampattern.csv`` theta-major, each theta with the first
+theta's phi values; k and the phi count come from the first block. Its
+ValueError names the file and the first row that differs from the writer's.
+An empty body, a NaN or infinite entry, or a partial block is refused too.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import warnings
@@ -96,17 +96,17 @@ class ResultRecord:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _write_csv(path: str | Path, header: list[str], rows) -> None:
+def _write_csv(path: str | Path, header: list[str], lines) -> None:
+    "The header line, then ``lines``, each already ending in CRLF."
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(lines)
 
 
 def _read_body(path: str | Path, expected_header: list[str]) -> np.ndarray:
     "Check the header, then parse every body row as floats, one row per line."
     with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]), None)
+        header = fh.readline().rstrip("\r\n").split(",")
         if header != expected_header:
             raise ValueError(f"{path}: expected header {expected_header}, got {header}")
         try:
@@ -130,103 +130,87 @@ def _read_body(path: str | Path, expected_header: list[str]) -> np.ndarray:
     return body
 
 
-def _index_column(path, values: np.ndarray, name: str, limit: int) -> np.ndarray:
-    "Integer indices from a float column; each must lie in [0, limit)."
-    bad = ~((values >= 0) & (values < limit) & (values == np.floor(values)))
-    if np.any(bad):
-        raise ValueError(f"{path}: {name} index {float(values[np.argmax(bad)])!r} is not an "
-                         f"integer in [0, {limit})")
-    return values.astype(np.intp)
+def _blocks(path, body: np.ndarray, header: list[str]) -> tuple[int, int]:
+    "(blocks, rows per block); the first block is the rows sharing the first row's key."
+    # row 0 never differs from itself, so argmax is 0 only when no row does
+    size = int(np.argmax(body[:, 0] != body[0, 0])) or body.shape[0]
+    if body.shape[0] % size:
+        raise ValueError(f"{path}: {body.shape[0]} data rows are not a whole number of "
+                         f"blocks of {size}, the rows of the first {header[0]}")
+    return body.shape[0] // size, size
 
 
-def _check_cover(path, flat: np.ndarray, size: int, label) -> None:
-    """Each of ``size`` entries is named by exactly one row.
-
-    ``flat`` holds entry numbers in [0, size); ``label`` turns one into the
-    index shown in the error.
-    """
-    if size > flat.size:            # first, so bincount never counts more than the rows
-        raise ValueError(f"{path}: {flat.size} rows cannot cover all {size} entries")
-    counts = np.bincount(flat, minlength=size)
-    if np.any(counts > 1):
-        raise ValueError(f"{path}: duplicate entry {label(np.argmax(counts > 1))}")
+def _check_keys(path, body: np.ndarray, header: list[str], want: np.ndarray) -> None:
+    "ValueError naming the first data row whose leading key columns are not ``want``'s row."
+    m = want.shape[1]
+    bad = np.flatnonzero(np.any(body[:, :m] != want, axis=1))
+    if bad.size:
+        row = bad[0]
+        raise ValueError(f"{path}: data row {row + 1} holds {header[:m]} = "
+                         f"{body[row, :m].tolist()}, where the writer puts {want[row].tolist()}")
 
 
 def write_covariance_csv(path: str | Path, r: np.ndarray) -> None:
     "R's factor G (:func:`covariance_factor`) as (element, column, re, im) tuples, row-major."
     g = covariance_factor(r).g
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(COVARIANCE_HEADER) + "\r\n")
-        for i, row in enumerate(g):
-            fh.writelines(f"{i},{j},{x!r},{y!r}\r\n"
-                          for j, (x, y) in enumerate(zip(row.real.tolist(), row.imag.tolist())))
+    _write_csv(path, COVARIANCE_HEADER, (
+        f"{i},{j},{x!r},{y!r}\r\n" for i, row in enumerate(g)
+        for j, (x, y) in enumerate(zip(row.real.tolist(), row.imag.tolist()))))
 
 
 def read_covariance_csv(path: str | Path) -> np.ndarray:
     "The N x k factor G of ``covariance.csv``, R = G G^H."
     body = _read_body(path, COVARIANCE_HEADER)
-    rows = _index_column(path, body[:, 0], "element", body.shape[0])
-    cols = _index_column(path, body[:, 1], "column", body.shape[0])
-    n, m = int(rows.max()) + 1, int(cols.max()) + 1
-    flat = rows * m + cols
-    _check_cover(path, flat, n * m, lambda f: divmod(int(f), m))
-    g = np.empty(n * m, dtype=complex)
-    g.real[flat] = body[:, 2]       # real and imaginary parts set apart keep -0.0
-    g.imag[flat] = body[:, 3]
-    return g.reshape(n, m)
+    n, k = _blocks(path, body, COVARIANCE_HEADER)
+    _check_keys(path, body, COVARIANCE_HEADER, np.column_stack(np.divmod(np.arange(n * k), k)))
+    # each (re, im) pair read as one complex keeps every bit, -0.0 included
+    return np.ascontiguousarray(body[:, 2:]).view(complex).reshape(n, k)
 
 
 def write_shape_csv(path: str | Path, displacements: np.ndarray) -> None:
-    rows = ((i, float(v)) for i, v in enumerate(np.asarray(displacements, dtype=float)))
-    _write_csv(path, SHAPE_HEADER, rows)
+    values = np.asarray(displacements, dtype=float)
+    _write_csv(path, SHAPE_HEADER, (f"{i},{float(v)!r}\r\n" for i, v in enumerate(values)))
 
 
 def read_shape_csv(path: str | Path) -> np.ndarray:
     body = _read_body(path, SHAPE_HEADER)
-    idx = _index_column(path, body[:, 0], "element", body.shape[0])
-    _check_cover(path, idx, body.shape[0], int)
-    out = np.empty(body.shape[0])
-    out[idx] = body[:, 1]
-    return out
+    _check_keys(path, body, SHAPE_HEADER, np.arange(body.shape[0])[:, None])
+    return body[:, 1].copy()
 
 
 def write_beampattern_csv(path: str | Path, grid: BeampatternGrid) -> None:
     "Grid rows ordered theta-major: all phi values for theta[0], then theta[1], ..."
     theta_deg = [repr(v) for v in np.rad2deg(grid.theta_axis).tolist()]
     phi_deg = [repr(v) for v in np.rad2deg(grid.phi_axis).tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(BEAMPATTERN_HEADER) + "\r\n")
-        for t, row in zip(theta_deg, grid.power_dbm.tolist()):
-            fh.writelines(f"{t},{p},{v!r}\r\n" for p, v in zip(phi_deg, row))
+    _write_csv(path, BEAMPATTERN_HEADER, (
+        f"{t},{p},{v!r}\r\n" for t, row in zip(theta_deg, grid.power_dbm.tolist())
+        for p, v in zip(phi_deg, row)))
 
 
 def read_beampattern_csv(path: str | Path) -> BeampatternGrid:
+    "The grid of ``beampattern.csv``; phi_axis is the first theta's block."
     body = _read_body(path, BEAMPATTERN_HEADER)
-    thetas, ti = np.unique(body[:, 0], return_inverse=True)
-    phis, pj = np.unique(body[:, 1], return_inverse=True)
-    n_p = phis.size
-    flat = ti * n_p + pj
-    _check_cover(path, flat, thetas.size * n_p,
-                 lambda f: (float(thetas[f // n_p]), float(phis[f % n_p])))
-    power = np.empty(thetas.size * n_p)
-    power[flat] = body[:, 2]
+    n_t, n_p = _blocks(path, body, BEAMPATTERN_HEADER)
+    thetas, phis = body[::n_p, 0], body[:n_p, 1]
+    _check_keys(path, body, BEAMPATTERN_HEADER,
+                np.column_stack([np.repeat(thetas, n_p), np.tile(phis, n_t)]))
     try:
         return BeampatternGrid(theta_axis=np.deg2rad(thetas), phi_axis=np.deg2rad(phis),
-                               power_dbm=power.reshape(thetas.size, n_p))
+                               power_dbm=body[:, 2].reshape(n_t, n_p).copy())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def write_sweep_power_csv(path: str | Path, rows) -> None:
     "Rows of (p_t_dbm, scheme, cumulated_mw, cumulated_dbm)."
-    _write_csv(path, SWEEP_POWER_HEADER, rows)
+    _write_csv(path, SWEEP_POWER_HEADER, (",".join(map(str, row)) + "\r\n" for row in rows))
 
 
 def write_sweep_range_csv(path: str | Path, rows) -> None:
     "Rows of (d_max_wavelengths, n_x, n_z, cumulated_mw)."
-    _write_csv(path, SWEEP_RANGE_HEADER, rows)
+    _write_csv(path, SWEEP_RANGE_HEADER, (",".join(map(str, row)) + "\r\n" for row in rows))
 
 
 def write_compare_csv(path: str | Path, rows) -> None:
     "Rows of (scheme, cumulated_mw, cumulated_dbm, min_target_dbm)."
-    _write_csv(path, COMPARE_HEADER, rows)
+    _write_csv(path, COMPARE_HEADER, (",".join(map(str, row)) + "\r\n" for row in rows))

@@ -219,6 +219,19 @@ class TestSolveBenchmark:
             morph = solve_benchmark(Scheme.FIM_MIMO, geom, targets, P_T, cfg)
             assert morph.objective_mw >= rigid.objective_mw * (1.0 - 1e-12)
 
+    @pytest.mark.parametrize("scheme", [Scheme.RAA_PA, Scheme.FIM_PA])
+    def test_pa_refuses_a_provided_covariance(self, scheme):
+        # PA holds weights, never a covariance, so a seed covariance would be
+        # ignored and the warm start could lose to it; a shape alone is fine
+        geom, targets = make_instance(d_max=0.5)
+        seed = solve_benchmark(Scheme.RAA_MIMO, geom, targets, P_T, quick_cfg())
+        with pytest.raises(ValueError, match="provided covariance"):
+            solve_benchmark(scheme, geom, targets, P_T, quick_cfg(),
+                            provided_starts=((SurfaceShape.zero(geom), seed.cov),))
+        res = solve_benchmark(scheme, geom, targets, P_T, quick_cfg(max_outer_iters=1),
+                              provided_starts=((SurfaceShape.zero(geom), None),))
+        assert res.weights is not None
+
     def test_morphing_pa_reports_weights_and_trace(self):
         geom, targets = make_instance(d_max=0.5, seed=9)
         res = solve_benchmark(Scheme.FIM_PA, geom, targets, P_T, quick_cfg())

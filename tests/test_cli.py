@@ -18,7 +18,7 @@ from morphbeam.bcd import Scheme
 from morphbeam.beampattern import evaluate_beampattern, target_powers
 from morphbeam.cli import main
 from morphbeam.config import ExperimentConfig
-from morphbeam.covariance import DEFAULT_SDP_TOL, covariance_factor, solve_per_antenna_sdp
+from morphbeam.covariance import DEFAULT_SDP_TOL, covariance_factor
 from morphbeam.experiments import (
     MissingInputError,
     SolverFailure,
@@ -118,10 +118,7 @@ def test_record_shows_unconverged_sdp(tmp_path, monkeypatch, scheme):
     # (raa-mimo) both reach record.json. The 4x4 array with three targets
     # has a rank-3 optimum at the zero shape, so no solve can certify it
     # within the 2-step cap.
-    def capped(a, p_t):
-        return solve_per_antenna_sdp(a, p_t, iter_cap=2)
-
-    monkeypatch.setattr("morphbeam.bcd.solve_per_antenna_sdp", capped)
+    monkeypatch.setattr("morphbeam.covariance.DEFAULT_ITER_CAP", 2)
     raw = tiny_config_dict()
     raw["geometry"]["n_x"] = raw["geometry"]["n_z"] = 4
     raw["targets"] = [{"theta_deg": th, "phi_deg": ph}
@@ -253,6 +250,30 @@ def test_cli_optimize_succeeds(tmp_path, capsys):
     assert rc == 0
     assert "dBm cumulated" in capsys.readouterr().out
     assert (out / "record.json").exists()
+
+
+def test_cli_beampattern_succeeds(tmp_path, capsys):
+    path = write_config(tmp_path, tiny_config_dict())
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["beampattern", "--config", str(path), "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"beampattern grid -> {out / 'beampattern.csv'}\n"
+    assert (out / "beampattern.csv").exists()
+
+
+def test_cli_compare_schemes_succeeds(tmp_path, capsys):
+    path = write_config(tmp_path, tiny_config_dict())
+    out = tmp_path / "cmp"
+    rc = main(["compare-schemes", "--config", str(path), "--out", str(out)])
+    assert rc == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed[:-1]] == [s.value for s in Scheme]
+    assert all("dBm cumulated, min target" in line for line in printed[:-1])
+    assert printed[-1] == f"summary -> {out / 'summary.csv'}"
+    assert len((out / "summary.csv").read_text().splitlines()) == 1 + len(Scheme)
+    assert len(list(out.glob("record-*.json"))) == len(Scheme)
 
 
 def test_cli_rejects_malformed_json(tmp_path, capsys):
@@ -455,6 +476,20 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_cli_linear_algebra_failure_names_the_scheme(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, tiny_config_dict())
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("synthetic singular matrix")
+
+    monkeypatch.setattr("morphbeam.experiments.solve_benchmark", singular)
+    rc = main(["optimize", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "linear algebra failure in scheme fim-mimo" in err
+    assert "synthetic singular matrix" in err
+
+
 def test_cli_seed_override_changes_record(tmp_path):
     path = write_config(tmp_path, tiny_config_dict())
     out_a = tmp_path / "a"
@@ -490,6 +525,21 @@ def test_cli_rejects_malformed_sizes(tmp_path):
         main(["sweep-range", "--config", str(path), "--out", str(tmp_path),
               "--sizes", "4y4"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command, bad_args, message", [
+    ("sweep-power", ["--p-t-dbm", "1,abc"], "not a comma-separated float list: '1,abc'"),
+    ("sweep-range", ["--sizes", "4xa"], "sizes look like 10x10, got '4xa'"),
+    ("sweep-range", ["--sizes", ","], "empty size list"),
+], ids=["float-list", "size-not-int", "empty-sizes"])
+def test_cli_rejects_malformed_lists(tmp_path, capsys, command, bad_args, message):
+    path = write_config(tmp_path, tiny_config_dict())
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--config", str(path), "--out", str(out), *bad_args])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_threads_flag(tmp_path):

@@ -149,14 +149,15 @@ class TestPerAntennaSdp:
         assert report.objective == pytest.approx(
             float(np.real(np.sum(cov.r * gram(a).T))), rel=1e-9)
 
-    def test_iteration_cap_is_reported(self, caplog):
+    def test_iteration_cap_is_reported(self, caplog, monkeypatch):
         # Stopping at the power-step cap must show in the report and the log,
         # and still return a feasible covariance under a valid dual bound.
         geom = ArrayGeometry(n_x=4, n_z=4, dx=0.5, dz=0.5)
         targets = TargetSet.from_degrees([30.0, 30.0, 135.0], [60.0, 120.0, 90.0])
         rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
+        monkeypatch.setattr("morphbeam.covariance.DEFAULT_ITER_CAP", 2)
         with caplog.at_level(logging.WARNING, logger="morphbeam.covariance"):
-            cov, report = solve_per_antenna_sdp(rm.a, 4.0, iter_cap=2)
+            cov, report = solve_per_antenna_sdp(rm.a, 4.0)
         assert report.converged is False
         assert report.iterations == 2
         cov.validate()
@@ -316,6 +317,27 @@ class TestRank1FastPath:
         assert rank(cov.r) == 3
         assert report.iterations > 0
         assert report.converged
+
+    def test_desk_zero_shape_without_the_centre(self, monkeypatch):
+        # When the centre's Cholesky factor fails, the block stage keeps its
+        # certified iterate instead of the face's centre.
+        geom = desk_geometry(1.0)
+        a = response_matrix(geom, desk_targets(), SurfaceShape.zero(geom)).a
+
+        calls = []
+
+        def no_cholesky(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        cov, report = solve_per_antenna_sdp(a, DESK_P_T_MW)
+        assert calls == [(3, 3)]            # the rank-3 face's centre was tried
+        assert report.converged
+        assert report.relative_gap <= DEFAULT_SDP_TOL
+        cov.validate()
+        assert report.objective == pytest.approx(
+            float(np.real(np.sum(cov.r * gram(a).T))), rel=1e-9)
 
     def test_min_eigpair_below_zero(self):
         # The certificate's eigenproblem Diag(g) - h h^H is indefinite; with
@@ -512,6 +534,21 @@ class TestRandomizeRank1:
         w, val = randomize_rank1(cov, a, n_samples=50, rng_seed=4)
         np.testing.assert_allclose(np.abs(w) ** 2, 2.0 / 8, rtol=1e-12)
         assert val == pytest.approx(float(np.real(w.conj() @ gram(a) @ w)), rel=1e-12)
+
+    def test_rank1_covariance_draws_its_vector(self):
+        # R = rho w w^H has one eigenpair, so every draw is w up to one
+        # common phase, and the value is ||A^H w||^2
+        rng = np.random.default_rng(15)
+        a = random_a(8, 3, rng)
+        w = np.sqrt(4.0 / 8) * np.exp(2j * np.pi * rng.uniform(size=8))
+        cov = CovarianceMatrix(r=np.outer(w, w.conj()), power_budget=4.0,
+                               constraint_kind=ConstraintKind.PER_ANTENNA)
+        w_out, val = randomize_rank1(cov, a, n_samples=20, rng_seed=5)
+        phase = w_out[0] / w[0]
+        assert abs(phase) == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(w_out, phase * w, rtol=0, atol=1e-12)
+        a_w = a.conj().T @ w
+        assert val == pytest.approx(float(np.real(np.vdot(a_w, a_w))), rel=1e-12)
 
     @pytest.mark.parametrize("p_t", BAD_POWER)
     def test_rejects_bad_power_budget(self, p_t):

@@ -263,15 +263,21 @@ BEAMPATTERN_ROWS = ["0.0,0.0,1.0", "0.0,45.0,2.0", "0.0,90.0,3.0",
                     "90.0,0.0,4.0", "90.0,45.0,5.0", "90.0,90.0,6.0"]
 
 
+def order_reason(row, got, put):
+    "The pattern of a reader's message for a data row whose keys are not the writer's."
+    return re.escape(f"data row {row} holds ") + r"\[.*\] = " + re.escape(
+        f"{got}, where the writer puts {put}")
+
+
 class TestReadersRejectBadEntries:
     # Each case edits a valid body; the error must name the file.
 
     @pytest.mark.parametrize("lines, reason", [
-        (COVARIANCE_ROWS[:3] + ["-1,-1,9.0,0"], "index -1.0"),
-        (COVARIANCE_ROWS[:3] + ["1,0.5,2.0,0.0"], "index 0.5"),
-        (COVARIANCE_ROWS[:3] + ["7,1,2.0,0.0"], "index 7.0"),
-        (COVARIANCE_ROWS + ["0,1,0.5,0.25"], r"duplicate entry \(0, 1\)"),
-        (COVARIANCE_ROWS[:2] + COVARIANCE_ROWS[3:], "cannot cover"),
+        (COVARIANCE_ROWS[:3] + ["-1,-1,9.0,0"], order_reason(4, [-1.0, -1.0], [1, 1])),
+        (COVARIANCE_ROWS[:3] + ["1,0.5,2.0,0.0"], order_reason(4, [1.0, 0.5], [1, 1])),
+        (COVARIANCE_ROWS[:3] + ["7,1,2.0,0.0"], order_reason(4, [7.0, 1.0], [1, 1])),
+        (COVARIANCE_ROWS + ["0,1,0.5,0.25"], "5 data rows are not a whole number of blocks of 2"),
+        (COVARIANCE_ROWS[:2] + COVARIANCE_ROWS[3:], "3 data rows are not a whole number"),
         ([], "no data rows"),
         (COVARIANCE_ROWS[:3] + ["1,1,abc,0.0"], "abc"),
     ], ids=["negative", "fractional", "out-of-range", "duplicate", "missing",
@@ -282,10 +288,10 @@ class TestReadersRejectBadEntries:
             read_covariance_csv(path)
 
     @pytest.mark.parametrize("lines, reason", [
-        (SHAPE_ROWS[:2] + ["-1,0.3"], "index -1.0"),
-        (SHAPE_ROWS[:2] + ["1.5,0.3"], "index 1.5"),
-        (SHAPE_ROWS[:2] + ["3,0.3"], "index 3.0"),
-        (SHAPE_ROWS[:2] + ["1,0.3"], "duplicate entry 1"),
+        (SHAPE_ROWS[:2] + ["-1,0.3"], order_reason(3, [-1.0], [2])),
+        (SHAPE_ROWS[:2] + ["1.5,0.3"], order_reason(3, [1.5], [2])),
+        (SHAPE_ROWS[:2] + ["3,0.3"], order_reason(3, [3.0], [2])),
+        (SHAPE_ROWS[:2] + ["1,0.3"], order_reason(3, [1.0], [2])),
         ([], "no data rows"),
         (SHAPE_ROWS[:2] + ["2,0.3,7"], "columns"),
     ], ids=["negative", "fractional", "out-of-range", "duplicate", "empty",
@@ -301,10 +307,12 @@ class TestReadersRejectBadEntries:
         ([row.replace("90.0,", "200.0,", 1) if row.startswith("90") else row
           for row in BEAMPATTERN_ROWS], "within"),
         (BEAMPATTERN_ROWS[:4] + ["90.0,0.0,5.0", "90.0,90.0,6.0"],
-         r"duplicate entry \(90.0, 0.0\)"),
-        (BEAMPATTERN_ROWS[:5], "cannot cover"),
+         order_reason(5, [90.0, 0.0], [90.0, 45.0])),
+        (BEAMPATTERN_ROWS[:5], "5 data rows are not a whole number of blocks of 3"),
         ([], "no data rows"),
-    ], ids=["negative", "out-of-range", "duplicate", "missing", "empty"])
+        (BEAMPATTERN_ROWS[:4] + ["91.0,45.0,5.0", "90.0,90.0,6.0"],
+         order_reason(5, [91.0, 45.0], [90.0, 45.0])),
+    ], ids=["negative", "out-of-range", "duplicate", "missing", "empty", "theta-in-block"])
     def test_beampattern(self, tmp_path, lines, reason):
         path = write_body(tmp_path / "bp.csv", BEAMPATTERN_HEADER, lines)
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
@@ -337,11 +345,21 @@ class TestReadersRejectBadEntries:
             read_covariance_csv(path)
 
     def test_valid_bodies_load(self, tmp_path):
+        # bodies in the writers' row order load; the same rows reversed are refused
         r = read_covariance_csv(write_body(tmp_path / "c.csv", COVARIANCE_HEADER,
-                                           COVARIANCE_ROWS[::-1]))
+                                           COVARIANCE_ROWS))
         np.testing.assert_array_equal(r, [[1.0, 0.5 + 0.25j], [0.5 - 0.25j, 2.0]])
-        d = read_shape_csv(write_body(tmp_path / "s.csv", SHAPE_HEADER, SHAPE_ROWS[::-1]))
+        d = read_shape_csv(write_body(tmp_path / "s.csv", SHAPE_HEADER, SHAPE_ROWS))
         np.testing.assert_array_equal(d, [0.1, -0.2, 0.3])
         grid = read_beampattern_csv(write_body(tmp_path / "b.csv", BEAMPATTERN_HEADER,
-                                               BEAMPATTERN_ROWS[::-1]))
+                                               BEAMPATTERN_ROWS))
         np.testing.assert_array_equal(grid.power_dbm, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        for reader, header, rows, reason in [
+            (read_covariance_csv, COVARIANCE_HEADER, COVARIANCE_ROWS,
+             order_reason(1, [1.0, 1.0], [0, 0])),
+            (read_shape_csv, SHAPE_HEADER, SHAPE_ROWS, order_reason(1, [2.0], [0])),
+            (read_beampattern_csv, BEAMPATTERN_HEADER, BEAMPATTERN_ROWS, "strictly increasing"),
+        ]:
+            path = write_body(tmp_path / "reversed.csv", header, rows[::-1])
+            with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
+                reader(path)
