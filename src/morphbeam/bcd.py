@@ -6,15 +6,16 @@ Both blocks are individually nondecreasing in cumulated power, so the outer
 objective sequence is monotone; iteration stops once the fractional increase
 drops below threshold. Several starts (the rigid zero shape is always one of
 them) run one after another and the best is kept, ties going to the lowest
-start index. The rigid benchmark schemes are one covariance step at the
-zero shape, the same step the zero start's first outer iteration takes.
+start index. A rigid benchmark scheme runs the same loop on the flat surface
+(``d_max = 0``) for one outer iteration: its morphing twin's first outer
+iteration from the zero start.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -65,15 +66,24 @@ class InitScheme(str, Enum):
 class Scheme(str, Enum):
     """Benchmark transmission schemes.
 
-    ``RAA_*`` keep the surface rigid (zero shape); ``FIM_*`` morph it.
-    ``*_MIMO`` transmit with the full-rank SDP covariance; ``*_PA`` restrict
-    to phased-array (rank-1, constant-modulus) weights via randomization.
+    ``RAA_*`` keep the surface rigid: each is its ``FIM_*`` twin with a
+    morphing range of zero. ``*_MIMO`` transmit with the full-rank SDP
+    covariance; ``*_PA`` restrict to phased-array (rank-1, constant-modulus)
+    weights via randomization.
     """
 
     RAA_PA = "raa-pa"
     FIM_PA = "fim-pa"
     RAA_MIMO = "raa-mimo"
     FIM_MIMO = "fim-mimo"
+
+    @property
+    def rigid(self) -> bool:
+        return self in (Scheme.RAA_PA, Scheme.RAA_MIMO)
+
+    @property
+    def phased_array(self) -> bool:
+        return self in (Scheme.RAA_PA, Scheme.FIM_PA)
 
 
 @dataclass
@@ -152,20 +162,18 @@ class OptimizationTrace:
 class BenchmarkResult:
     """Outcome of one benchmark scheme on one instance.
 
-    ``objective_mw`` is the reported cumulated power: the MIMO value for
-    ``*_MIMO`` schemes, the best rank-1 randomized value for ``*_PA``.
-    ``weights`` is set only for PA schemes; ``trace`` only when the scheme
-    ran the full outer loop; ``sdp_report`` only for the rigid schemes where
-    a single solve produced the result.
+    ``objective_mw`` is the cumulated power of ``cov`` at ``shape`` after
+    the last shape ascent: R = w w^H of the best rank-1 randomized weights
+    for ``*_PA`` schemes. ``weights`` is set only for PA schemes; ``trace``
+    holds the outer iterations of the kept start, one for a rigid scheme.
     """
 
     scheme: Scheme
     objective_mw: float
     cov: CovarianceMatrix
     shape: SurfaceShape
+    trace: OptimizationTrace
     weights: np.ndarray | None = None
-    trace: OptimizationTrace | None = None
-    sdp_report: SolveReport | None = None
 
 
 def _covariance_step(
@@ -216,14 +224,14 @@ def _run_single_start(
     init_label: str,
     incumbent: CovarianceMatrix | None = None,
 ) -> BenchmarkResult:
-    """One BCD run of a morphing scheme from one starting shape.
+    """One BCD run of ``scheme`` from one starting shape.
 
     ``incumbent`` is an optional covariance known feasible for this power
     budget; it is kept whenever a fresh SDP solve fails to beat it, which
     makes warm starts dominate their seed value exactly instead of up to
     solver tolerance.
 
-    For ``FIM_PA`` the covariance step is relaxation plus randomization, and
+    For a PA scheme the covariance step is relaxation plus randomization, and
     the shape ascent sees the rank-1 covariance of the best constant-modulus
     weights so far, so the objective stays monotone within the run.
     """
@@ -239,7 +247,7 @@ def _run_single_start(
         tic = time.perf_counter()
         rm = response_matrix(geom, targets, shape)
         cov, weights, rep, sdp_obj, rank1_val = _covariance_step(
-            rm, p_t, scheme is Scheme.FIM_PA, (cfg.rng_seed, start_index, outer), cov, weights)
+            rm, p_t, scheme.phased_array, (cfg.rng_seed, start_index, outer), cov, weights)
 
         shape, ascent_trace = ascend_shape(cov, geom, targets, shape,
                                            cfg.ascent_max_iters)
@@ -310,38 +318,33 @@ def solve_benchmark(
 ) -> BenchmarkResult:
     """Run one of the four benchmark schemes on an instance.
 
-    Rigid schemes take one covariance step at the zero shape: the SDP, and
-    for PA the randomization drawn from the stream of the zero start's first
-    outer iteration. Morphing schemes run the full outer loop from every
-    start in index order and keep the best, ties going to the lowest start
-    index; the PA variant replaces each covariance step with relaxation plus
-    randomization, so the shape adapts to the phased-array beam rather than
-    to the relaxed covariance. The zero start's first outer iteration is the
-    rigid step and held weights or covariances are only ever replaced by
-    better ones, so a morphing scheme never falls below its rigid one.
-    ``provided_starts`` holds extra ``(SurfaceShape, CovarianceMatrix |
-    None)`` starts. A PA scheme holds weights, not a covariance, so it
-    raises ValueError for a provided covariance instead of ignoring it.
-    Every SDP runs to the solver's default gap tolerance and every
-    randomization draws its default sample count.
+    Every scheme runs the outer loop from every start in index order and
+    keeps the best, ties going to the lowest start index; the PA variants
+    replace each covariance step with relaxation plus randomization, so the
+    shape adapts to the phased-array beam rather than to the relaxed
+    covariance. A rigid scheme runs on ``geom`` with ``d_max = 0`` and stops
+    after one outer iteration: the SDP and, for PA, the randomization drawn
+    from the zero start's first-iteration stream, then an ascent that stops
+    at once since every element is pinned. That is the first outer iteration
+    of its morphing twin's zero start, and held weights or covariances are
+    only ever replaced by better ones, so a morphing scheme never falls below
+    its rigid one. ``provided_starts`` holds extra ``(SurfaceShape,
+    CovarianceMatrix | None)`` starts; a rigid scheme refuses (ValueError)
+    any shape off the flat surface. A PA scheme holds weights, not a
+    covariance, so it raises ValueError for a provided covariance instead of
+    ignoring it. Every SDP runs to the solver's default gap tolerance and
+    every randomization draws its default sample count.
     """
     scheme = Scheme(scheme)
     if cfg is None:
         cfg = BcdConfig()
     _check_power_budget(p_t)
-    if scheme in (Scheme.RAA_PA, Scheme.FIM_PA) and any(
-            cov is not None for _, cov in provided_starts):
+    if scheme.phased_array and any(cov is not None for _, cov in provided_starts):
         raise ValueError(f"{scheme.value} cannot start from a provided covariance: "
                          f"it holds phased-array weights")
-
-    if scheme in (Scheme.RAA_MIMO, Scheme.RAA_PA):
-        shape = SurfaceShape.zero(geom)
-        rm = response_matrix(geom, targets, shape)
-        cov, weights, rep, _, rank1_val = _covariance_step(
-            rm, p_t, scheme is Scheme.RAA_PA, (cfg.rng_seed, 0, 1), None, None)
-        return BenchmarkResult(scheme=scheme,
-                               objective_mw=rep.objective if weights is None else rank1_val,
-                               cov=cov, shape=shape, weights=weights, sdp_report=rep)
+    if scheme.rigid:
+        geom = replace(geom, d_max=0.0)
+        cfg = replace(cfg, max_outer_iters=1)
 
     starts = _build_starts(geom, cfg, provided_starts)
     best = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import time
 from pathlib import Path
 
@@ -48,7 +49,14 @@ class MissingInputError(FileNotFoundError):
 
 
 def _solve(cfg: ExperimentConfig, scheme: Scheme, geom: ArrayGeometry,
-           provided_starts: tuple) -> BenchmarkResult:
+           provided_starts: tuple | None = None) -> BenchmarkResult:
+    """Solve ``scheme`` on ``geom`` with the config's targets, power and BCD settings.
+
+    ``provided_starts`` defaults to the config's init start, which only a
+    morphing scheme takes: a rigid one has the flat surface alone.
+    """
+    if provided_starts is None:
+        provided_starts = () if scheme.rigid else cfg.build_starts()
     try:
         return solve_benchmark(scheme, geom, cfg.build_targets(), dbm_to_mw(cfg.p_t_dbm),
                                cfg.build_bcd(), provided_starts=provided_starts)
@@ -66,16 +74,12 @@ def _solve_and_write(cfg: ExperimentConfig, scheme: Scheme, out: Path,
     geom = cfg.build_geometry()
     targets = cfg.build_targets()
     tic = time.perf_counter()
-    res = _solve(cfg, scheme, geom, cfg.build_starts())
+    res = _solve(cfg, scheme, geom)
     wall = time.perf_counter() - tic
     per_dbm, _, min_dbm = target_powers(res.cov, geom, targets, res.shape)
     stops = dict.fromkeys((STATUS_GRADIENT_TOL, STATUS_STEP_FLOOR, STATUS_MAX_ITERS), 0)
-    if res.trace is not None:
-        sdp = [(r.sdp_converged, r.sdp_gap) for r in res.trace.records]
-        for r in res.trace.records:
-            stops[r.ascent_status] += 1
-    else:
-        sdp = [(res.sdp_report.converged, res.sdp_report.relative_gap)]
+    for r in res.trace.records:
+        stops[r.ascent_status] += 1
     record = ResultRecord(
         config_digest=cfg.digest(),
         scheme=scheme.value,
@@ -84,12 +88,11 @@ def _solve_and_write(cfg: ExperimentConfig, scheme: Scheme, out: Path,
         objective_dbm=mw_to_dbm(res.objective_mw),
         per_target_dbm=[float(v) for v in per_dbm],
         min_target_dbm=min_dbm,
-        outer_iterations=res.trace.n_outer if res.trace is not None else 0,
-        sdp_all_converged=all(ok for ok, _ in sdp),
-        max_sdp_gap=max(gap for _, gap in sdp),
+        outer_iterations=res.trace.n_outer,
+        sdp_all_converged=all(r.sdp_converged for r in res.trace.records),
+        max_sdp_gap=max(r.sdp_gap for r in res.trace.records),
         ascent_stops=stops,
-        termination_reason=(res.trace.termination_reason.value
-                            if res.trace is not None else ""),
+        termination_reason=res.trace.termination_reason.value,
         wall_time_seconds=wall,
     )
     record.save(out / f"record{suffix}.json")
@@ -106,8 +109,15 @@ def _check_threads(threads: int) -> None:
 
 def run_optimize(cfg: ExperimentConfig, out_dir: str | Path,
                  threads: int = 1) -> ResultRecord:
-    """Run the configured scheme and persist record + covariance + shape."""
+    """Run the configured scheme and persist record + covariance + shape.
+
+    A rigid scheme with ``init_displacements`` set raises ConfigError before
+    the output directory is made: it has no room for the init shape.
+    """
     _check_threads(threads)
+    if cfg.scheme.rigid and cfg.algorithm.init_displacements:
+        raise ConfigError(f"algorithm: scheme {cfg.scheme.value} is rigid and takes "
+                          f"no init_displacements")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     record = _solve_and_write(cfg, cfg.scheme, out, "")
@@ -166,17 +176,19 @@ def run_sweep_power(cfg: ExperimentConfig, out_dir: str | Path,
     Each scheme is optimized once at the configured reference power; other
     levels follow by scaling the covariance, exact because the feasible set
     and the objective are both linear in the power budget (the optimal shape
-    does not depend on P_t). An empty level list raises ConfigError
-    before the output directory is made.
+    does not depend on P_t). An empty level list or a level that is not
+    finite raises ConfigError before the output directory is made.
     """
     levels = sorted(float(p) for p in p_t_dbm_list)
     if not levels:
         raise ConfigError("sweep-power needs at least one p_t level")
+    if not all(math.isfinite(p) for p in levels):
+        raise ConfigError(f"p_t levels must be finite, got {levels}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     p_ref = dbm_to_mw(cfg.p_t_dbm)
     geom = cfg.build_geometry()
-    ref = {scheme: _solve(cfg, scheme, geom, cfg.build_starts()) for scheme in Scheme}
+    ref = {scheme: _solve(cfg, scheme, geom) for scheme in Scheme}
 
     rows = []
     for p_dbm in levels:
@@ -197,16 +209,16 @@ def run_sweep_range(cfg: ExperimentConfig, out_dir: str | Path,
     nondecreasing in d_max by construction. The configured init shape, if
     any, is an extra start on each size's first (smallest) range. A
     ConfigError is raised before the output directory is made unless the
-    ranges are nonempty and nonnegative, every size is a valid array, and
-    the init shape fits every size on its first range.
+    ranges are nonempty, finite and nonnegative, every size is a valid
+    array, and the init shape fits every size on its first range.
     The morphing MIMO scheme is used regardless of the configured scheme
     since the sweep is about the shape degrees of freedom.
     """
     ranges = sorted(float(d) for d in d_max_list)
     if not ranges:
         raise ConfigError("sweep-range needs at least one d_max value")
-    if any(d < 0.0 for d in ranges):
-        raise ConfigError("d_max values must be nonnegative")
+    if not all(math.isfinite(d) and d >= 0.0 for d in ranges):
+        raise ConfigError(f"d_max values must be finite and nonnegative, got {ranges}")
     base_geom = cfg.build_geometry()
     if sizes is None:
         sizes = [(base_geom.n_x, base_geom.n_z)]

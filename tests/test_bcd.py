@@ -1,5 +1,7 @@
 """Outer alternating loop and the four benchmark schemes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,15 +156,35 @@ class TestSolveBenchmark:
         geom, targets = make_instance(d_max=0.0)
         res = solve_benchmark("raa-mimo", geom, targets, P_T, quick_cfg())
         assert res.scheme is Scheme.RAA_MIMO
+        # without a cfg the defaults run, which at d_max = 0 differ from
+        # quick_cfg only in settings a rigid scheme does not read
+        default = solve_benchmark("raa-mimo", geom, targets, P_T)
+        assert default.objective_mw == res.objective_mw
 
     def test_rigid_mimo_matches_direct_sdp(self):
         geom, targets = make_instance(d_max=0.0, seed=6)
         rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
-        _, rep = solve_per_antenna_sdp(rm.a, P_T)
+        cov, rep = solve_per_antenna_sdp(rm.a, P_T)
         res = solve_benchmark(Scheme.RAA_MIMO, geom, targets, P_T, quick_cfg())
-        assert res.objective_mw == rep.objective
-        assert res.sdp_report is not None
-        assert res.trace is None
+        np.testing.assert_array_equal(res.cov.r, cov.r)
+        assert res.objective_mw == pytest.approx(rep.objective, rel=1e-12)
+        [record] = res.trace.records
+        assert record.sdp_gap == rep.relative_gap
+
+    @pytest.mark.parametrize("scheme", [Scheme.RAA_MIMO, Scheme.RAA_PA])
+    def test_rigid_refuses_a_start_off_the_flat_surface(self, scheme):
+        # a rigid scheme runs on d_max = 0, so a start it cannot take is an
+        # error, not a start it drops; the zero shape is still a valid start
+        geom = ArrayGeometry(n_x=3, n_z=3, dx=0.5, dz=0.5, d_max=0.5)
+        targets = TargetSet.from_degrees([30.0, 135.0], [60.0, 90.0])
+        with pytest.raises(ValueError, match="exceeds morphing limit 0"):
+            solve_benchmark(scheme, geom, targets, P_T, quick_cfg(),
+                            provided_starts=((SurfaceShape(np.full(9, 0.4)), None),))
+        plain = solve_benchmark(scheme, geom, targets, P_T, quick_cfg())
+        res = solve_benchmark(scheme, geom, targets, P_T, quick_cfg(),
+                              provided_starts=((SurfaceShape.zero(geom), None),))
+        assert res.objective_mw == plain.objective_mw
+        assert res.trace.start_index == 0
 
     def test_rigid_pa_weights_are_feasible_and_consistent(self):
         geom, targets = make_instance(d_max=0.0, seed=7)
@@ -182,11 +204,12 @@ class TestSolveBenchmark:
         # exceed the dual bound; against the primal it can sit up to one
         # solver gap high, hence the certificate-based tolerance.
         geom, targets = make_instance(d_max=0.0, seed=8)
+        rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
+        _, rep = solve_per_antenna_sdp(rm.a, P_T)
         mimo = solve_benchmark(Scheme.RAA_MIMO, geom, targets, P_T, quick_cfg())
         pa = solve_benchmark(Scheme.RAA_PA, geom, targets, P_T, quick_cfg())
-        assert pa.objective_mw <= mimo.sdp_report.dual_bound * (1.0 + 1e-12)
-        gap = mimo.sdp_report.relative_gap
-        assert pa.objective_mw <= mimo.objective_mw * (1.0 + gap + 1e-12)
+        assert pa.objective_mw <= rep.dual_bound * (1.0 + 1e-12)
+        assert pa.objective_mw <= mimo.objective_mw * (1.0 + rep.relative_gap + 1e-12)
 
     def test_morphing_pa_never_loses_to_rigid_pa(self):
         # The rigid draw reuses the zero start's first-iteration stream and
@@ -200,16 +223,27 @@ class TestSolveBenchmark:
 
     def test_rigid_schemes_are_the_first_bcd_covariance_step(self):
         # On a flat surface one outer iteration of the zero start is the
-        # rigid step: the same SDP, draw stream and held-value rule.
+        # rigid step: the same SDP, draw stream, held-value rule and ascent,
+        # so each rigid result equals its morphing twin's bit for bit.
         for seed in range(3):
             geom, targets = make_instance(d_max=0.0, seed=seed)
             cfg = quick_cfg(rng_seed=seed, max_outer_iters=1, n_starts=1)
             res = {scheme: solve_benchmark(scheme, geom, targets, P_T, cfg)
                    for scheme in Scheme}
-            np.testing.assert_array_equal(res[Scheme.RAA_PA].weights,
-                                          res[Scheme.FIM_PA].weights)
-            np.testing.assert_array_equal(res[Scheme.RAA_MIMO].cov.r,
-                                          res[Scheme.FIM_MIMO].cov.r)
+            for rigid, twin in ((Scheme.RAA_MIMO, Scheme.FIM_MIMO),
+                                (Scheme.RAA_PA, Scheme.FIM_PA)):
+                got, want = res[rigid], res[twin]
+                assert got.objective_mw == want.objective_mw
+                np.testing.assert_array_equal(got.shape.displacements,
+                                              want.shape.displacements)
+                np.testing.assert_array_equal(got.cov.r, want.cov.r)
+                if rigid is Scheme.RAA_PA:
+                    np.testing.assert_array_equal(got.weights, want.weights)
+                else:
+                    assert got.weights is None and want.weights is None
+                [got_rec], [want_rec] = got.trace.records, want.trace.records
+                assert (replace(got_rec, elapsed_seconds=0.0)
+                        == replace(want_rec, elapsed_seconds=0.0))
 
     def test_morphing_mimo_never_loses_to_rigid_mimo(self):
         for seed in range(3):
@@ -236,7 +270,6 @@ class TestSolveBenchmark:
         geom, targets = make_instance(d_max=0.5, seed=9)
         res = solve_benchmark(Scheme.FIM_PA, geom, targets, P_T, quick_cfg())
         assert res.weights is not None
-        assert res.trace is not None
         assert res.trace.records[-1].rank1_objective_mw is not None
         final_rm = response_matrix(geom, targets, res.shape)
         assert res.objective_mw == pytest.approx(
@@ -291,12 +324,8 @@ class TestEdgeInputs:
             res.cov.validate()
             res.shape.validate(geom)
             assert np.isfinite(res.objective_mw) and res.objective_mw > 0.0
-            if res.trace is None:
-                sdp = [(res.sdp_report.converged, res.sdp_report.relative_gap)]
-            else:
-                sdp = [(r.sdp_converged, r.sdp_gap) for r in res.trace.records]
-            for converged, gap in sdp:
-                assert converged and gap <= DEFAULT_SDP_TOL
+            for r in res.trace.records:
+                assert r.sdp_converged and r.sdp_gap <= DEFAULT_SDP_TOL
             per_dbm, total_mw, min_dbm = target_powers(res.cov, geom, targets, res.shape)
             assert np.all(np.isfinite(per_dbm))
             assert np.isfinite(total_mw) and np.isfinite(min_dbm)

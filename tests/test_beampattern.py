@@ -263,6 +263,10 @@ class TestBeampatternGrid:
             BeampatternGrid(theta_axis=np.array([0.0, 4.0]),
                             phi_axis=np.array([0.1, 0.2]),
                             power_dbm=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="phi_axis is empty"):
+            BeampatternGrid(theta_axis=np.array([0.1, 0.2]),
+                            phi_axis=np.array([]),
+                            power_dbm=np.zeros((2, 0)))
 
     def test_nan_axis_rejected(self):
         with pytest.raises(ValueError, match="within"):

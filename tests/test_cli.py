@@ -114,8 +114,8 @@ def test_run_optimize_artifacts_are_self_consistent(tmp_path):
 
 @pytest.mark.parametrize("scheme", ["fim-mimo", "raa-mimo"])
 def test_record_shows_unconverged_sdp(tmp_path, monkeypatch, scheme):
-    # The trace records (fim-mimo) and the single rigid solve's report
-    # (raa-mimo) both reach record.json. The 4x4 array with three targets
+    # The trace records reach record.json for every scheme, raa-mimo's one
+    # outer iteration on the flat surface included. The 4x4 array with three targets
     # has a rank-3 optimum at the zero shape, so no solve can certify it
     # within the 2-step cap.
     monkeypatch.setattr("morphbeam.covariance.DEFAULT_ITER_CAP", 2)
@@ -130,10 +130,43 @@ def test_record_shows_unconverged_sdp(tmp_path, monkeypatch, scheme):
     saved = json.loads((tmp_path / "record.json").read_text())
     assert saved["sdp_all_converged"] is False
     assert saved["artifact_version"] == 4
-    # one stop per outer of the kept start; zeros for the rigid scheme
+    # one stop per outer of the kept start
     stops = saved["ascent_stops"]
     assert sorted(stops) == ["gradient_tol", "max_iters", "step_floor"]
     assert sum(stops.values()) == saved["outer_iterations"] == record.outer_iterations
+
+
+@pytest.mark.parametrize("scheme", ["raa-mimo", "raa-pa"])
+def test_cli_optimize_refuses_init_for_a_rigid_scheme(tmp_path, capsys, scheme):
+    # a rigid scheme runs on the flat surface and has no room for an init
+    # shape, so the config is refused instead of the shape being dropped
+    raw = tiny_config_dict()
+    raw["algorithm"]["scheme"] = scheme
+    raw["algorithm"]["init_displacements"] = [0.4] * 4
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "run"
+    rc = main(["optimize", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert "init_displacements" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, sweep_args", [
+    ("compare-schemes", []),
+    ("sweep-power", ["--p-t-dbm", "0,10"]),
+])
+def test_cli_init_start_goes_to_the_morphing_schemes_only(tmp_path, capsys, command,
+                                                          sweep_args):
+    raw = tiny_config_dict()
+    raw["algorithm"]["init_displacements"] = [0.4] * 4
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "run"
+    rc = main([command, "--config", str(path), "--out", str(out), *sweep_args])
+    assert rc == 0
+    if command == "compare-schemes":
+        for scheme in ("raa-mimo", "raa-pa"):
+            shape = read_shape_csv(out / f"shape-{scheme}.csv")
+            np.testing.assert_array_equal(shape, np.zeros(4))
 
 
 def test_run_beampattern_requires_prior_optimize(tmp_path):
@@ -214,6 +247,10 @@ def test_run_sweep_power_rejects_empty_levels(tmp_path):
     cfg = ExperimentConfig.from_dict(small_config_dict())
     with pytest.raises(ValueError):
         run_sweep_power(cfg, tmp_path, [])
+    for bad in ([np.nan], [10.0, -np.inf], [np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            run_sweep_power(cfg, tmp_path / "sweep", bad)
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_run_sweep_range_warm_ladder_is_monotone(tmp_path):
@@ -238,6 +275,10 @@ def test_run_sweep_range_rejects_bad_ranges(tmp_path):
         run_sweep_range(cfg, tmp_path, [])
     with pytest.raises(ValueError):
         run_sweep_range(cfg, tmp_path, [-0.1, 0.5])
+    for bad in ([0.25, np.inf], [np.nan], [0.25, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            run_sweep_range(cfg, tmp_path / "sweep", bad)
+    assert not (tmp_path / "sweep").exists()
 
 
 # -- command-line interface ------------------------------------------------
@@ -556,6 +597,10 @@ def test_cli_rejects_threads_flag(tmp_path):
     ("sweep-range", ["--d-max="]),
     ("sweep-range", ["--d-max", "0.5", "--sizes", "0x2"]),
     ("sweep-power", ["--p-t-dbm="]),
+    ("sweep-power", ["--p-t-dbm", "nan"]),
+    ("sweep-power", ["--p-t-dbm=-inf"]),
+    ("sweep-range", ["--d-max", "0.25,inf"]),
+    ("sweep-range", ["--d-max", "0.25,nan"]),
 ])
 def test_cli_rejects_bad_sweep_arguments_before_output(tmp_path, capsys, command,
                                                        sweep_args):

@@ -96,6 +96,8 @@ class TestParsing:
         d["geometry"]["dx_wavelengths"] = "0.5"
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
+        with pytest.raises(ConfigError, match="config root must be an object, got list"):
+            ExperimentConfig.from_dict([base_dict()])
 
     def test_integer_beyond_float_range_is_config_error(self):
         # float() overflows on it; it is as unusable as the Infinity literal

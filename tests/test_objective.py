@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradient
+from conftest import desk_geometry, desk_targets, finite_difference_gradient
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.covariance import CovarianceMatrix, ConstraintKind
 from morphbeam.objective import cumulated_power, shape_gradient
@@ -82,6 +82,14 @@ def test_cumulated_power_validates_inputs():
     bad[0, 1] = np.nan                           # not finite
     with pytest.raises(ValueError, match="non-finite"):
         cumulated_power(bad, rm)
+    # a skew-Hermitian part too small for the Hermitian check still leaves
+    # an imaginary residue of about 4e-7 mW on the desk zero shape
+    geom = desk_geometry(0.0)
+    rm = response_matrix(geom, desk_targets(), SurfaceShape.zero(geom))
+    a1 = rm.a[:, 0]
+    skewed = np.eye(geom.n_elements) + 4e-11j * np.outer(a1, a1.conj())
+    with pytest.raises(ValueError, match="imaginary residue"):
+        cumulated_power(skewed, rm)
 
 
 def test_gradient_matches_finite_differences():
