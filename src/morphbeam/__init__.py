@@ -29,7 +29,6 @@ from .beampattern import (
 from .config import ConfigError, ExperimentConfig, load_config
 from .covariance import (
     ConstraintKind,
-    CovarianceFactor,
     CovarianceMatrix,
     SolveReport,
     covariance_factor,
@@ -52,7 +51,6 @@ __all__ = [
     "BenchmarkResult",
     "ConfigError",
     "ConstraintKind",
-    "CovarianceFactor",
     "CovarianceMatrix",
     "ExperimentConfig",
     "InitScheme",

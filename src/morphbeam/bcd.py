@@ -28,14 +28,14 @@ from .array_model import (
     response_matrix,
 )
 from .covariance import (
-    ConstraintKind,
     CovarianceMatrix,
     SolveReport,
     _check_power_budget,
+    column_powers,
     randomize_rank1,
     solve_per_antenna_sdp,
 )
-from .objective import column_powers, cumulated_power
+from .objective import cumulated_power
 from .shape_opt import MAX_ITERS, ascend_shape
 
 logger = logging.getLogger(__name__)
@@ -190,7 +190,7 @@ def _covariance_step(
     covariance unless the held one is strictly better on ``rm``. For PA the
     SDP solution seeds the randomization drawn from the stream keyed by
     ``draw_key`` = (seed, start, outer); the fresh weights replace the held
-    ones only when they win on ``rm``, and the covariance is w w^H.
+    ones only when they win on ``rm``, and the covariance is w w^H (factor w).
 
     Returns (covariance, weights, SDP report, SDP objective, rank-1 value);
     weights and the rank-1 value are None for MIMO.
@@ -208,8 +208,7 @@ def _covariance_step(
         a_w = rm.a.conj().T @ weights  # w^H B w = ||A^H w||^2
         if float(np.real(column_powers(a_w, a_w))) >= rank1_val:
             w_new = weights
-    cov = CovarianceMatrix(r=np.outer(w_new, w_new.conj()), power_budget=p_t,
-                           constraint_kind=ConstraintKind.PER_ANTENNA)
+    cov = CovarianceMatrix(w_new[:, None], power_budget=p_t)
     return cov, w_new, rep, sdp_obj, rank1_val
 
 

@@ -2,12 +2,11 @@
 
 Radiated power toward a direction is the quadratic form a^H R_X a of the
 steering vector, in linear milliwatts; grids convert to dBm with a floor so
-downstream files stay finite. A grid sweeps R_X by its factor
-:class:`~morphbeam.covariance.CovarianceFactor` G (R_X = G G^H, what
-``covariance.csv`` stores) and takes each direction's power as
-||G^H a||^2: k inner products per direction instead of the N of R_X a, and
-no N x N matrix. A certified rank-1 optimum has k = 1; a dense R_X is
-factored by :func:`~morphbeam.covariance.covariance_factor`.
+downstream files stay finite. Every power here takes a
+:class:`~morphbeam.covariance.CovarianceMatrix` and works on its N x k
+factor G (R_X = G G^H, what ``covariance.csv`` stores): a direction's power
+is ||G^H a||^2, k inner products instead of the N of R_X a, and no N x N
+matrix is formed. A certified rank-1 optimum has k = 1.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import ArrayGeometry, SurfaceShape, TargetSet, steering_matrix, response_matrix
-from .covariance import CovarianceFactor
-from .objective import _as_matrix, column_powers, cumulated_power
+from .covariance import CovarianceMatrix, _factor, column_powers
+from .objective import cumulated_power
 from .units import DBM_FLOOR
 
 # directions per steering build when sweeping a grid; bounds peak memory
@@ -64,7 +63,7 @@ class BeampatternGrid:
 
 
 def evaluate_beampattern(
-    factor: CovarianceFactor,
+    cov: CovarianceMatrix,
     geom: ArrayGeometry,
     shape: SurfaceShape,
     theta_axis: np.ndarray,
@@ -72,10 +71,10 @@ def evaluate_beampattern(
 ) -> BeampatternGrid:
     """Power ||G^H a||^2 = a^H R_X a on the cartesian product of the axes.
 
-    ``factor`` is the N x k factor G of R_X = G G^H; factor a dense R_X
-    with :func:`~morphbeam.covariance.covariance_factor`. Anything else
-    raises TypeError, since an N x N R_X read as G would draw R_X^2, and a
-    G without N rows raises ValueError.
+    The sweep runs on ``cov``'s N x k factor G, R_X = G G^H. Anything but
+    a :class:`~morphbeam.covariance.CovarianceMatrix` raises TypeError, since
+    an N x N R_X read as G would draw R_X^2, and a G without N rows raises
+    ValueError.
 
     Directions are visited in order of sin(theta) sin(phi) and in chunks of
     ``_GRID_CHUNK``, so the steering matrix never materializes for the whole
@@ -83,13 +82,7 @@ def evaluate_beampattern(
     (on a 181 x 181 grid over [0, pi]^2, 32,761 directions have 10,031
     distinct values).
     """
-    if not isinstance(factor, CovarianceFactor):
-        raise TypeError(f"evaluate_beampattern takes a CovarianceFactor, got "
-                        f"{type(factor).__name__}; factor a dense R with covariance_factor")
-    n = geom.n_elements
-    if factor.g.shape[0] != n:
-        raise ValueError(f"covariance factor has {factor.g.shape[0]} rows, expected {n}")
-    g_h = factor.g.conj().T
+    g_h = _factor(cov, geom.n_elements).conj().T
     theta_axis = np.asarray(theta_axis, dtype=float).ravel()
     phi_axis = np.asarray(phi_axis, dtype=float).ravel()
 
@@ -108,7 +101,7 @@ def evaluate_beampattern(
 
 
 def target_powers(
-    r_x,
+    cov: CovarianceMatrix,
     geom: ArrayGeometry,
     targets: TargetSet,
     shape: SurfaceShape,
@@ -118,8 +111,8 @@ def target_powers(
     The linear sum equals :func:`morphbeam.objective.cumulated_power` by
     construction (same quadratic forms, same summation).
     """
+    g = _factor(cov, geom.n_elements)
     rm = response_matrix(geom, targets, shape)
-    r = _as_matrix(r_x)
-    per_mw = np.real(column_powers(rm.a, r @ rm.a))
-    per_dbm = _mw_to_dbm_vec(per_mw)
-    return per_dbm, cumulated_power(r, rm), float(per_dbm.min())
+    gha = g.conj().T @ rm.a
+    per_dbm = _mw_to_dbm_vec(np.real(column_powers(gha, gha)))
+    return per_dbm, cumulated_power(cov, rm), float(per_dbm.min())

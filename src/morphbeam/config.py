@@ -19,6 +19,7 @@ import numpy as np
 
 from .array_model import ArrayGeometry, SurfaceShape, TargetSet
 from .bcd import BcdConfig, Scheme
+from .units import dbm_to_mw
 
 
 class ConfigError(ValueError):
@@ -174,6 +175,9 @@ class ExperimentConfig:
         "Cross-field checks beyond per-block parsing; raises ConfigError."
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not 0.0 < dbm_to_mw(self.p_t_dbm) < math.inf:
+            raise ConfigError(f"power: p_t_dbm {self.p_t_dbm} is not a finite, positive "
+                              f"power in mW")
         try:
             geom = self.build_geometry()
             self.build_targets()

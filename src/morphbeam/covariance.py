@@ -20,18 +20,18 @@ square is above a relative floor (r = K for K targets, r = N when K >= N).
   dual feasible, and tight when V V^H is optimal. The eigenvalue comes from
   the r x r secular equation of Diag(y) - F F^H, lowered by lambda_max(E).
 - **Optimal face.** Every optimum lies in the null space U of the certified
-  slack Diag(y') - F F^H. If U has one column, the optimum is unique and
-  the certified iterate is it. Otherwise the face {U Q U^H : Q >= 0,
-  diag(U Q U^H) = 1} may hold many optima, and the one the power method
-  reaches depends on its start; the solve returns the face's analytic
-  centre (max log det Q), which does not, and which is the limit of the
-  central path of an interior-point method (Halicka, de Klerk and Roos,
-  SIAM J. Optim. 12, 2002).
+  slack Diag(y') - F F^H. A one-column U certified by the rank-1 stage
+  makes its iterate the unique optimum. After the block stage the face
+  {U Q U^H : Q >= 0, diag(U Q U^H) = 1} may hold many optima, and the one
+  the power method reaches depends on its start; the solve returns the
+  face's analytic centre (max log det Q), which does not, and which is the
+  limit of the central path of an interior-point method (Halicka, de Klerk
+  and Roos, SIAM J. Optim. 12, 2002). On one column it is exp(j arg u).
 
-A covariance has two forms here: the dense :class:`CovarianceMatrix` the
-solves return, and the :class:`CovarianceFactor` G with R = G G^H that
-``covariance.csv`` stores and the beampattern grid sweeps.
-:func:`covariance_factor` is the one check-and-factor of a dense R.
+:class:`CovarianceMatrix` is the one covariance type: it holds R by its
+N x k factor G, R = G G^H (a solve's sqrt(P_t/N) V, k <= K), so powers,
+gradients and grids work on G^H a. :func:`covariance_factor` is the one
+check-and-factor of a dense R.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .objective import _check_covariance, column_powers
 
 logger = logging.getLogger(__name__)
 
@@ -100,75 +98,99 @@ def _check_power_budget(p_t: float) -> None:
         raise ValueError(f"power budget must be finite and positive, got {p_t}")
 
 
-def _check_psd(eigvals: np.ndarray) -> None:
-    "ValueError unless the smallest of these ascending eigenvalues is >= -1e-8 of the largest."
-    lam_max = max(float(eigvals[-1]), 1e-300)
-    if float(eigvals[0]) < -1e-8 * lam_max:
-        raise ValueError(f"not PSD: smallest eigenvalue {eigvals[0]:g}")
+def _above_rounding(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    "U_k sqrt(lam_k) for the ascending eigenpairs with lam > N eps max|lam|; ValueError if none."
+    keep = lam > u.shape[0] * np.finfo(float).eps * np.max(np.abs(lam))
+    if not np.any(keep):
+        raise ValueError("covariance is zero")
+    return u[:, keep] * np.sqrt(lam[keep])
 
 
-@dataclass
+def column_powers(a: np.ndarray, ra: np.ndarray) -> np.ndarray:
+    "Quadratic forms a_k^H R a_k of the columns of A, complex, from A and R @ A."
+    return np.sum(a.conj() * ra, axis=0)
+
+
+def covariance_factor(r) -> np.ndarray:
+    """The factor G = U_k sqrt(lam_k) of a dense R, R = G G^H, columns ascending.
+
+    ValueError unless R is a finite, Hermitian, nonzero N x N matrix whose
+    smallest eigenvalue is >= -1e-8 of its largest. Its Hermitian part is
+    factored once by ``eigh`` (which alone would read one triangle); the
+    eigenpairs with lam <= N eps max|lam| are dropped, at most N^2 eps
+    max|lam| in any a^H R a with unit-modulus a, its rounding error.
+    """
+    r = np.asarray(r, dtype=complex)
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
+        raise ValueError(f"covariance is {r.shape}, expected a nonempty square matrix")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("covariance has non-finite entries")
+    herm_err = float(np.max(np.abs(r - r.conj().T)))
+    if herm_err > 1e-10 * max(1.0, float(np.max(np.abs(r)))):
+        raise ValueError(f"covariance is not Hermitian (max asymmetry {herm_err:g})")
+    lam, u = np.linalg.eigh(0.5 * (r + r.conj().T))
+    if float(lam[0]) < -1e-8 * max(float(lam[-1]), 1e-300):
+        raise ValueError(f"not PSD: smallest eigenvalue {lam[0]:g}")
+    return _above_rounding(lam, u)
+
+
 class CovarianceMatrix:
-    """Hermitian PSD transmit covariance with its power-constraint metadata."""
+    """The transmit covariance R = G G^H, held by its N x k factor G, and its budget P_t (mW).
 
-    r: np.ndarray
-    power_budget: float                 # P_t in mW
-    constraint_kind: ConstraintKind
+    ``CovarianceMatrix(g, power_budget=p_t)`` keeps G; ``r=R`` in place of
+    G keeps :func:`covariance_factor` of a dense R, so a bad R is refused
+    here, not at first use. G must be a nonempty matrix with finite entries
+    (ValueError); G G^H is Hermitian PSD by construction and is not tested
+    again. ``r`` forms the N x N product on request, for tests and small N.
+    """
 
-    @property
-    def n_elements(self) -> int:
-        return self.r.shape[0]
-
-    def validate(self) -> None:
-        "Raise ValueError if any covariance invariant is violated."
-        _check_power_budget(self.power_budget)
-        n = self.n_elements
-        r = _check_covariance(self.r, n)
-        _check_psd(np.linalg.eigvalsh(r))
-        target = self.power_budget / n
-        err = float(np.max(np.abs(np.real(np.diag(r)) - target)))
-        if err > _DIAG_REL_TOL * target:
-            raise ValueError(f"per-antenna diagonal off by {err:g} (target {target:g})")
-
-
-@dataclass(frozen=True)
-class CovarianceFactor:
-    """A covariance given by its N x k factor G, R_X = G G^H."""
-
-    g: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.g, dtype=complex)
+    def __init__(self, g=None, *, power_budget: float, r=None,
+                 constraint_kind: ConstraintKind = ConstraintKind.PER_ANTENNA):
+        if (g is None) == (r is None):
+            raise TypeError("give the factor g or the dense r, not both or neither")
+        g = np.asarray(covariance_factor(r) if g is None else g, dtype=complex)
         if g.ndim != 2 or 0 in g.shape:
             raise ValueError(f"covariance factor must be a nonempty N x k matrix, "
                              f"got shape {g.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError("covariance factor has non-finite entries")
-        object.__setattr__(self, "g", g)
+        self.g = g
+        self.power_budget = power_budget
+        self.constraint_kind = constraint_kind
+
+    @property
+    def n_elements(self) -> int:
+        return self.g.shape[0]
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.g @ self.g.conj().T
+
+    def validate(self) -> None:
+        "ValueError unless P_t is finite and positive and diag(R) = ||g_n||^2 is P_t / N."
+        _check_power_budget(self.power_budget)
+        target = self.power_budget / self.n_elements
+        err = float(np.max(np.abs(np.sum(self.g.real ** 2 + self.g.imag ** 2, axis=1) - target)))
+        if err > _DIAG_REL_TOL * target:
+            raise ValueError(f"per-antenna diagonal off by {err:g} (target {target:g})")
+
+    def eigenfactor(self) -> np.ndarray:
+        """:func:`covariance_factor` of R, from one thin SVD G = U S W^H, O(N k^2).
+
+        R = U S^2 U^H, so the same columns are kept, in the same order, with
+        no N x N matrix; a G of several columns and rank 1 gives k = 1.
+        """
+        u, s, _ = np.linalg.svd(self.g, full_matrices=False)
+        return _above_rounding(s[::-1] ** 2, u[:, ::-1])
 
 
-def covariance_factor(r: np.ndarray) -> CovarianceFactor:
-    """The factor G = U_k sqrt(lam_k) of a dense R, R = G G^H.
-
-    R must be a finite, Hermitian, nonzero N x N matrix that passes
-    :func:`_check_psd`, the PSD test of ``CovarianceMatrix.validate``;
-    otherwise ValueError. Its Hermitian part is factored once by ``eigh``
-    (which alone would read one triangle), and the eigenpairs with
-    lam > N eps max|lam| are kept: what is dropped is at most
-    N^2 eps max|lam| in any a^H R a with unit-modulus a, the size of the
-    rounding of a^H (R a). A certified rank-1 optimum gives k = 1. The
-    columns come in ascending eigenvalue order, as ``eigh`` returns them.
-    """
-    r = np.asarray(r, dtype=complex)
-    if r.ndim != 2:
-        raise ValueError(f"covariance must be a matrix, got shape {r.shape}")
-    r = _check_covariance(r, r.shape[0])
-    lam, u = np.linalg.eigh(0.5 * (r + r.conj().T))
-    _check_psd(lam)
-    keep = lam > r.shape[0] * np.finfo(float).eps * np.max(np.abs(lam))
-    if not np.any(keep):
-        raise ValueError("covariance is zero")
-    return CovarianceFactor(u[:, keep] * np.sqrt(lam[keep]))
+def _factor(cov: CovarianceMatrix, n: int) -> np.ndarray:
+    "G of ``cov``; TypeError unless it is a CovarianceMatrix, ValueError unless G has n rows."
+    if not isinstance(cov, CovarianceMatrix):
+        raise TypeError(f"expected a CovarianceMatrix, got {type(cov).__name__}")
+    if cov.n_elements != n:
+        raise ValueError(f"covariance factor has {cov.n_elements} rows, expected {n}")
+    return cov.g
 
 
 @dataclass
@@ -385,7 +407,7 @@ def solve_per_antenna_sdp(a: np.ndarray, p_t: float) -> tuple[CovarianceMatrix, 
             if gap <= _FACE_GAP or steps >= DEFAULT_ITER_CAP:
                 break
         face = _face(y_dual, f)
-        centre = _face_centre(face) if gap <= DEFAULT_SDP_TOL and face.shape[1] > 1 else None
+        centre = _face_centre(face) if gap <= DEFAULT_SDP_TOL and face.shape[1] else None
         if centre is not None:
             value = _value(an, centre)
             centre_gap = (dual - value) / max(abs(dual), 1e-300)
@@ -395,9 +417,7 @@ def solve_per_antenna_sdp(a: np.ndarray, p_t: float) -> tuple[CovarianceMatrix, 
     if not converged:
         logger.warning("per-antenna SDP ended at relative gap %.3g after %d power steps "
                        "(iteration cap %d)", gap, steps, DEFAULT_ITER_CAP)
-    r_feas = np.outer(v, v.conj()) if v.ndim == 1 else v @ v.conj().T
-    cov = CovarianceMatrix(r=rho * r_feas, power_budget=p_t,
-                           constraint_kind=ConstraintKind.PER_ANTENNA)
+    cov = CovarianceMatrix(np.sqrt(rho) * v.reshape(n, -1), power_budget=p_t)
     report = SolveReport(
         objective=rho * b_scale * primal,
         iterations=steps,
@@ -409,7 +429,7 @@ def solve_per_antenna_sdp(a: np.ndarray, p_t: float) -> tuple[CovarianceMatrix, 
 
 
 def randomize_rank1(
-    r: CovarianceMatrix,
+    cov: CovarianceMatrix,
     a: np.ndarray,
     n_samples: int = 1000,
     rng_seed=0,
@@ -417,10 +437,9 @@ def randomize_rank1(
     """Extract per-antenna-feasible phased-array weights from an SDP solution.
 
     Draws ``n_samples`` complex Gaussian vectors G z with covariance
-    ``r.r`` = G G^H, G from :func:`covariance_factor`, which refuses an R
-    that is not finite, Hermitian, PSD and nonzero. Maps each draw to
-    constant-modulus weights ``sqrt(P_t/N) exp(j arg(.))`` for the budget
-    P_t = ``r.power_budget``, and returns the weights maximizing
+    R = G G^H, G from ``cov.eigenfactor()`` (ValueError for a zero R). Maps
+    each draw to constant-modulus weights ``sqrt(P_t/N) exp(j arg(.))`` for
+    the budget P_t = ``cov.power_budget``, and returns the weights maximizing
     ``w^H B w = ||A^H w||^2`` for the N x K steering matrix ``a``, plus that
     value. Samples are drawn sequentially from one seeded stream, so the
     best value over a prefix of the stream is nondecreasing in
@@ -428,13 +447,12 @@ def randomize_rank1(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    p_t = r.power_budget
-    _check_power_budget(p_t)
     a = _check_a(a)
     n = a.shape[0]
-    if r.r.shape != (n, n):
-        raise ValueError(f"covariance is {r.r.shape}, A has {n} rows")
-    g = covariance_factor(r.r).g
+    _factor(cov, n)
+    p_t = cov.power_budget
+    _check_power_budget(p_t)
+    g = cov.eigenfactor()
     k = g.shape[1]
     rng = np.random.default_rng(rng_seed)
 

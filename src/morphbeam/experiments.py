@@ -22,7 +22,7 @@ from .array_model import ArrayGeometry, SurfaceShape
 from .bcd import BenchmarkResult, Scheme, solve_benchmark
 from .beampattern import evaluate_beampattern, target_powers
 from .config import ConfigError, ExperimentConfig
-from .covariance import CovarianceFactor
+from .covariance import CovarianceMatrix
 from .results import (
     ResultRecord,
     read_covariance_csv,
@@ -96,7 +96,7 @@ def _solve_and_write(cfg: ExperimentConfig, scheme: Scheme, out: Path,
         wall_time_seconds=wall,
     )
     record.save(out / f"record{suffix}.json")
-    write_covariance_csv(out / f"covariance{suffix}.csv", res.cov.r)
+    write_covariance_csv(out / f"covariance{suffix}.csv", res.cov)
     write_shape_csv(out / f"shape{suffix}.csv", res.shape.displacements)
     return record
 
@@ -163,7 +163,8 @@ def run_beampattern(cfg: ExperimentConfig, out_dir: str | Path,
     except ValueError as exc:
         raise ConfigError(f"{shape_path}: {exc}") from exc
     axis = np.linspace(0.0, np.pi, cfg.output.grid_points)
-    grid = evaluate_beampattern(CovarianceFactor(g), geom, shape, axis, axis.copy())
+    grid = evaluate_beampattern(CovarianceMatrix(g, power_budget=dbm_to_mw(cfg.p_t_dbm)),
+                                geom, shape, axis, axis.copy())
     dest = out / "beampattern.csv"
     write_beampattern_csv(dest, grid)
     return dest
@@ -176,14 +177,14 @@ def run_sweep_power(cfg: ExperimentConfig, out_dir: str | Path,
     Each scheme is optimized once at the configured reference power; other
     levels follow by scaling the covariance, exact because the feasible set
     and the objective are both linear in the power budget (the optimal shape
-    does not depend on P_t). An empty level list or a level that is not
-    finite raises ConfigError before the output directory is made.
+    does not depend on P_t). An empty level list or a level that is not a
+    finite, positive power in mW (NaN, 4000 dBm) raises ConfigError first.
     """
     levels = sorted(float(p) for p in p_t_dbm_list)
     if not levels:
         raise ConfigError("sweep-power needs at least one p_t level")
-    if not all(math.isfinite(p) for p in levels):
-        raise ConfigError(f"p_t levels must be finite, got {levels}")
+    if not all(0.0 < dbm_to_mw(p) < math.inf for p in levels):
+        raise ConfigError(f"p_t levels must be finite powers, positive in mW, got {levels}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     p_ref = dbm_to_mw(cfg.p_t_dbm)

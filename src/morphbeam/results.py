@@ -7,10 +7,10 @@ round-trip form, so re-parsed values are bit-equal to what was computed.
 
 ``covariance.csv`` holds a factor G of the covariance, R = G G^H, with one
 column per eigenpair of R above rounding, not R's N^2 entries: a rank-1
-optimum is N rows. The writer takes a dense R and factors it with
-:func:`morphbeam.covariance.covariance_factor`; the reader returns G. The
-header differs from the ``row,col,re,im`` of artifact version 3, so an old
-file of R's entries is rejected instead of being read as G.
+optimum is N rows. The writer takes a covariance's ``eigenfactor()`` (or
+:func:`morphbeam.covariance.covariance_factor` of a dense R); the reader
+returns G. The header differs from the ``row,col,re,im`` of artifact
+version 3, so an old file of R's entries is rejected instead of read as G.
 
 A reader takes exactly the rows its writer writes, in the writer's order:
 ``covariance.csv`` element-major with k columns per element, ``shape.csv``
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .beampattern import BeampatternGrid
-from .covariance import covariance_factor
+from .covariance import CovarianceMatrix, covariance_factor
 
 ARTIFACT_VERSION = 4
 
@@ -150,9 +150,9 @@ def _check_keys(path, body: np.ndarray, header: list[str], want: np.ndarray) -> 
                          f"{body[row, :m].tolist()}, where the writer puts {want[row].tolist()}")
 
 
-def write_covariance_csv(path: str | Path, r: np.ndarray) -> None:
-    "R's factor G (:func:`covariance_factor`) as (element, column, re, im) tuples, row-major."
-    g = covariance_factor(r).g
+def write_covariance_csv(path: str | Path, cov: CovarianceMatrix | np.ndarray) -> None:
+    "G (``eigenfactor()``, or :func:`covariance_factor` of a dense R) as (element, column, re, im)."
+    g = cov.eigenfactor() if isinstance(cov, CovarianceMatrix) else covariance_factor(cov)
     _write_csv(path, COVARIANCE_HEADER, (
         f"{i},{j},{x!r},{y!r}\r\n" for i, row in enumerate(g)
         for j, (x, y) in enumerate(zip(row.real.tolist(), row.imag.tolist()))))

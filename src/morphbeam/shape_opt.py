@@ -6,7 +6,8 @@ an Armijo-backtracked step along the analytic gradient of the cumulated
 probing power, starting from twice the last accepted step, and projects back
 onto the box. Only the displacement phase of A depends on the shape, so the
 planar factor is built once per ascent; each trial point costs one phase
-product and one R A, which also gives the gradient once the point is accepted.
+product and one G^H A (R = G G^H, G of size N x k), and an accepted point
+one more product G (G^H A) for its gradient.
 
 The Armijo demand ARMIJO_C * step * ||g||^2 uses the raw gradient, which the
 elements pinned at +/-d_max can dominate, while a short projected step gains
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import ArrayGeometry, SurfaceShape, TargetSet, phasor, steering_matrix
-from .objective import _as_matrix, _check_covariance, column_powers, power_gradient
+from .covariance import CovarianceMatrix, _factor
+from .objective import factor_power, power_gradient
 # bound here only so perfbench/tracing.py WRAP_POINTS can wrap it
 from .objective import shape_gradient  # noqa: F401
 
@@ -104,7 +106,7 @@ def _boxed_gradient_norm(grad: np.ndarray, displacements: np.ndarray,
 
 
 def ascend_shape(
-    r_x,
+    cov: CovarianceMatrix,
     geom: ArrayGeometry,
     targets: TargetSet,
     shape: SurfaceShape,
@@ -133,7 +135,8 @@ def ascend_shape(
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    r = _check_covariance(_as_matrix(r_x), geom.n_elements)
+    factor = _factor(cov, geom.n_elements)
+    factor_h = factor.conj().T
     # the flat-shape steering matrix times the displacement phase reproduces
     # steering_matrix at any shape bit for bit
     planar = steering_matrix(geom, targets.thetas, targets.phis, np.zeros(geom.n_elements))
@@ -141,12 +144,12 @@ def ascend_shape(
 
     def power(x):
         a = planar * phasor(np.outer(x, c))
-        ra = r @ a
-        return float(np.sum(column_powers(a, ra)).real), a, ra
+        gha = factor_h @ a
+        return factor_power(gha), a, gha
 
     x = project_shape(np.asarray(shape.displacements, dtype=float).copy(), geom.d_max)
-    p, a, ra = power(x)
-    g = power_gradient(a, ra, c)
+    p, a, gha = power(x)
+    g = power_gradient(a, factor @ gha, c)
     n_evals, n_gradients = 1, 1
     objectives = [p]
     grad_norms = []
@@ -173,7 +176,7 @@ def ascend_shape(
         accepted = False
         while step > STEP_FLOOR:
             x_try = project_shape(x + step * g, geom.d_max)
-            p_try, a, ra = power(x_try)
+            p_try, a, gha = power(x_try)
             n_evals += 1
             if p_try >= p + ARMIJO_C * step * gnorm * gnorm:
                 accepted = True
@@ -186,7 +189,7 @@ def ascend_shape(
             break
         x = x_try
         p = p_try
-        g = power_gradient(a, ra, c)
+        g = power_gradient(a, factor @ gha, c)
         n_gradients += 1
         objectives.append(p)
         step_sizes.append(step)

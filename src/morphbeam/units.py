@@ -14,8 +14,11 @@ DBM_FLOOR = -200.0
 
 
 def dbm_to_mw(p_dbm: float) -> float:
-    "Convert dBm to linear milliwatts."
-    return 10.0 ** (p_dbm / 10.0)
+    "Convert dBm to linear milliwatts: inf above the float range, 0.0 below it."
+    try:
+        return 10.0 ** (p_dbm / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def mw_to_dbm(p_mw: float) -> float:

@@ -13,7 +13,7 @@ import pytest
 from morphbeam import shape_opt
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, phasor, steering_matrix
 from morphbeam.bcd import BcdConfig, Scheme, solve_benchmark
-from morphbeam.objective import column_powers, power_gradient
+from morphbeam.objective import factor_power, power_gradient
 
 # desk-scale reference instance: 10x10 half-wavelength grid, three targets,
 # 10 dBm budget
@@ -108,24 +108,27 @@ def finite_difference_gradient(r_x, geom, targets, shape, h=1e-6):
     return grad
 
 
-def capped_ascend_shape(r_x, geom, targets, shape, max_iters=shape_opt.MAX_ITERS):
+def capped_ascend_shape(cov, geom, targets, shape, max_iters=shape_opt.MAX_ITERS):
     """The shape ascent without its repeated-state stop; verification oracle.
 
     Runs the same Armijo line search as ``shape_opt.ascend_shape`` on the
-    same constants, but leaves only when no trial step passes, the gradient
+    same constants and the same arithmetic on the covariance's factor G (the
+    power from G^H A, the gradient from G (G^H A)), so the two compare bit
+    for bit, but leaves only when no trial step passes, the gradient
     vanishes, the boxed gradient cannot meet the Armijo demand or
     ``max_iters`` steps are accepted. Once the loop state repeats, this loop
     keeps accepting the same no-op step until the cap, so its outputs are
     what the early stop must return bit for bit.
     """
-    r = getattr(r_x, "r", r_x)
+    factor = cov.g
+    factor_h = factor.conj().T
     planar = steering_matrix(geom, targets.thetas, targets.phis, np.zeros(geom.n_elements))
     c = np.sin(targets.thetas) * np.sin(targets.phis)
 
     def power(x):
         a = planar * phasor(np.outer(x, c))
-        ra = r @ a
-        return float(np.sum(column_powers(a, ra)).real), a, ra
+        gha = factor_h @ a
+        return factor_power(gha), a, gha
 
     def boxed_norm(g, x):
         g = g.copy()
@@ -134,8 +137,8 @@ def capped_ascend_shape(r_x, geom, targets, shape, max_iters=shape_opt.MAX_ITERS
         return float(np.linalg.norm(g))
 
     x = np.clip(np.asarray(shape.displacements, dtype=float), -geom.d_max, geom.d_max)
-    p, a, ra = power(x)
-    g = power_gradient(a, ra, c)
+    p, a, gha = power(x)
+    g = power_gradient(a, factor @ gha, c)
     n_evals, objectives, steps = 1, [p], []
     status = shape_opt.STATUS_MAX_ITERS
     trial = shape_opt.INITIAL_STEP
@@ -148,7 +151,7 @@ def capped_ascend_shape(r_x, geom, targets, shape, max_iters=shape_opt.MAX_ITERS
         step = min(trial, shape_opt.MAX_FIRST_MOVE / float(np.max(np.abs(g))))
         while step > shape_opt.STEP_FLOOR:
             x_try = np.clip(x + step * g, -geom.d_max, geom.d_max)
-            p_try, a, ra = power(x_try)
+            p_try, a, gha = power(x_try)
             n_evals += 1
             if p_try >= p + shape_opt.ARMIJO_C * step * gnorm * gnorm:
                 break
@@ -157,7 +160,7 @@ def capped_ascend_shape(r_x, geom, targets, shape, max_iters=shape_opt.MAX_ITERS
             status = shape_opt.STATUS_STEP_FLOOR
             break
         x, p = x_try, p_try
-        g = power_gradient(a, ra, c)
+        g = power_gradient(a, factor @ gha, c)
         objectives.append(p)
         steps.append(step)
         trial = shape_opt.STEP_GROWTH * step

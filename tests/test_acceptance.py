@@ -32,7 +32,7 @@ from morphbeam.bcd import (
 )
 from morphbeam.beampattern import target_powers
 from morphbeam.config import ExperimentConfig
-from morphbeam.covariance import solve_per_antenna_sdp
+from morphbeam.covariance import CovarianceMatrix, solve_per_antenna_sdp
 from morphbeam.experiments import run_compare
 from morphbeam.objective import shape_gradient
 
@@ -64,7 +64,7 @@ def test_gradient_matches_central_differences():
         geom, targets, shape = _random_instance(
             rng, *sizes[i % 3], ranks[(i // 3) % 3])
         r = _random_feasible_r(rng, geom.n_elements, 10.0)
-        grad = shape_gradient(r, geom, targets, shape)
+        grad = shape_gradient(CovarianceMatrix(r=r, power_budget=10.0), geom, targets, shape)
         fd = finite_difference_gradient(r, geom, targets, shape)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)

@@ -18,8 +18,7 @@ from morphbeam.bcd import (
 from morphbeam.beampattern import evaluate_beampattern, target_powers
 from morphbeam.covariance import (
     DEFAULT_SDP_TOL,
-    CovarianceFactor,
-    covariance_factor,
+    CovarianceMatrix,
     solve_per_antenna_sdp,
 )
 from morphbeam.objective import cumulated_power
@@ -329,11 +328,12 @@ class TestEdgeInputs:
             per_dbm, total_mw, min_dbm = target_powers(res.cov, geom, targets, res.shape)
             assert np.all(np.isfinite(per_dbm))
             assert np.isfinite(total_mw) and np.isfinite(min_dbm)
-            g = covariance_factor(res.cov.r).g
-            write_covariance_csv(path, res.cov.r)
+            g = res.cov.eigenfactor()
+            write_covariance_csv(path, res.cov)
             back = read_covariance_csv(path)
             np.testing.assert_array_equal(back, g)
-            grid = evaluate_beampattern(CovarianceFactor(back), geom, res.shape, t_axis, p_axis)
+            grid = evaluate_beampattern(CovarianceMatrix(back, power_budget=P_T), geom,
+                                        res.shape, t_axis, p_axis)
             lit = per_dbm > DBM_FLOOR
             np.testing.assert_allclose(10.0 ** (grid.power_dbm[at_targets][lit] / 10.0),
                                        10.0 ** (per_dbm[lit] / 10.0), rtol=1e-9)

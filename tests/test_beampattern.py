@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 from conftest import desk_targets, loop_beampattern_mw
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.beampattern import BeampatternGrid, evaluate_beampattern, target_powers
-from morphbeam.covariance import (
-    ConstraintKind,
-    CovarianceFactor,
-    CovarianceMatrix,
-    covariance_factor,
-    solve_per_antenna_sdp,
-)
+from morphbeam.covariance import CovarianceMatrix, solve_per_antenna_sdp
 from morphbeam.objective import cumulated_power
 from morphbeam.results import read_covariance_csv, write_covariance_csv
 from morphbeam.units import DBM_FLOOR
@@ -30,13 +24,23 @@ def make_geom(n=4, d_max=0.0):
     return ArrayGeometry(n_x=n, n_z=n, dx=0.5, dz=0.5, d_max=d_max)
 
 
+def dense(r):
+    "A dense R as a CovarianceMatrix; its budget, tr(R), is not read by a grid."
+    return CovarianceMatrix(r=r, power_budget=float(np.trace(r).real))
+
+
+def factored(g):
+    "The covariance G G^H of a factor G, with budget tr(G G^H)."
+    return CovarianceMatrix(g, power_budget=float(np.sum(np.abs(g) ** 2)))
+
+
 def test_uncorrelated_covariance_radiates_uniformly():
     # R = (p_t/n) I gives a^H R a = p_t for every unit-modulus steering
     # vector: the pattern is flat at 10*log10(p_t) dBm.
     geom = make_geom()
     n = geom.n_elements
     r = (10.0 / n) * np.eye(n, dtype=complex)
-    grid = evaluate_beampattern(covariance_factor(r), geom, SurfaceShape.zero(geom),
+    grid = evaluate_beampattern(dense(r), geom, SurfaceShape.zero(geom),
                                 np.linspace(0, np.pi, 21),
                                 np.linspace(0, np.pi, 19))
     np.testing.assert_allclose(grid.power_dbm, 10.0, atol=1e-10)
@@ -51,8 +55,7 @@ def test_grid_agrees_with_target_powers():
     rm = response_matrix(geom, targets, shape)
     cov, _ = solve_per_antenna_sdp(rm.a, p_t=10.0)
 
-    grid = evaluate_beampattern(covariance_factor(cov.r), geom, shape,
-                                targets.thetas, targets.phis)
+    grid = evaluate_beampattern(cov, geom, shape, targets.thetas, targets.phis)
     per_dbm, cum_mw, min_dbm = target_powers(cov, geom, targets, shape)
     for k in range(3):
         assert grid.power_dbm[k, k] == pytest.approx(per_dbm[k], abs=1e-12)
@@ -71,7 +74,7 @@ def test_single_target_peak_value_and_location():
     axis = np.linspace(0.0, np.pi, 90)   # lattice avoids theta0/phi0 exactly
     t_axis = np.sort(np.append(axis, theta0))
     p_axis = np.sort(np.append(axis, phi0))
-    grid = evaluate_beampattern(covariance_factor(cov.r), geom, SurfaceShape.zero(geom),
+    grid = evaluate_beampattern(cov, geom, SurfaceShape.zero(geom),
                                 t_axis, p_axis)
     peak_dbm = 10.0 * np.log10(10.0 * geom.n_elements)
     i = int(np.searchsorted(t_axis, theta0))
@@ -88,7 +91,7 @@ def test_power_bounded_by_budget_times_elements():
     shape = SurfaceShape(rng.uniform(-0.5, 0.5, geom.n_elements))
     rm = response_matrix(geom, targets, shape)
     cov, _ = solve_per_antenna_sdp(rm.a, p_t=7.0)
-    grid = evaluate_beampattern(covariance_factor(cov.r), geom, shape, AXIS, AXIS)
+    grid = evaluate_beampattern(cov, geom, shape, AXIS, AXIS)
     # a^H R a <= lambda_max(R) * n <= tr(R) * n = p_t * n
     bound_dbm = 10.0 * np.log10(7.0 * geom.n_elements)
     assert float(grid.power_dbm.max()) <= bound_dbm + 1e-9
@@ -106,7 +109,7 @@ def test_rank1_nulls_hit_the_floor():
     # phase difference pi between the two x elements => dx sin(t) cos(p) = 1/2
     theta = np.pi / 2
     phi = 0.0  # cos(phi) = 1, sin(theta) = 1 -> path difference 0.5 -> phase pi
-    grid = evaluate_beampattern(covariance_factor(r), geom, SurfaceShape.zero(geom),
+    grid = evaluate_beampattern(dense(r), geom, SurfaceShape.zero(geom),
                                 np.array([theta]), np.array([phi]))
     assert grid.power_dbm[0, 0] == -200.0
 
@@ -124,7 +127,7 @@ def test_grid_matches_per_direction_loop():
     shape = SurfaceShape(rng.uniform(-0.7, 0.7, geom.n_elements))
     r = random_covariance(geom.n_elements, rng)
     t_axis = p_axis = np.linspace(0.0, np.pi, 19)
-    grid = evaluate_beampattern(covariance_factor(r), geom, shape, t_axis, p_axis)
+    grid = evaluate_beampattern(dense(r), geom, shape, t_axis, p_axis)
     want = loop_beampattern_mw(r, geom, shape, t_axis, p_axis)
     np.testing.assert_allclose(10.0 ** (grid.power_dbm / 10.0), want, rtol=1e-12)
 
@@ -144,7 +147,7 @@ def test_grid_matches_per_direction_loop_on_drawn_axes(n_x, n_z, k, t_axis, p_ax
     geom = ArrayGeometry(n_x=n_x, n_z=n_z, dx=0.5, dz=0.5, d_max=0.5)
     shape = SurfaceShape(rng.uniform(-0.5, 0.5, geom.n_elements))
     g = rng.standard_normal((geom.n_elements, k)) + 1j * rng.standard_normal((geom.n_elements, k))
-    grid = evaluate_beampattern(CovarianceFactor(g), geom, shape, t_axis, p_axis)
+    grid = evaluate_beampattern(factored(g), geom, shape, t_axis, p_axis)
     want = loop_beampattern_mw(g @ g.conj().T, geom, shape, t_axis, p_axis)
     got = np.where(grid.power_dbm == DBM_FLOOR, 0.0, 10.0 ** (grid.power_dbm / 10.0))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
@@ -177,14 +180,14 @@ def test_grid_matches_direct_quadratic_forms(kind):
     shape = SurfaceShape(rng.uniform(-0.4, 0.4, geom.n_elements))
     t_axis, p_axis = np.linspace(0.0, np.pi, 23), np.linspace(0.0, np.pi, 19)
     if kind == "zero":
-        zero = CovarianceFactor(np.zeros((geom.n_elements, 1)))
+        zero = factored(np.zeros((geom.n_elements, 1)))
         grid = evaluate_beampattern(zero, geom, shape, t_axis, p_axis)
         assert np.all(grid.power_dbm == DBM_FLOOR)
         return
     r, rank = _covariance_of_kind(kind, geom, shape, rng)
-    factor = covariance_factor(r)
-    assert factor.g.shape[1] == rank
-    grid = evaluate_beampattern(factor, geom, shape, t_axis, p_axis)
+    cov = dense(r)
+    assert cov.g.shape[1] == rank
+    grid = evaluate_beampattern(cov, geom, shape, t_axis, p_axis)
     want = loop_beampattern_mw(r, geom, shape, t_axis, p_axis)
     got = np.where(grid.power_dbm == DBM_FLOOR, 0.0, 10.0 ** (grid.power_dbm / 10.0))
     peak = float(got.max())
@@ -204,9 +207,8 @@ def test_grid_on_stored_factor_matches_grid_on_its_product(kind, tmp_path):
     g = read_covariance_csv(tmp_path / "cov.csv")
     assert g.shape == (geom.n_elements, rank)
     t_axis, p_axis = np.linspace(0.0, np.pi, 23), np.linspace(0.0, np.pi, 19)
-    on_g = evaluate_beampattern(CovarianceFactor(g), geom, shape, t_axis, p_axis)
-    on_r = evaluate_beampattern(covariance_factor(g @ g.conj().T), geom, shape,
-                                t_axis, p_axis)
+    on_g = evaluate_beampattern(factored(g), geom, shape, t_axis, p_axis)
+    on_r = evaluate_beampattern(dense(g @ g.conj().T), geom, shape, t_axis, p_axis)
     got, want = 10.0 ** (on_g.power_dbm / 10.0), 10.0 ** (on_r.power_dbm / 10.0)
     np.testing.assert_array_less(np.abs(got - want), 1e-12 * want.max())
 
@@ -215,10 +217,10 @@ def test_factor_must_fit_the_geometry():
     geom = make_geom(n=2)
     shape = SurfaceShape.zero(geom)
     with pytest.raises(ValueError, match="rows"):
-        evaluate_beampattern(CovarianceFactor(np.ones((3, 1))), geom, shape, AXIS, AXIS)
+        evaluate_beampattern(factored(np.ones((3, 1))), geom, shape, AXIS, AXIS)
     for bad in (np.ones(4), np.ones((4, 0)), np.full((4, 1), np.inf)):
         with pytest.raises(ValueError, match="covariance factor"):
-            CovarianceFactor(bad)
+            CovarianceMatrix(bad, power_budget=4.0)
 
 
 def test_grid_memory_stays_bounded_at_n400():
@@ -232,7 +234,7 @@ def test_grid_memory_stays_bounded_at_n400():
     r = random_covariance(geom.n_elements, rng)
     tracemalloc.start()
     try:
-        grid = evaluate_beampattern(covariance_factor(r), geom, shape, AXIS, AXIS)
+        grid = evaluate_beampattern(dense(r), geom, shape, AXIS, AXIS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -241,14 +243,13 @@ def test_grid_memory_stays_bounded_at_n400():
 
 
 def test_takes_only_a_factor():
-    # An N x N R read as G would draw R^2, so a dense R is refused, not factored.
+    # An N x N R read as G would draw R^2, so a bare array, dense R or
+    # factor, is refused: R enters as a CovarianceMatrix, which holds G.
     geom = make_geom(n=2)
     shape = SurfaceShape.zero(geom)
-    r = np.eye(4, dtype=complex)
-    cov = CovarianceMatrix(r=r, power_budget=4.0, constraint_kind=ConstraintKind.PER_ANTENNA)
-    for dense in (r, cov):
-        with pytest.raises(TypeError, match="covariance_factor"):
-            evaluate_beampattern(dense, geom, shape, AXIS, AXIS)
+    for bare in (np.eye(4, dtype=complex), np.ones((4, 1), dtype=complex)):
+        with pytest.raises(TypeError, match="CovarianceMatrix"):
+            evaluate_beampattern(bare, geom, shape, AXIS, AXIS)
 
 
 class TestBeampatternGrid:

@@ -18,7 +18,7 @@ from morphbeam.bcd import Scheme
 from morphbeam.beampattern import evaluate_beampattern, target_powers
 from morphbeam.cli import main
 from morphbeam.config import ExperimentConfig
-from morphbeam.covariance import DEFAULT_SDP_TOL, covariance_factor
+from morphbeam.covariance import DEFAULT_SDP_TOL, CovarianceMatrix
 from morphbeam.experiments import (
     MissingInputError,
     SolverFailure,
@@ -93,10 +93,10 @@ def test_run_optimize_artifacts_are_self_consistent(tmp_path):
     assert ResultRecord.load(tmp_path / "record.json") == record
 
     g = read_covariance_csv(tmp_path / "covariance.csv")
-    r = g @ g.conj().T                  # covariance.csv stores a factor, R = G G^H
+    cov = CovarianceMatrix(g, power_budget=dbm_to_mw(cfg.p_t_dbm))   # R = G G^H
     shape = SurfaceShape(read_shape_csv(tmp_path / "shape.csv"))
     geom = cfg.build_geometry()
-    per_dbm, cum_mw, min_dbm = target_powers(r, geom, cfg.build_targets(), shape)
+    per_dbm, cum_mw, min_dbm = target_powers(cov, geom, cfg.build_targets(), shape)
 
     assert cum_mw == pytest.approx(record.objective_mw, rel=1e-9)
     assert min_dbm == pytest.approx(record.min_target_dbm, abs=1e-9)
@@ -382,6 +382,22 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, block, key, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p_t_dbm", [4000.0, -4000.0])
+def test_cli_optimize_refuses_a_power_beyond_the_float_range(tmp_path, capsys, p_t_dbm):
+    # 4000 dBm is 1e400 mW, which overflows a float, and -4000 dBm rounds
+    # to 0 mW: both are configuration errors, caught before the output
+    # directory is made, not a traceback or a solver failure.
+    raw = tiny_config_dict()
+    raw["power"]["p_t_dbm"] = p_t_dbm
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "run"
+    rc = main(["optimize", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and "p_t_dbm" in err
+    assert not out.exists()
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     rc = main(["optimize", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path)])
@@ -478,7 +494,8 @@ def test_run_beampattern_runs_no_eigh_on_a_rank1_artifact(tmp_path, monkeypatch)
     grid = read_beampattern_csv(run_beampattern(cfg, tmp_path))
     monkeypatch.undo()
     axis = np.linspace(0.0, np.pi, 31)
-    want = evaluate_beampattern(covariance_factor(r), geom, shape, axis, axis)
+    want = evaluate_beampattern(CovarianceMatrix(r=r, power_budget=dbm_to_mw(10.0)), geom,
+                                shape, axis, axis)
     mw, want_mw = 10.0 ** (grid.power_dbm / 10.0), 10.0 ** (want.power_dbm / 10.0)
     np.testing.assert_array_less(np.abs(mw - want_mw), 1e-12 * want_mw.max())
 
@@ -601,6 +618,8 @@ def test_cli_rejects_threads_flag(tmp_path):
     ("sweep-power", ["--p-t-dbm=-inf"]),
     ("sweep-range", ["--d-max", "0.25,inf"]),
     ("sweep-range", ["--d-max", "0.25,nan"]),
+    ("sweep-power", ["--p-t-dbm", "10,4000"]),
+    ("sweep-power", ["--p-t-dbm=10,-4000"]),
 ])
 def test_cli_rejects_bad_sweep_arguments_before_output(tmp_path, capsys, command,
                                                        sweep_args):

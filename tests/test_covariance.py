@@ -504,27 +504,29 @@ class TestRandomizeRank1:
         cov, _ = solve_per_antenna_sdp(a, p_t=4.0)
         with pytest.raises(ValueError):
             randomize_rank1(cov, a, n_samples=0)
-        degenerate = CovarianceMatrix(r=np.zeros((4, 4), dtype=complex),
-                                      power_budget=4.0,
-                                      constraint_kind=ConstraintKind.PER_ANTENNA)
-        with pytest.raises(ValueError):
+        # a zero R is refused when built from its dense form, a zero G when drawn from
+        with pytest.raises(ValueError, match="zero"):
+            CovarianceMatrix(r=np.zeros((4, 4), dtype=complex), power_budget=4.0,
+                             constraint_kind=ConstraintKind.PER_ANTENNA)
+        degenerate = CovarianceMatrix(np.zeros((4, 1), dtype=complex), power_budget=4.0)
+        with pytest.raises(ValueError, match="zero"):
             randomize_rank1(degenerate, a, n_samples=10)
         with pytest.raises(ValueError, match="rows"):
             randomize_rank1(cov, random_a(5, 1, rng), n_samples=10)
 
     def test_rejects_non_hermitian_or_non_finite_covariance(self):
         # eigh reads one triangle only: an edited upper triangle would draw
-        # the same weights as before, and a NaN would draw NaN weights
+        # the same weights as before, and a NaN would draw NaN weights; the
+        # dense constructor refuses both, so no such covariance reaches a draw
         rng = np.random.default_rng(10)
         a = random_a(4, 2, rng)
         cov, _ = solve_per_antenna_sdp(a, p_t=4.0)
         for edit, message in ((0.5j, "not Hermitian"), (np.nan, "non-finite")):
             r = cov.r.copy()
             r[0, 1] += edit
-            bad = CovarianceMatrix(r=r, power_budget=4.0,
-                                   constraint_kind=ConstraintKind.PER_ANTENNA)
             with pytest.raises(ValueError, match=message):
-                randomize_rank1(bad, a, n_samples=10)
+                CovarianceMatrix(r=r, power_budget=4.0,
+                                 constraint_kind=ConstraintKind.PER_ANTENNA)
 
     def test_weights_spend_the_covariance_budget(self):
         # the budget is read off the covariance, so it is given once
@@ -586,28 +588,26 @@ class TestCovarianceValidate:
                                constraint_kind=ConstraintKind.PER_ANTENNA)
         with pytest.raises(ValueError):
             cov.validate()
-        # a NaN diagonal entry is not p_t/N either, though it compares false
+        # a NaN diagonal entry is not p_t/N either, though it compares false;
+        # it is refused when the covariance is built
         r = np.eye(4, dtype=complex)
         r[2, 2] = np.nan
-        cov = CovarianceMatrix(r=r, power_budget=4.0,
-                               constraint_kind=ConstraintKind.PER_ANTENNA)
         with pytest.raises(ValueError, match="non-finite"):
-            cov.validate()
+            CovarianceMatrix(r=r, power_budget=4.0,
+                             constraint_kind=ConstraintKind.PER_ANTENNA)
 
     def test_catches_non_square(self):
-        cov = CovarianceMatrix(r=np.ones((3, 4), dtype=complex), power_budget=3.0,
-                               constraint_kind=ConstraintKind.PER_ANTENNA)
         with pytest.raises(ValueError, match=r"covariance is \(3, 4\)"):
-            cov.validate()
+            CovarianceMatrix(r=np.ones((3, 4), dtype=complex), power_budget=3.0,
+                             constraint_kind=ConstraintKind.PER_ANTENNA)
 
     def test_catches_non_hermitian(self):
         # diagonal exactly p_t/N = 1; R[1, 0] should be conj(R[0, 1]) = -0.5j
         r = np.eye(4, dtype=complex)
         r[0, 1] = r[1, 0] = 0.5j
-        cov = CovarianceMatrix(r=r, power_budget=4.0,
-                               constraint_kind=ConstraintKind.PER_ANTENNA)
         with pytest.raises(ValueError, match="not Hermitian"):
-            cov.validate()
+            CovarianceMatrix(r=r, power_budget=4.0,
+                             constraint_kind=ConstraintKind.PER_ANTENNA)
         # an asymmetry within 1e-10 of the largest entry is rounding
         r = np.eye(4, dtype=complex)
         r[0, 1] = 1e-12
@@ -616,10 +616,10 @@ class TestCovarianceValidate:
 
     @pytest.mark.parametrize("p_t", BAD_POWER)
     def test_rejects_bad_power_budget(self, p_t):
-        # R = 0 with P_t = 0 meets every other check
-        for r in (np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex)):
-            cov = CovarianceMatrix(r=r, power_budget=p_t,
-                                   constraint_kind=ConstraintKind.PER_ANTENNA)
+        # G = 0 with P_t = 0 meets every other check
+        for cov in (CovarianceMatrix(r=np.eye(4, dtype=complex), power_budget=p_t,
+                                     constraint_kind=ConstraintKind.PER_ANTENNA),
+                    CovarianceMatrix(np.zeros((4, 1), dtype=complex), power_budget=p_t)):
             with pytest.raises(ValueError, match="finite and positive"):
                 cov.validate()
 
@@ -627,7 +627,6 @@ class TestCovarianceValidate:
         # diagonal exactly p_t/N = 1, but eigenvalues 3, 1, 1 and -1
         r = np.eye(4, dtype=complex)
         r[0, 1] = r[1, 0] = 2.0
-        cov = CovarianceMatrix(r=r, power_budget=4.0,
-                               constraint_kind=ConstraintKind.PER_ANTENNA)
         with pytest.raises(ValueError, match="not PSD"):
-            cov.validate()
+            CovarianceMatrix(r=r, power_budget=4.0,
+                             constraint_kind=ConstraintKind.PER_ANTENNA)

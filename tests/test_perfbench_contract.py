@@ -14,9 +14,13 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from conftest import loop_steering
+from morphbeam import covariance
 from morphbeam.config import ExperimentConfig
 from morphbeam.experiments import run_beampattern, run_optimize
 
@@ -121,3 +125,33 @@ def test_traced_pattern_io_pass_reads_the_factor_and_times_the_grid(tracing, wor
     for name in ("results.read_s", "results.rows", "beampattern.grid_s"):
         assert metrics[name] > 0, name
     assert len(wl.check()) == wl.instances == 2
+
+
+def test_pattern_io_grid_matches_the_fixture_covariance(workloads, tmp_path, monkeypatch):
+    # PatternIO.check compares the grid with its CSV read-back and the target
+    # powers, never with the fixture's R. The grid runs on the G that the
+    # covariance writer stored, so a writer that stores anything but a
+    # factor of R (U_k lam_k instead of U_k sqrt(lam_k), say) passes that
+    # check; here grid cells are compared with a^H R a on the dense R the
+    # fixture built and a steering vector built element by element.
+    dense = []
+
+    def recording(**kwargs):
+        dense.append(np.array(kwargs["r"]))
+        return covariance.CovarianceMatrix(**kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(workloads, "covariance", SimpleNamespace(
+            CovarianceMatrix=recording, ConstraintKind=covariance.ConstraintKind))
+        wl = workloads.PatternIO(0, tmp_path)
+    wl.run_pass()
+    assert len(dense) == len(wl.cases) == 2
+    for r, (geom, _, shape, _, _), (grid, _, _) in zip(dense, wl.cases, wl.outputs):
+        mw = 10.0 ** (grid.power_dbm / 10.0)
+        peak = np.unravel_index(np.argmax(mw), mw.shape)
+        cells = [peak] + [(i, j) for i in range(0, mw.shape[0], 45)
+                          for j in range(0, mw.shape[1], 45)]
+        for i, j in cells:
+            a = loop_steering(geom, grid.theta_axis[i], grid.phi_axis[j], shape.displacements)
+            want = float(np.real(a.conj() @ r @ a))
+            assert mw[i, j] == pytest.approx(want, rel=1e-9), (geom.n_elements, i, j)

@@ -85,7 +85,7 @@ class TestCsvRoundTrips:
         write_covariance_csv(path, r)
         assert path.read_text().splitlines()[0] == ",".join(COVARIANCE_HEADER)
         back = read_covariance_csv(path)
-        np.testing.assert_array_equal(back, covariance_factor(r).g)   # repr round-trips doubles
+        np.testing.assert_array_equal(back, covariance_factor(r))   # repr round-trips doubles
         assert np.linalg.norm(back @ back.conj().T - r) <= 1e-12 * np.linalg.norm(r)
 
     def test_shape_exact(self, tmp_path):
@@ -162,7 +162,7 @@ class TestWriterBytes:
         for m in (r, r.real.copy()):
             path = tmp_path / "cov.csv"
             write_covariance_csv(path, m)
-            g = covariance_factor(m).g
+            g = covariance_factor(m)
             want = csv_writer_bytes(COVARIANCE_HEADER, (
                 (i, j, float(g[i, j].real), float(g[i, j].imag))
                 for i in range(g.shape[0]) for j in range(g.shape[1])))
@@ -186,7 +186,7 @@ class TestWriterBytes:
 class TestCovarianceWriterRejects:
     # What the writer cannot store as R = G G^H is refused before a file is made.
     @pytest.mark.parametrize("r, reason", [
-        (np.eye(3, 4), r"expected \(3, 3\)"),
+        (np.eye(3, 4), r"covariance is \(3, 4\)"),
         (np.ones(3), "matrix"),
         (np.array([[1.0, 0.5j], [0.5j, 1.0]]), "Hermitian"),
         (np.diag([1.0, np.nan, 1.0]), "non-finite"),
@@ -201,7 +201,7 @@ class TestCovarianceWriterRejects:
 
     def test_psd_rounding_is_accepted_and_not_stored(self):
         # -1e-9 lam_max passes the PSD test; only the positive eigenpairs are stored
-        g = covariance_factor(np.diag([1.0, 0.5, -1e-9])).g
+        g = covariance_factor(np.diag([1.0, 0.5, -1e-9]))
         assert g.shape == (3, 2)
         np.testing.assert_allclose(g @ g.conj().T, np.diag([1.0, 0.5, 0.0]), atol=1e-15)
 
@@ -229,7 +229,7 @@ class TestRoundTripBits:
         path = tmp_path_factory.mktemp("cov") / "cov.csv"
         write_covariance_csv(path, r)
         np.testing.assert_array_equal(bits(read_covariance_csv(path)),
-                                      bits(covariance_factor(r).g))
+                                      bits(covariance_factor(r)))
 
     @settings(max_examples=60, deadline=None)
     @given(d=hnp.arrays(np.float64, st.integers(1, 12),

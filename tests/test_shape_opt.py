@@ -13,7 +13,7 @@ from morphbeam.array_model import (
     steering_matrix,
 )
 from morphbeam.bcd import BcdConfig, Scheme, solve_benchmark
-from morphbeam.covariance import solve_per_antenna_sdp
+from morphbeam.covariance import CovarianceMatrix, solve_per_antenna_sdp
 from morphbeam.objective import cumulated_power
 from morphbeam.shape_opt import (
     STATUS_GRADIENT_TOL,
@@ -110,13 +110,6 @@ class TestAscendShape:
         assert trace.n_iters == 2
         assert trace.grad_norms.size == 3   # one per visited iterate
 
-    def test_accepts_bare_matrix(self):
-        geom, targets, cov = make_instance(d_max=0.5)
-        f1, t1 = ascend_shape(cov, geom, targets, SurfaceShape.zero(geom))
-        f2, t2 = ascend_shape(cov.r, geom, targets, SurfaceShape.zero(geom))
-        np.testing.assert_array_equal(f1.displacements, f2.displacements)
-        np.testing.assert_array_equal(t1.objectives, t2.objectives)
-
     def test_deterministic(self):
         geom, targets, cov = make_instance(d_max=0.5, seed=8)
         f1, t1 = ascend_shape(cov, geom, targets, SurfaceShape.zero(geom))
@@ -186,7 +179,8 @@ def desk_zero_start_ascents():
     seen = []
 
     def keep(cov, geom, targets, shape, max_iters):
-        seen.append((cov.r.copy(), shape.copy()))
+        seen.append((CovarianceMatrix(cov.g.copy(), power_budget=cov.power_budget),
+                     shape.copy()))
         return ascend_shape(cov, geom, targets, shape, max_iters)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -199,7 +193,8 @@ def desk_zero_start_ascents():
 def noop_then_move_instance():
     """A 2x2 ascent whose boxed gradient is at rounding level.
 
-    R = w w^H with w the steering vector at x0 except for phase twists of
+    R = w w^H, held as its factor w, with w the steering vector at x0 (times
+    10, so P_t/N = 100) except for phase twists of
     -/+1e-5 on the two elements pinned at +/-d_max. Those two pull outward
     and carry the gradient norm; the free elements' gradient is at rounding
     level. The first steps would be too short to move the free elements yet
@@ -211,35 +206,35 @@ def noop_then_move_instance():
     x0 = np.array([0.5, -0.5, 0.1, 0.3])
     a = steering_matrix(geom, targets.thetas, targets.phis, x0)[:, 0]
     w = 10.0 * a * np.exp(1j * np.array([-1e-5, 1e-5, 0.0, 0.0]))
-    return np.outer(w, w.conj()), geom, targets, SurfaceShape(x0)
+    return CovarianceMatrix(w[:, None], power_budget=400.0), geom, targets, SurfaceShape(x0)
 
 
 class TestRepeatedStateStop:
     """The ascent stops once its loop state repeats and returns what the capped loop returns."""
 
     @staticmethod
-    def assert_matches_capped_loop(r, geom, targets, start):
-        final, trace = ascend_shape(r, geom, targets, start)
-        want, want_trace = capped_ascend_shape(r, geom, targets, start)
+    def assert_matches_capped_loop(cov, geom, targets, start):
+        final, trace = ascend_shape(cov, geom, targets, start)
+        want, want_trace = capped_ascend_shape(cov, geom, targets, start)
         assert final.displacements.tobytes() == want.displacements.tobytes()
         assert trace.objectives[-1] == want_trace.objectives[-1]
         assert trace.projected_grad_norm == want_trace.projected_grad_norm
         return final, trace, want_trace
 
     def test_crawling_desk_ascent_stops_early(self, desk_zero_start_ascents):
-        # the fifth outer's ascent makes its last strict increase within 50
+        # the third outer's ascent makes its last strict increase within 30
         # steps, then repeats a rejected step and an accepted no-op step
         geom, seen = desk_zero_start_ascents
-        r, start = seen[4]
-        _, trace, want = self.assert_matches_capped_loop(r, geom, desk_targets(), start)
+        cov, start = seen[2]
+        _, trace, want = self.assert_matches_capped_loop(cov, geom, desk_targets(), start)
         assert want.status == STATUS_MAX_ITERS
         assert trace.status == STATUS_STEP_FLOOR
         assert 10 * trace.n_evals < want.n_evals
 
     def test_equal_power_step_before_a_strict_increase(self, desk_zero_start_ascents):
         geom, seen = desk_zero_start_ascents
-        r, start = seen[0]
-        _, trace, want = self.assert_matches_capped_loop(r, geom, desk_targets(), start)
+        cov, start = seen[0]
+        _, trace, want = self.assert_matches_capped_loop(cov, geom, desk_targets(), start)
         rises = np.diff(want.objectives)
         first_equal = np.flatnonzero(rises == 0.0)[0]
         assert np.any(rises[first_equal:] > 0.0)
@@ -249,9 +244,9 @@ class TestRepeatedStateStop:
         # Once ||g_boxed||^2 >= ARMIJO_C ||g||^2 is required, a no-op first
         # step needs ||g|| < 1.1e-12 sqrt(N) d_max, below GRAD_TOL, so the
         # ascent stops at the start.
-        r, geom, targets, start = noop_then_move_instance()
-        final, trace, want = self.assert_matches_capped_loop(r, geom, targets, start)
-        after_one, _ = capped_ascend_shape(r, geom, targets, start, max_iters=1)
+        cov, geom, targets, start = noop_then_move_instance()
+        final, trace, want = self.assert_matches_capped_loop(cov, geom, targets, start)
+        after_one, _ = capped_ascend_shape(cov, geom, targets, start, max_iters=1)
         assert after_one.displacements.tobytes() == start.displacements.tobytes()
         assert final.displacements.tobytes() == start.displacements.tobytes()
         assert trace.status == STATUS_GRADIENT_TOL

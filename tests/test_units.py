@@ -22,3 +22,10 @@ def test_dbm_floor_for_nonpositive_power():
     assert mw_to_dbm(0.0) == DBM_FLOOR
     assert mw_to_dbm(-3.0) == DBM_FLOOR
     assert mw_to_dbm(1e-300) <= DBM_FLOOR
+
+
+def test_powers_beyond_the_float_range():
+    # 4000 dBm is 1e400 mW, and -4000 dBm rounds to 0 mW
+    assert dbm_to_mw(4000.0) == np.inf
+    assert dbm_to_mw(-4000.0) == 0.0
+    assert dbm_to_mw(3000.0) == pytest.approx(1e300)
