@@ -64,10 +64,11 @@ def _size_list(text: str) -> list[tuple[int, int]]:
     return sizes
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, seed: bool = True) -> None:
     sub.add_argument("--config", required=True, help="path to a JSON experiment config")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the config seed")
+    if seed:
+        sub.add_argument("--seed", type=int, default=None,
+                         help="override the config seed")
     sub.add_argument("--out", default=None,
                      help="output directory (default: output.dir from the config)")
 
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("beampattern",
                        help="evaluate the angle grid for a previous optimize run")
-    _add_common(p)
+    _add_common(p, seed=False)              # the grid reads the optimize artifacts
 
     p = sub.add_parser("sweep-power",
                        help="cumulated power of all schemes vs transmit power")
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.seed is None:
+    if getattr(args, "seed", None) is None:
         return cfg
     raw = cfg.to_dict()
     raw["seed"] = args.seed

@@ -600,6 +600,18 @@ def test_cli_rejects_malformed_lists(tmp_path, capsys, command, bad_args, messag
     assert not out.exists()
 
 
+def test_cli_beampattern_refuses_a_seed(tmp_path, capsys):
+    # The grid reads the optimize artifacts, so a seed would change nothing.
+    path = write_config(tmp_path, tiny_config_dict())
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
+    with pytest.raises(SystemExit) as excinfo:
+        main(["beampattern", "--config", str(path), "--out", str(out), "--seed", "7"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not (out / "beampattern.csv").exists()
+
+
 def test_cli_rejects_threads_flag(tmp_path):
     path = write_config(tmp_path, tiny_config_dict())
     with pytest.raises(SystemExit) as excinfo:

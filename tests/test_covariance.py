@@ -4,9 +4,12 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import morphbeam.covariance as covariance
 from conftest import DESK_P_T_MW, desk_geometry, desk_targets, rank_profile
+from morphbeam import bcd
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.bcd import BcdConfig, Scheme, solve_benchmark
 from morphbeam.beampattern import target_powers
@@ -402,6 +405,96 @@ class TestRank1FastPath:
             assert report.converged
         assert len(per_solve) >= len(panel)
         assert max(per_solve) <= 12, sorted(per_solve)[-5:]
+
+
+def _family_a(family, n, k, seed):
+    "A seeded N x K steering matrix: Gaussian, unit-modulus, or with coincident targets."
+    rng = np.random.default_rng(seed)
+    a = random_a(n, k, rng)
+    if family == "unit-modulus":
+        return np.exp(1j * np.angle(a))
+    if family == "coincident":
+        return a[:, rng.integers(0, max(1, k // 2), k)]
+    return a
+
+
+def _recording(monkeypatch, name, record):
+    "Wrap covariance.<name> so that ``record`` sees each call's result."
+    original = getattr(covariance, name)
+
+    def wrapper(*args):
+        out = original(*args)
+        record(out)
+        return out
+
+    monkeypatch.setattr(covariance, name, wrapper)
+
+
+class TestSolverProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(family=st.sampled_from(["gaussian", "unit-modulus", "coincident"]),
+           n=st.integers(1, 30), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_every_solve_is_certified(self, family, n, k, seed):
+        # K >= N is drawn too; the last certificate's y' is the reported
+        # bound's dual point, and a dense eigensolver confirms it at small N.
+        a = _family_a(family, n, k, seed)
+        duals = []
+        with pytest.MonkeyPatch.context() as mp:
+            _recording(mp, "_certify", lambda out: duals.append(out[1]))
+            cov, report = solve_per_antenna_sdp(a, 2.0)
+        assert report.converged
+        assert report.iterations < DEFAULT_ITER_CAP
+        cov.validate()
+        assert report.objective <= report.dual_bound
+        sv1 = float(np.linalg.norm(a, 2))
+        y = duals[-1]
+        assert 2.0 / n * sv1 ** 2 * float(np.sum(y)) == pytest.approx(report.dual_bound, rel=1e-12)
+        if n <= 12:
+            slack = np.diag(y) - gram(a / sv1)
+            assert np.linalg.eigvalsh(slack)[0] >= -1e-14 * max(1.0, float(np.max(y)))
+
+    @pytest.mark.parametrize("which", ["desk-zero-shape", "slowest-panel-input"])
+    def test_block_stage_value_never_falls(self, which, monkeypatch):
+        # Panel input 21 (N = 28, K = 4) is the one that plain steps take to
+        # the 10,000-step cap; without the safeguard both inputs lose value.
+        if which == "desk-zero-shape":
+            geom = desk_geometry(1.0)
+            a = response_matrix(geom, desk_targets(), SurfaceShape.zero(geom)).a
+        else:
+            a = _fast_path_panel()[21]
+        certified, stepped = [], []
+        _recording(monkeypatch, "_certify", lambda out: certified.append(out[0]))
+        _recording(monkeypatch, "_anderson_step",
+                   lambda out: stepped.append(float(np.vdot(out[0], out[0]).real)))
+        _, report = solve_per_antenna_sdp(a, 3.0)
+        assert report.converged
+        assert len(certified) >= 2 and stepped             # the block stage ran
+        assert np.all(np.diff(certified[1:]) >= 0.0)
+        # Each step's value ||F^H V||^2 falls at most by rounding.
+        assert np.all(np.diff(stepped) >= -1e-13 * stepped[-1])
+
+
+class TestStepBudget:
+    """Power-step counts are deterministic, so a regression to plain steps fails here."""
+
+    def test_panel_solves_take_at_most_1000_steps(self):
+        steps = [solve_per_antenna_sdp(a, 3.0)[1].iterations for a in _fast_path_panel()]
+        assert max(steps) <= 1000, sorted(steps)[-5:]
+
+    def test_desk_fim_mimo_takes_at_most_6000_sdp_steps(self, monkeypatch):
+        runs = []
+        run_single_start = bcd._run_single_start
+
+        def keep(*args, **kwargs):
+            runs.append(run_single_start(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(bcd, "_run_single_start", keep)
+        solve_benchmark(Scheme.FIM_MIMO, desk_geometry(1.0), desk_targets(), DESK_P_T_MW,
+                        BcdConfig(rng_seed=0, n_starts=4))
+        assert len(runs) == 4
+        total = sum(rec.sdp_iterations for res in runs for rec in res.trace.records)
+        assert total <= 6000, total
 
 
 class TestNewtonStep:
