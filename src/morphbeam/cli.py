@@ -64,15 +64,6 @@ def _size_list(text: str) -> list[tuple[int, int]]:
     return sizes
 
 
-def _add_common(sub: argparse.ArgumentParser, seed: bool = True) -> None:
-    sub.add_argument("--config", required=True, help="path to a JSON experiment config")
-    if seed:
-        sub.add_argument("--seed", type=int, default=None,
-                         help="override the config seed")
-    sub.add_argument("--out", default=None,
-                     help="output directory (default: output.dir from the config)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="morphbeam",
@@ -80,37 +71,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "planar sensing array.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="path to a JSON experiment config")
+    common.add_argument("--out", default=None,
+                        help="output directory (default: output.dir from the config)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="override the config seed")
 
-    p = sub.add_parser("optimize", help="run the configured scheme once")
-    _add_common(p)
+    sub.add_parser("optimize", parents=[seeded], help="run the configured scheme once")
 
-    p = sub.add_parser("beampattern",
-                       help="evaluate the angle grid for a previous optimize run")
-    _add_common(p, seed=False)              # the grid reads the optimize artifacts
+    # the grid reads the optimize artifacts, so it takes no seed
+    sub.add_parser("beampattern", parents=[common],
+                   help="evaluate the angle grid for a previous optimize run").set_defaults(seed=None)
 
-    p = sub.add_parser("sweep-power",
+    p = sub.add_parser("sweep-power", parents=[seeded],
                        help="cumulated power of all schemes vs transmit power")
-    _add_common(p)
     p.add_argument("--p-t-dbm", type=_float_list, default=None,
                    help="comma-separated dBm levels (default: the config power)")
 
-    p = sub.add_parser("sweep-range",
+    p = sub.add_parser("sweep-range", parents=[seeded],
                        help="cumulated power vs morphing range, warm-started")
-    _add_common(p)
     p.add_argument("--d-max", type=_float_list, default=[0.0, 0.25, 0.5, 1.0],
                    help="comma-separated ranges in wavelengths")
     p.add_argument("--sizes", type=_size_list, default=None,
                    help="comma-separated array sizes like 10x10,8x8 "
                         "(default: the config geometry)")
 
-    p = sub.add_parser("compare-schemes", help="run all four schemes and summarize")
-    _add_common(p)
+    sub.add_parser("compare-schemes", parents=[seeded], help="run all four schemes and summarize")
 
     return parser
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "seed", None) is None:
+    if args.seed is None:
         return cfg
     raw = cfg.to_dict()
     raw["seed"] = args.seed

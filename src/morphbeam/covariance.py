@@ -20,8 +20,6 @@ square is above a relative floor (r = K for K targets, r = N when K >= N).
   _AA_MEMORY differences (Walker and Ni, SIAM J. Numer. Anal. 49, 2011),
   kept only when its value is at least the plain step's; otherwise the
   plain step is taken and the history restarts, so the value never falls.
-  Near degenerate optima, where plain steps crawl, the desk's block steps
-  fall from 7,232 to 1,216.
 - **Certificate.** y_n = Re(v_n^H (B V)_n) sums to tr(V^H B V), and
   tr(V^H (Diag(y) - B) V) = 0, so y' = y - lambda_min(Diag(y) - B) 1 is
   dual feasible, and tight when V V^H is optimal. The eigenvalue comes from
@@ -53,10 +51,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SDP_TOL = 1e-6
 # Cap on the power steps of one solve, both stages together. The desk
-# fim-mimo runs (d_max 0.25, 0.5 and 1) take at most 432 steps, desk fim-pa
+# fim-mimo runs (d_max 0.25, 0.5 and 1) take at most 368 steps, desk fim-pa
 # at d_max 0.25 399, the test panel 234, 600 random A (N <= 40, K <= 6)
-# 466 and 32 x 32 fim-mimo with the desk targets 407; plain block steps
-# took up to 2,576, 2,233, 10,000, 3,001 and 10,000.
+# 466 and 32 x 32 fim-mimo with the desk targets 407.
 DEFAULT_ITER_CAP = 10000
 
 # Largest relative deviation of a diagonal entry from P_t / N that
@@ -83,7 +80,7 @@ _AA_MEMORY = 5
 
 # Eigenvalues mu of F^H Diag(1/y') F at or above 1 - _FACE_TOL mark the
 # optimal face (1 - mu is the slack's eigenvalue relative to y'). 1 - mu is
-# at most 9.2e-11 on it and at least 1.5e-2 off it on the 120 desk solves,
+# at most 6.2e-10 on it and at least 1.5e-2 off it on the 120 desk solves,
 # 1.5e-10 and 8e-5 on the test panel. A solve stopped at the cap read
 # 5.9e-7 and 2.2e-5, so the face's centre is kept only if it certifies.
 _FACE_TOL = 1e-6

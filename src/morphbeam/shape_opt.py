@@ -17,11 +17,16 @@ step can pass, so the loop stops with ``gradient_tol`` instead of
 backtracking to the step floor.
 
 Once ARMIJO_C * step * ||g||^2 is below half an ulp of the power, the Armijo
-test passes a trial point bit-equal to the current one. The loop then cycles:
-a step of 2s is rejected and the no-op step s accepted, with the same state
-(x, power, gradient, first trial step) at the start of every iteration. Each
-iteration is a pure function of that state, so the loop stops at the first
-such repeat and returns exactly what running on to ``max_iters`` would.
+test passes a trial point whose power is bit-equal to the current one. The
+loop then cycles: a step of 2s is rejected and the step s accepted, with the
+same power and first trial step at the start of every iteration. Where s
+leaves x bit-equal, the whole state (x, power, gradient, first trial step)
+repeats; each iteration is a pure function of it, so stopping returns
+exactly what running on to ``max_iters`` would. Where s moves x but its
+first-order rise s * ||g_boxed||^2 is under one ulp of the power, x drifts
+at equal power (a later step may gain an ulp or two) for up to hundreds of
+steps before it settles. The loop stops at the first step of either kind
+and keeps x.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ logger = logging.getLogger(__name__)
 STATUS_GRADIENT_TOL = "gradient_tol"
 STATUS_MAX_ITERS = "max_iters"
 # No trial step above STEP_FLOOR passes the Armijo test, or the accepted one
-# leaves x bit-equal and the next iteration would repeat this one: either
-# way the line search can no longer move x.
+# leaves the power bit-equal, moves x by less than an ulp of the power's
+# worth (or not at all) and the next iteration would start with the same
+# step: either way the line search can no longer raise the power.
 STATUS_STEP_FLOOR = "step_floor"
 
 # Stop once the euclidean norm of the raw gradient drops to this value.
@@ -75,9 +81,9 @@ class AscentTrace:
     gradient with components pushing against an active box face zeroed out,
     measured at the final iterate. ``n_evals`` counts power evaluations,
     the start included; ``n_gradients`` counts gradients. ``status`` is
-    ``step_floor`` also when the loop stops on a repeated state; the no-op
-    step that closes the repeat is counted in ``n_evals`` but not in
-    ``n_iters`` or ``objectives``.
+    ``step_floor`` also when the loop stops on an equal-power cycle; the
+    step that closes it is counted in ``n_evals`` but not in ``n_iters`` or
+    ``objectives``.
     """
 
     objectives: np.ndarray
@@ -125,11 +131,13 @@ def ascend_shape(
     ``ARMIJO_C`` ||g||^2 (module docstring). If the step collapses below the
     floor the loop stops with status ``step_floor`` rather than raising,
     since a boundary iterate can be legitimately stuck. It also stops with
-    ``step_floor`` when the accepted point is bit-equal to x and the next
-    first trial step, ``STEP_GROWTH * step``, equals this iteration's: the
-    next iteration would start from the same state and repeat this one, so
-    the shape, power and projected gradient returned are bit-equal to those
-    of the loop run on to ``max_iters``.
+    ``step_floor``, keeping x, when the accepted point's power is bit-equal
+    to x's, the next first trial step, ``STEP_GROWTH * step``, equals this
+    iteration's, and the point is x itself or step * ||g_boxed||^2 is under
+    one ulp of the power (module docstring). When the point is x, the next
+    iteration would repeat this one, so the shape, power and projected
+    gradient returned are bit-equal to those of the loop run on to
+    ``max_iters``.
 
     Returns the final shape and an :class:`AscentTrace`.
     """
@@ -182,9 +190,11 @@ def ascend_shape(
                 accepted = True
                 break
             step *= SHRINK
-        if not accepted or (STEP_GROWTH * step == trial and np.array_equal(x_try, x)):
-            # nothing passed, or x_try is x and the next iteration would
-            # start from this one's state (x, p, g, trial) and repeat it
+        if not accepted or (STEP_GROWTH * step == trial and p_try == p and (
+                step * boxed * boxed < np.spacing(p) or np.array_equal(x_try, x))):
+            # nothing passed, or the next iteration would start with this
+            # one's power and trial step from an x that moved by rounding
+            # (or not at all) and repeat it
             status = STATUS_STEP_FLOOR
             break
         x = x_try

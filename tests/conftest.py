@@ -116,9 +116,10 @@ def capped_ascend_shape(cov, geom, targets, shape, max_iters=shape_opt.MAX_ITERS
     power from G^H A, the gradient from G (G^H A)), so the two compare bit
     for bit, but leaves only when no trial step passes, the gradient
     vanishes, the boxed gradient cannot meet the Armijo demand or
-    ``max_iters`` steps are accepted. Once the loop state repeats, this loop
-    keeps accepting the same no-op step until the cap, so its outputs are
-    what the early stop must return bit for bit.
+    ``max_iters`` steps are accepted. Once the loop cycles at equal power,
+    this loop keeps accepting the same step until the cap; run with
+    ``max_iters`` at the early stop's step count, its outputs are what the
+    early stop must return bit for bit.
     """
     factor = cov.g
     factor_h = factor.conj().T

@@ -210,43 +210,45 @@ def noop_then_move_instance():
 
 
 class TestRepeatedStateStop:
-    """The ascent stops once its loop state repeats and returns what the capped loop returns."""
+    """The ascent stops once its loop cycles at equal power, on the capped loop's state."""
 
     @staticmethod
     def assert_matches_capped_loop(cov, geom, targets, start):
+        # The ascent returns the capped loop's state after the steps it took.
+        # The capped loop may find a few ulps more power later: the stop
+        # forgoes rises below what the power can resolve.
         final, trace = ascend_shape(cov, geom, targets, start)
+        stopped, stopped_trace = capped_ascend_shape(cov, geom, targets, start,
+                                                     max_iters=trace.n_iters)
+        assert final.displacements.tobytes() == stopped.displacements.tobytes()
+        np.testing.assert_array_equal(trace.objectives, stopped_trace.objectives)
+        assert trace.projected_grad_norm == stopped_trace.projected_grad_norm
         want, want_trace = capped_ascend_shape(cov, geom, targets, start)
-        assert final.displacements.tobytes() == want.displacements.tobytes()
-        assert trace.objectives[-1] == want_trace.objectives[-1]
-        assert trace.projected_grad_norm == want_trace.projected_grad_norm
+        power = want_trace.objectives[-1]
+        assert trace.objectives[-1] >= power - 4 * np.spacing(power)
         return final, trace, want_trace
 
     def test_crawling_desk_ascent_stops_early(self, desk_zero_start_ascents):
         # Which outers crawl (the capped loop runs to max_iters, repeating a
-        # rejected step and an accepted no-op step) moves with the last bits
-        # of the covariance, so every captured one is checked. One may take
-        # equal-power moves for a while before its state repeats, so the
-        # tenth is asked of their evaluations together.
+        # rejected step and an accepted equal-power step) moves with the last
+        # bits of the covariance, so every captured one is checked.
         geom, seen = desk_zero_start_ascents
-        crawls = []
+        crawls = 0
         for cov, start in seen:
             _, trace, want = self.assert_matches_capped_loop(cov, geom, desk_targets(), start)
             if want.status == STATUS_MAX_ITERS:
-                crawls.append((trace.n_evals, want.n_evals))
+                crawls += 1
                 assert trace.status == STATUS_STEP_FLOOR
-                assert trace.n_evals < want.n_evals
+                assert 10 * trace.n_evals < want.n_evals, (trace.n_evals, want.n_evals)
         assert crawls
-        evals, capped_evals = np.sum(crawls, axis=0)
-        assert 10 * evals <= capped_evals, crawls
 
     def test_equal_power_step_before_a_strict_increase(self, desk_zero_start_ascents):
         geom, seen = desk_zero_start_ascents
         cov, start = seen[0]
-        _, trace, want = self.assert_matches_capped_loop(cov, geom, desk_targets(), start)
-        rises = np.diff(want.objectives)
+        _, trace, _ = self.assert_matches_capped_loop(cov, geom, desk_targets(), start)
+        rises = np.diff(trace.objectives)
         first_equal = np.flatnonzero(rises == 0.0)[0]
         assert np.any(rises[first_equal:] > 0.0)
-        np.testing.assert_array_equal(trace.objectives, want.objectives)
 
     def test_noop_step_before_a_move(self):
         # Once ||g_boxed||^2 >= ARMIJO_C ||g||^2 is required, a no-op first
