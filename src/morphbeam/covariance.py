@@ -116,8 +116,13 @@ def _above_rounding(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def column_powers(a: np.ndarray, ra: np.ndarray) -> np.ndarray:
-    "Quadratic forms a_k^H R a_k of the columns of A, complex, from A and R @ A."
-    return np.sum(a.conj() * ra, axis=0)
+    """Quadratic forms a_k^H R a_k of the columns of A, complex, from A and R @ A.
+
+    The ndarray reduction methods used here and in the solver's hot helpers
+    run the same ``add.reduce`` as ``np.sum``, ``np.min`` and ``np.max``,
+    bit for bit, without their Python wrappers.
+    """
+    return (a.conj() * ra).sum(axis=0)
 
 
 def covariance_factor(r) -> np.ndarray:
@@ -238,7 +243,7 @@ def _min_eigpair(g: np.ndarray, h: np.ndarray, lo: float) -> tuple[float, np.nda
     Newton step (kappa == 1 exactly, or a step below the spacing of lam)
     ends the solve at lam; bisecting there would throw the root away.
     """
-    hi = float(np.min(g))
+    hi = float(g.min())
     tol = 1e-15 * (hi - lo)
     lam = lo
     for _ in range(200):
@@ -251,7 +256,7 @@ def _min_eigpair(g: np.ndarray, h: np.ndarray, lo: float) -> tuple[float, np.nda
             lo = lam
         else:
             hi = lam
-        lam_next = lam + kappa * (1.0 - kappa) / max(float(np.sum(np.abs(vec) ** 2)), 1e-300)
+        lam_next = lam + kappa * (1.0 - kappa) / max(float((np.abs(vec) ** 2).sum()), 1e-300)
         if lam_next != lam and not lo < lam_next < hi:
             lam_next = 0.5 * (lo + hi)
         done = abs(lam_next - lam) <= tol
@@ -269,15 +274,21 @@ def _dual_bound(y: np.ndarray, f: np.ndarray, dropped: float) -> float:
     least min y - ||F||_F^2, the secular solve's lower bracket. The 1e-12
     relative margin covers the solve's rounding.
     """
-    lam = _min_eigpair(y, f, float(np.min(y)) - float(np.sum(np.abs(f) ** 2)))[0]
-    return float(np.sum(y)) - y.size * (lam - 1e-12 * max(float(np.max(y)), 1.0) - dropped)
+    lam = _min_eigpair(y, f, float(y.min()) - float((np.abs(f) ** 2).sum()))[0]
+    return float(y.sum()) - y.size * (lam - 1e-12 * max(float(y.max()), 1.0) - dropped)
 
 
 def _rownorm(x: np.ndarray) -> np.ndarray:
-    "Rows of x scaled to unit norm, a zero row to e_1; a vector (p = 1) to exp(j arg x)."
+    """Rows of x scaled to unit norm, a zero row to e_1; a vector (p = 1) to exp(j arg x).
+
+    The row norm is the formula ``np.linalg.norm(x, axis=1)`` evaluates and
+    the argument the one ``np.angle`` does, so both are numpy's bit for bit.
+    """
     if x.ndim == 1:
-        return np.exp(1j * np.angle(x))
-    norm = np.linalg.norm(x, axis=1, keepdims=True)
+        return np.exp(1j * np.arctan2(x.imag, x.real))
+    norm = np.sqrt(np.add.reduce((x.conj() * x).real, axis=1, keepdims=True))
+    if (norm > 0.0).all():
+        return x / norm
     x = x / np.where(norm > 0.0, norm, 1.0)
     x[norm[:, 0] == 0.0, 0] = 1.0
     return x
@@ -291,13 +302,13 @@ def _power_method(an: np.ndarray, w: np.ndarray, cap: int) -> tuple[np.ndarray, 
     """
     anh = an.conj().T
     a_w = anh @ w
-    value = float(np.real(column_powers(a_w, a_w)))
+    value = float(column_powers(a_w, a_w).real)
     steps = 0
     while steps < cap:
         steps += 1
         w = _rownorm(an @ a_w)
         a_w = anh @ w
-        prev, value = value, float(np.real(column_powers(a_w, a_w)))
+        prev, value = value, float(column_powers(a_w, a_w).real)
         if value - prev <= _POWER_RISE_REL * value:
             break
     return w, steps
@@ -306,7 +317,7 @@ def _power_method(an: np.ndarray, w: np.ndarray, cap: int) -> tuple[np.ndarray, 
 def _value(an: np.ndarray, v: np.ndarray) -> float:
     "tr(V^H B V) = ||an^H V||_F^2; V may be the rank-1 stage's vector w."
     a_v = an.conj().T @ v
-    return float(np.real(np.sum(column_powers(a_v, a_v))))
+    return float(column_powers(a_v, a_v).sum().real)
 
 
 def _anderson_step(f: np.ndarray, x: np.ndarray, history: list) -> tuple[np.ndarray, np.ndarray]:
@@ -321,12 +332,13 @@ def _anderson_step(f: np.ndarray, x: np.ndarray, history: list) -> tuple[np.ndar
     fh = f.conj().T
     v = _rownorm(f @ x)
     p = fh @ v
-    history.append((x, p - x))
+    residual = p - x
+    history.append((x, residual))
     del history[:-_AA_MEMORY - 1]
     if len(history) > 1:
         h = np.array(history)
         dx, dg = (h[1:] - h[:-1]).reshape(len(h) - 1, 2, -1).transpose(1, 2, 0)
-        gamma = np.linalg.lstsq(dg, (p - x).ravel(), rcond=None)[0]
+        gamma = np.linalg.lstsq(dg, residual.ravel(), rcond=None)[0]
         v_a = _rownorm(f @ (p - ((dx + dg) @ gamma).reshape(x.shape)))
         q = fh @ v_a
         if np.vdot(q, q).real >= np.vdot(p, p).real:
@@ -339,10 +351,10 @@ def _certify(an, v, f, dropped) -> tuple[float, np.ndarray, float, float]:
     "tr(V^H B V), the dual point y' of the iterate V (or w), its bound 1^T y' and the gap."
     n = an.shape[0]
     value = _value(an, v)
-    y = np.real(np.sum((v.conj() * (an @ (an.conj().T @ v))).reshape(n, -1), axis=1))
+    y = (v.conj() * (an @ (an.conj().T @ v))).reshape(n, -1).sum(axis=1).real
     dual = _dual_bound(y, f, dropped)
     gap = (dual - value) / max(abs(dual), 1e-300)
-    return value, y + (dual - float(np.sum(y))) / n, dual, gap
+    return value, y + (dual - float(y.sum())) / n, dual, gap
 
 
 def _face(y_dual: np.ndarray, f: np.ndarray) -> np.ndarray:

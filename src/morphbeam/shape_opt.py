@@ -5,9 +5,13 @@ the boresight axis move inside the box [-d_max, d_max]. Each iteration takes
 an Armijo-backtracked step along the analytic gradient of the cumulated
 probing power, starting from twice the last accepted step, and projects back
 onto the box. Only the displacement phase of A depends on the shape, so the
-planar factor is built once per ascent; each trial point costs one phase
-product and one G^H A (R = G G^H, G of size N x k), and an accepted point
-one more product G (G^H A) for its gradient.
+flat-surface factor of :func:`planar_steering` is built once per BCD start
+(``bcd`` passes it in; a direct call builds it once per ascent); each trial
+point costs one phase product and one G^H A (R = G G^H, G of size N x k),
+and an accepted point one more product G (G^H A) for its gradient. The
+norms, maxima and clips in the loop are numpy's own formulas called
+without their Python wrappers, so they round as ``np.linalg.norm``,
+``np.max`` and ``np.clip`` do, bit for bit.
 
 The Armijo demand ARMIJO_C * step * ||g||^2 uses the raw gradient, which the
 elements pinned at +/-d_max can dominate, while a short projected step gains
@@ -32,6 +36,7 @@ and keeps x.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,18 +102,46 @@ class AscentTrace:
 
 
 def project_shape(displacements: np.ndarray, d_max: float) -> np.ndarray:
-    """Clip displacements onto the box [-d_max, d_max]."""
+    """Clip displacements onto the box [-d_max, d_max].
+
+    The ndarray method runs the ufunc that ``np.clip`` runs. Nesting
+    ``np.minimum`` and ``np.maximum`` is not the same: at d_max = 0 it
+    turns a negative displacement into +0.0 where ``np.clip`` gives -0.0.
+    """
     if d_max < 0.0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
-    return np.clip(displacements, -d_max, d_max)
+    return np.asarray(displacements).clip(-d_max, d_max)
+
+
+def _norm(g: np.ndarray) -> float:
+    "||g|| for a real vector, as sqrt(g . g): the formula np.linalg.norm evaluates."
+    return math.sqrt(g.dot(g))
 
 
 def _boxed_gradient_norm(grad: np.ndarray, displacements: np.ndarray,
                          d_max: float) -> float:
-    g = grad.copy()
-    g[(displacements >= d_max) & (g > 0.0)] = 0.0
-    g[(displacements <= -d_max) & (g < 0.0)] = 0.0
-    return float(np.linalg.norm(g))
+    "||g_boxed||: the components of ``grad`` that push against an active box face zeroed."
+    pinned = (((displacements >= d_max) & (grad > 0.0))
+              | ((displacements <= -d_max) & (grad < 0.0)))
+    return _norm(np.where(pinned, 0.0, grad))
+
+
+def planar_steering(geom: ArrayGeometry, targets: TargetSet) -> tuple[np.ndarray, np.ndarray]:
+    """The flat-surface steering matrix A_0 of ``targets`` and c = sin(theta) sin(phi).
+
+    Only the displacement phase depends on the shape, and
+    :func:`shaped_steering` at x is ``steering_matrix`` at x bit for bit: c
+    is the product that ``steering_matrix`` reads, with -0.0 made +0.0 as
+    there.
+    """
+    c = np.sin(targets.thetas) * np.sin(targets.phis) + 0.0
+    return steering_matrix(geom, targets.thetas, targets.phis, np.zeros(geom.n_elements)), c
+
+
+def shaped_steering(planar: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    "A at displacements x from ``planar`` = (A_0, c) of :func:`planar_steering`."
+    a0, c = planar
+    return a0 * phasor(x[:, None] * c)
 
 
 def ascend_shape(
@@ -117,6 +150,7 @@ def ascend_shape(
     targets: TargetSet,
     shape: SurfaceShape,
     max_iters: int = MAX_ITERS,
+    planar: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[SurfaceShape, AscentTrace]:
     """Maximize cumulated power over the surface shape, covariance fixed.
 
@@ -139,23 +173,25 @@ def ascend_shape(
     gradient returned are bit-equal to those of the loop run on to
     ``max_iters``.
 
+    ``planar`` is :func:`planar_steering` of ``geom`` and ``targets``;
+    without it the ascent builds its own.
+
     Returns the final shape and an :class:`AscentTrace`.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     factor = _factor(cov, geom.n_elements)
     factor_h = factor.conj().T
-    # the flat-shape steering matrix times the displacement phase reproduces
-    # steering_matrix at any shape bit for bit
-    planar = steering_matrix(geom, targets.thetas, targets.phis, np.zeros(geom.n_elements))
-    c = np.sin(targets.thetas) * np.sin(targets.phis)
+    if planar is None:
+        planar = planar_steering(geom, targets)
+    c = planar[1]
 
     def power(x):
-        a = planar * phasor(np.outer(x, c))
+        a = shaped_steering(planar, x)
         gha = factor_h @ a
         return factor_power(gha), a, gha
 
-    x = project_shape(np.asarray(shape.displacements, dtype=float).copy(), geom.d_max)
+    x = project_shape(np.asarray(shape.displacements, dtype=float), geom.d_max)
     p, a, gha = power(x)
     g = power_gradient(a, factor @ gha, c)
     n_evals, n_gradients = 1, 1
@@ -166,7 +202,7 @@ def ascend_shape(
     trial = INITIAL_STEP
 
     for _ in range(max_iters):
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         grad_norms.append(gnorm)
         if gnorm <= GRAD_TOL:
             status = STATUS_GRADIENT_TOL
@@ -179,7 +215,7 @@ def ascend_shape(
             status = STATUS_GRADIENT_TOL
             break
 
-        gmax = float(np.max(np.abs(g)))
+        gmax = float(np.abs(g).max())
         step = min(trial, MAX_FIRST_MOVE / gmax)
         accepted = False
         while step > STEP_FLOOR:
@@ -206,7 +242,7 @@ def ascend_shape(
         trial = STEP_GROWTH * step
     else:
         # loop ran out; record the gradient at the final iterate too
-        grad_norms.append(float(np.linalg.norm(g)))
+        grad_norms.append(_norm(g))
 
     trace = AscentTrace(
         objectives=np.asarray(objectives),

@@ -178,10 +178,10 @@ def desk_zero_start_ascents():
     geom = desk_geometry(1.0)
     seen = []
 
-    def keep(cov, geom, targets, shape, max_iters):
+    def keep(cov, geom, targets, shape, *rest):
         seen.append((CovarianceMatrix(cov.g.copy(), power_budget=cov.power_budget),
                      shape.copy()))
-        return ascend_shape(cov, geom, targets, shape, max_iters)
+        return ascend_shape(cov, geom, targets, shape, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bcd, "ascend_shape", keep)
