@@ -484,7 +484,10 @@ def randomize_rank1(
     """Extract per-antenna-feasible phased-array weights from an SDP solution.
 
     Draws ``n_samples`` complex Gaussian vectors G z with covariance
-    R = G G^H, G from ``cov.eigenfactor()`` (ValueError for a zero R). Maps
+    R = G G^H, G from ``cov.eigenfactor()`` (ValueError for a zero R) with
+    each column turned so that its largest-modulus entry is real and
+    positive: the SVD fixes a column only up to a unit phase, and this way
+    the draws depend on R, not on which phase LAPACK returned. Maps
     each draw to constant-modulus weights ``sqrt(P_t/N) exp(j arg(.))`` for
     the budget P_t = ``cov.power_budget``, and returns the weights maximizing
     ``w^H B w = ||A^H w||^2`` for the N x K steering matrix ``a``, plus that
@@ -501,6 +504,8 @@ def randomize_rank1(
     _check_power_budget(p_t)
     g = cov.eigenfactor()
     k = g.shape[1]
+    peak = g[np.abs(g).argmax(axis=0), np.arange(k)]
+    g = g * (peak.conj() / np.abs(peak))
     rng = np.random.default_rng(rng_seed)
 
     # Sample-major draws: sample s takes stream entries [2 N s, 2 N (s + 1)),

@@ -645,6 +645,22 @@ class TestRandomizeRank1:
         a_w = a.conj().T @ w
         assert val == pytest.approx(float(np.real(np.vdot(a_w, a_w))), rel=1e-12)
 
+    def test_draws_depend_on_r_not_on_the_factor_phases(self):
+        # Rotating each column of G by a unit phase leaves R = G G^H as it
+        # is, but the SVD behind eigenfactor() may then return its columns
+        # with other phases, so the same seeded normals would draw other G z.
+        rm = response_matrix(desk_geometry(1.0), desk_targets(),
+                             SurfaceShape.zero(desk_geometry(1.0)))
+        cov, _ = solve_per_antenna_sdp(rm.a, DESK_P_T_MW)
+        assert cov.g.shape[1] == 3
+        rotated = CovarianceMatrix(cov.g * np.exp(1j * np.array([0.7, -2.1, 2.9])),
+                                   power_budget=DESK_P_T_MW)
+        np.testing.assert_allclose(rotated.r, cov.r, rtol=0, atol=1e-15)
+        w, val = randomize_rank1(cov, rm.a, rng_seed=0)
+        w_rot, val_rot = randomize_rank1(rotated, rm.a, rng_seed=0)
+        assert val_rot == pytest.approx(val, rel=1e-12)
+        np.testing.assert_allclose(w_rot, w, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("p_t", BAD_POWER)
     def test_rejects_bad_power_budget(self, p_t):
         cov = CovarianceMatrix(r=np.eye(4, dtype=complex), power_budget=p_t,
