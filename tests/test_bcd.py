@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DESK_P_T_MW, desk_geometry, desk_targets
+from morphbeam import array_model, beampattern, objective, shape_opt
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.bcd import (
     BcdConfig,
@@ -337,3 +339,25 @@ class TestEdgeInputs:
             lit = per_dbm > DBM_FLOOR
             np.testing.assert_allclose(10.0 ** (grid.power_dbm[at_targets][lit] / 10.0),
                                        10.0 ** (per_dbm[lit] / 10.0), rtol=1e-9)
+
+
+def test_steering_is_built_once_per_start(monkeypatch):
+    # Only the displacement phase of A depends on the shape, so a start
+    # builds its targets' flat-surface steering matrix once, and every outer
+    # iteration's A and every ascent trial point reuse it. Every module that
+    # builds steering matrices is watched, so a build per outer iteration or
+    # per ascent fails here wherever it comes back.
+    builds = []
+    original = array_model.steering_matrix
+
+    def counting(geom, thetas, phis, displacements):
+        builds.append(np.asarray(displacements).copy())
+        return original(geom, thetas, phis, displacements)
+
+    for module in (array_model, beampattern, objective, shape_opt):
+        monkeypatch.setattr(module, "steering_matrix", counting)
+    cfg = BcdConfig(n_starts=2, max_outer_iters=4)
+    res = solve_benchmark(Scheme.FIM_MIMO, desk_geometry(1.0), desk_targets(), DESK_P_T_MW, cfg)
+    assert res.trace.n_outer > 1
+    assert len(builds) <= cfg.n_starts
+    assert not any(np.any(d) for d in builds)      # all at the flat surface
