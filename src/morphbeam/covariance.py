@@ -118,9 +118,8 @@ def _above_rounding(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
 def column_powers(a: np.ndarray, ra: np.ndarray) -> np.ndarray:
     """Quadratic forms a_k^H R a_k of the columns of A, complex, from A and R @ A.
 
-    The ndarray reduction methods used here and in the solver's hot helpers
-    run the same ``add.reduce`` as ``np.sum``, ``np.min`` and ``np.max``,
-    bit for bit, without their Python wrappers.
+    Here and in the solver, ndarray reductions run ``np.sum``'s (``np.min``'s,
+    ``np.max``'s) ``add.reduce`` bit for bit, without its Python wrapper.
     """
     return (a.conj() * ra).sum(axis=0)
 

@@ -9,9 +9,8 @@ flat-surface factor of :func:`planar_steering` is built once per BCD start
 (``bcd`` passes it in; a direct call builds it once per ascent); each trial
 point costs one phase product and one G^H A (R = G G^H, G of size N x k),
 and an accepted point one more product G (G^H A) for its gradient. The
-norms, maxima and clips in the loop are numpy's own formulas called
-without their Python wrappers, so they round as ``np.linalg.norm``,
-``np.max`` and ``np.clip`` do, bit for bit.
+loop's norms, maxima and clips skip numpy's Python wrappers but round as
+``np.linalg.norm``, ``np.max`` and ``np.clip`` do, bit for bit.
 
 The Armijo demand ARMIJO_C * step * ||g||^2 uses the raw gradient, which the
 elements pinned at +/-d_max can dominate, while a short projected step gains
@@ -102,12 +101,7 @@ class AscentTrace:
 
 
 def project_shape(displacements: np.ndarray, d_max: float) -> np.ndarray:
-    """Clip displacements onto the box [-d_max, d_max].
-
-    The ndarray method runs the ufunc that ``np.clip`` runs. Nesting
-    ``np.minimum`` and ``np.maximum`` is not the same: at d_max = 0 it
-    turns a negative displacement into +0.0 where ``np.clip`` gives -0.0.
-    """
+    """Clip displacements onto the box [-d_max, d_max], as ``np.clip`` does, -0.0 included."""
     if d_max < 0.0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
     return np.asarray(displacements).clip(-d_max, d_max)
@@ -129,10 +123,8 @@ def _boxed_gradient_norm(grad: np.ndarray, displacements: np.ndarray,
 def planar_steering(geom: ArrayGeometry, targets: TargetSet) -> tuple[np.ndarray, np.ndarray]:
     """The flat-surface steering matrix A_0 of ``targets`` and c = sin(theta) sin(phi).
 
-    Only the displacement phase depends on the shape, and
-    :func:`shaped_steering` at x is ``steering_matrix`` at x bit for bit: c
-    is the product that ``steering_matrix`` reads, with -0.0 made +0.0 as
-    there.
+    :func:`shaped_steering` at x is ``steering_matrix`` at x bit for bit;
+    c + 0.0 is the product ``steering_matrix`` reads.
     """
     c = np.sin(targets.thetas) * np.sin(targets.phis) + 0.0
     return steering_matrix(geom, targets.thetas, targets.phis, np.zeros(geom.n_elements)), c
