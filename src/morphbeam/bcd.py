@@ -8,9 +8,12 @@ drops below threshold. Several starts (the rigid zero shape is always one of
 them) run one after another and the best is kept, ties going to the lowest
 start index. A rigid benchmark scheme runs the same loop on the flat surface
 (``d_max = 0``) for one outer iteration: its morphing twin's first outer
-iteration from the zero start. Each start builds the targets' flat-surface
-steering factor (:func:`morphbeam.shape_opt.planar_steering`) once; every
-outer iteration's A and every shape ascent reuse it.
+iteration from the zero start. Every scheme holds one covariance (a
+phased-array scheme holds w w^H of its constant-modulus weights), and each
+covariance step keeps it only while it is strictly better than the fresh
+candidate. Each start builds the targets' flat-surface steering factor
+(:func:`morphbeam.shape_opt.planar_steering`) once; every outer iteration's
+A and every shape ascent reuse it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .covariance import (
     CovarianceMatrix,
     SolveReport,
     _check_power_budget,
-    column_powers,
     randomize_rank1,
     solve_per_antenna_sdp,
 )
@@ -166,9 +168,10 @@ class BenchmarkResult:
     """Outcome of one benchmark scheme on one instance.
 
     ``objective_mw`` is the cumulated power of ``cov`` at ``shape`` after
-    the last shape ascent: R = w w^H of the best rank-1 randomized weights
-    for ``*_PA`` schemes. ``weights`` is set only for PA schemes; ``trace``
-    holds the outer iterations of the kept start, one for a rigid scheme.
+    the last shape ascent. A ``*_PA`` scheme's ``cov`` is w w^H, held by its
+    factor w, for the best rank-1 randomized weights, and ``weights`` reads
+    w off it (None for MIMO); ``trace`` holds the outer iterations of the
+    kept start, one for a rigid scheme.
     """
 
     scheme: Scheme
@@ -176,7 +179,10 @@ class BenchmarkResult:
     cov: CovarianceMatrix
     shape: SurfaceShape
     trace: OptimizationTrace
-    weights: np.ndarray | None = None
+
+    @property
+    def weights(self) -> np.ndarray | None:
+        return self.cov.g[:, 0] if self.scheme.phased_array else None
 
 
 def _covariance_step(
@@ -184,35 +190,30 @@ def _covariance_step(
     p_t: float,
     phased_array: bool,
     draw_key: tuple[int, int, int],
-    cov: CovarianceMatrix | None,
-    weights: np.ndarray | None,
-) -> tuple[CovarianceMatrix, np.ndarray | None, SolveReport, float, float | None]:
-    """The covariance block at response ``rm``, given the held ``cov`` and ``weights``.
+    held: CovarianceMatrix | None,
+) -> tuple[CovarianceMatrix, SolveReport, float, float | None]:
+    """The covariance block at response ``rm``, given the ``held`` covariance.
 
-    Solves the per-antenna SDP. For MIMO the fresh solution replaces the held
-    covariance unless the held one is strictly better on ``rm``. For PA the
-    SDP solution seeds the randomization drawn from the stream keyed by
-    ``draw_key`` = (seed, start, outer); the fresh weights replace the held
-    ones only when they win on ``rm``, and the covariance is w w^H (factor w).
+    Solves the per-antenna SDP; for MIMO its solution is the fresh candidate.
+    For PA it seeds the randomization drawn from the stream keyed by
+    ``draw_key`` = (seed, start, outer), and the candidate is w w^H (factor
+    w) of the best weights. The candidate replaces ``held`` unless the held
+    one is strictly better on ``rm``.
 
-    Returns (covariance, weights, SDP report, SDP objective, rank-1 value);
-    weights and the rank-1 value are None for MIMO.
+    Returns (covariance, SDP report, SDP objective, rank-1 value); the
+    rank-1 value is None for MIMO.
     """
-    cov_sdp, rep = solve_per_antenna_sdp(rm.a, p_t)
-    sdp_obj = cumulated_power(cov_sdp, rm)
-    if not phased_array:
-        if cov is None or not cumulated_power(cov, rm) > sdp_obj:
-            cov = cov_sdp
-        return cov, None, rep, sdp_obj, None
-    seed, start_index, outer = draw_key
-    seq = np.random.SeedSequence([seed, _SEED_TAG_RAND, start_index, outer])
-    w_new, rank1_val = randomize_rank1(cov_sdp, rm.a, rng_seed=seq)
-    if weights is not None:
-        a_w = rm.a.conj().T @ weights  # w^H B w = ||A^H w||^2
-        if float(np.real(column_powers(a_w, a_w))) >= rank1_val:
-            w_new = weights
-    cov = CovarianceMatrix(w_new[:, None], power_budget=p_t)
-    return cov, w_new, rep, sdp_obj, rank1_val
+    cov, rep = solve_per_antenna_sdp(rm.a, p_t)
+    sdp_obj = value = cumulated_power(cov, rm)
+    rank1_val = None
+    if phased_array:
+        seed, start_index, outer = draw_key
+        seq = np.random.SeedSequence([seed, _SEED_TAG_RAND, start_index, outer])
+        w, rank1_val = randomize_rank1(cov, rm.a, rng_seed=seq)
+        cov, value = CovarianceMatrix(w[:, None], power_budget=p_t), rank1_val
+    if held is not None and cumulated_power(held, rm) > value:
+        cov = held
+    return cov, rep, sdp_obj, rank1_val
 
 
 def _run_single_start(
@@ -241,7 +242,6 @@ def _run_single_start(
     shape.validate(geom)
     planar = planar_steering(geom, targets)
     cov = incumbent
-    weights = None
     prev_obj = None
     records: list[OuterRecord] = []
     reason = TerminationReason.MAX_ITERS
@@ -249,8 +249,8 @@ def _run_single_start(
     for outer in range(1, cfg.max_outer_iters + 1):
         tic = time.perf_counter()
         rm = ResponseMatrix(shaped_steering(planar, shape.displacements))
-        cov, weights, rep, sdp_obj, rank1_val = _covariance_step(
-            rm, p_t, scheme.phased_array, (cfg.rng_seed, start_index, outer), cov, weights)
+        cov, rep, sdp_obj, rank1_val = _covariance_step(
+            rm, p_t, scheme.phased_array, (cfg.rng_seed, start_index, outer), cov)
 
         shape, ascent_trace = ascend_shape(cov, geom, targets, shape,
                                            cfg.ascent_max_iters, planar)
@@ -284,7 +284,7 @@ def _run_single_start(
     trace = OptimizationTrace(records=records, termination_reason=reason,
                               start_index=start_index, init_label=init_label)
     return BenchmarkResult(scheme=scheme, objective_mw=records[-1].objective_mw,
-                           cov=cov, shape=shape, weights=weights, trace=trace)
+                           cov=cov, shape=shape, trace=trace)
 
 
 def _build_starts(
@@ -329,13 +329,13 @@ def solve_benchmark(
     after one outer iteration: the SDP and, for PA, the randomization drawn
     from the zero start's first-iteration stream, then an ascent that stops
     at once since every element is pinned. That is the first outer iteration
-    of its morphing twin's zero start, and held weights or covariances are
-    only ever replaced by better ones, so a morphing scheme never falls below
+    of its morphing twin's zero start, and a held covariance is only ever
+    replaced by one at least as good, so a morphing scheme never falls below
     its rigid one. ``provided_starts`` holds extra ``(SurfaceShape,
     CovarianceMatrix | None)`` starts; a rigid scheme refuses (ValueError)
-    any shape off the flat surface. A PA scheme holds weights, not a
-    covariance, so it raises ValueError for a provided covariance instead of
-    ignoring it. Every SDP runs to the solver's default gap tolerance and
+    any shape off the flat surface. A PA scheme holds only w w^H of
+    constant-modulus weights, so it raises ValueError for a provided
+    covariance instead of ignoring it. Every SDP runs to the solver's default gap tolerance and
     every randomization draws its default sample count.
     """
     scheme = Scheme(scheme)
@@ -344,7 +344,7 @@ def solve_benchmark(
     _check_power_budget(p_t)
     if scheme.phased_array and any(cov is not None for _, cov in provided_starts):
         raise ValueError(f"{scheme.value} cannot start from a provided covariance: "
-                         f"it holds phased-array weights")
+                         f"it holds only w w^H of phased-array weights")
     if scheme.rigid:
         geom = replace(geom, d_max=0.0)
         cfg = replace(cfg, max_outer_iters=1)

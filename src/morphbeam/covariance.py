@@ -124,6 +124,11 @@ def column_powers(a: np.ndarray, ra: np.ndarray) -> np.ndarray:
     return (a.conj() * ra).sum(axis=0)
 
 
+def factor_power(gha: np.ndarray) -> float:
+    "sum_k ||G^H a_k||^2 from G^H A (G may be a vector); every power of a factor goes through here."
+    return float(column_powers(gha, gha).sum().real)
+
+
 def covariance_factor(r) -> np.ndarray:
     """The factor G = U_k sqrt(lam_k) of a dense R, R = G G^H, columns ascending.
 
@@ -301,22 +306,16 @@ def _power_method(an: np.ndarray, w: np.ndarray, cap: int) -> tuple[np.ndarray, 
     """
     anh = an.conj().T
     a_w = anh @ w
-    value = float(column_powers(a_w, a_w).real)
+    value = factor_power(a_w)
     steps = 0
     while steps < cap:
         steps += 1
         w = _rownorm(an @ a_w)
         a_w = anh @ w
-        prev, value = value, float(column_powers(a_w, a_w).real)
+        prev, value = value, factor_power(a_w)
         if value - prev <= _POWER_RISE_REL * value:
             break
     return w, steps
-
-
-def _value(an: np.ndarray, v: np.ndarray) -> float:
-    "tr(V^H B V) = ||an^H V||_F^2; V may be the rank-1 stage's vector w."
-    a_v = an.conj().T @ v
-    return float(column_powers(a_v, a_v).sum().real)
 
 
 def _anderson_step(f: np.ndarray, x: np.ndarray, history: list) -> tuple[np.ndarray, np.ndarray]:
@@ -348,12 +347,12 @@ def _anderson_step(f: np.ndarray, x: np.ndarray, history: list) -> tuple[np.ndar
 
 def _certify(an, v, f, dropped) -> tuple[float, np.ndarray, float, float]:
     "tr(V^H B V), the dual point y' of the iterate V (or w), its bound 1^T y' and the gap."
-    n = an.shape[0]
-    value = _value(an, v)
-    y = (v.conj() * (an @ (an.conj().T @ v))).reshape(n, -1).sum(axis=1).real
+    a_v = an.conj().T @ v
+    y = (v.conj() * (an @ a_v)).reshape(an.shape[0], -1).sum(axis=1).real
+    value = factor_power(a_v)
     dual = _dual_bound(y, f, dropped)
     gap = (dual - value) / max(abs(dual), 1e-300)
-    return value, y + (dual - float(y.sum())) / n, dual, gap
+    return value, y + (dual - float(y.sum())) / y.size, dual, gap
 
 
 def _face(y_dual: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -455,7 +454,7 @@ def solve_per_antenna_sdp(a: np.ndarray, p_t: float) -> tuple[CovarianceMatrix, 
         face = _face(y_dual, f)
         centre = _face_centre(face) if gap <= DEFAULT_SDP_TOL and face.shape[1] else None
         if centre is not None:
-            value = _value(an, centre)
+            value = factor_power(an.conj().T @ centre)
             centre_gap = (dual - value) / max(abs(dual), 1e-300)
             if centre_gap <= DEFAULT_SDP_TOL:
                 v, primal, gap = centre, value, centre_gap

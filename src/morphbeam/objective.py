@@ -23,17 +23,12 @@ from .array_model import (
     TargetSet,
     steering_matrix,
 )
-from .covariance import CovarianceMatrix, _factor, column_powers
+from .covariance import CovarianceMatrix, _factor, factor_power
 
 
 def power_gradient(a: np.ndarray, ra: np.ndarray, c: np.ndarray) -> np.ndarray:
     """dP_c/dd from A, RA = R @ A and c_k = sin(theta_k) sin(phi_k)."""
     return 2.0 * (2.0 * np.pi) * ((a * ra.conj()).imag @ c)
-
-
-def factor_power(gha: np.ndarray) -> float:
-    "sum_k ||G^H a_k||^2 from G^H A; every shape-block power goes through here."
-    return float(column_powers(gha, gha).sum().real)
 
 
 def cumulated_power(cov: CovarianceMatrix, rm: ResponseMatrix) -> float:

@@ -20,10 +20,10 @@ from morphbeam.covariance import (
     ConstraintKind,
     CovarianceMatrix,
     _min_eigpair,
+    column_powers,
     randomize_rank1,
     solve_per_antenna_sdp,
 )
-from morphbeam.objective import column_powers
 
 
 def random_a(n, k, rng):
