@@ -481,9 +481,9 @@ def randomize_rank1(
 ) -> tuple[np.ndarray, float]:
     """Extract per-antenna-feasible phased-array weights from an SDP solution.
 
-    Draws ``n_samples`` complex Gaussian vectors G z with covariance
-    R = G G^H, G from ``cov.eigenfactor()`` (ValueError for a zero R) with
-    each column turned so that its largest-modulus entry is real and
+    Draws ``n_samples`` complex Gaussian vectors G z, z ~ CN(0, I_k), with
+    covariance R = G G^H, G from ``cov.eigenfactor()`` (ValueError for a zero
+    R) with each column turned so that its largest-modulus entry is real and
     positive: the SVD fixes a column only up to a unit phase, and this way
     the draws depend on R, not on which phase LAPACK returned. Maps
     each draw to constant-modulus weights ``sqrt(P_t/N) exp(j arg(.))`` for
@@ -506,12 +506,10 @@ def randomize_rank1(
     g = g * (peak.conj() / np.abs(peak))
     rng = np.random.default_rng(rng_seed)
 
-    # Sample-major draws: sample s takes stream entries [2 N s, 2 N (s + 1)),
-    # so a smaller n_samples sees a prefix of the same samples. G's columns
-    # are the top k eigenpairs in ascending order, so each takes the normals
-    # that the same eigenpair takes in the full N x N root of R.
-    noise = rng.standard_normal((n_samples, 2, n))
-    xi = g @ ((noise[:, 0, n - k:] + 1j * noise[:, 1, n - k:]).T / np.sqrt(2.0))
+    # Sample-major draws: sample s takes stream entries [2 k s, 2 k (s + 1)),
+    # so a smaller n_samples sees a prefix of the same samples.
+    noise = rng.standard_normal((n_samples, 2, k))
+    xi = g @ ((noise[:, 0] + 1j * noise[:, 1]).T / np.sqrt(2.0))
     w_all = np.sqrt(p_t / n) * np.exp(1j * np.angle(xi))
     a_w = a.conj().T @ w_all
     values = np.real(column_powers(a_w, a_w))
