@@ -135,9 +135,10 @@ def run_beampattern(cfg: ExperimentConfig, out_dir: str | Path,
     (R = G G^H), so no N x N matrix is read, formed or factored. Before any
     grid work, an artifact that cannot be parsed (including a non-finite
     entry, or a ``covariance.csv`` of artifact version 3, which held R's
-    entries) raises OSError, and one that does not fit the config's geometry
-    (a size mismatch, or a displacement outside d_max) raises ConfigError;
-    both messages name the file.
+    entries) raises OSError, and one that does not fit the config (a size
+    mismatch, a covariance whose diagonal is not the config's P_t / N, or a
+    displacement outside d_max) raises ConfigError; both messages name the
+    file.
     """
     _check_threads(threads)
     out = Path(out_dir)
@@ -158,13 +159,14 @@ def run_beampattern(cfg: ExperimentConfig, out_dir: str | Path,
         if got != n:
             raise ConfigError(f"{path} has {got} elements, but the config's geometry "
                               f"has {n}")
-    try:
-        shape.validate(geom)
-    except ValueError as exc:
-        raise ConfigError(f"{shape_path}: {exc}") from exc
+    cov = CovarianceMatrix(g, power_budget=dbm_to_mw(cfg.p_t_dbm))
+    for path, check in ((cov_path, cov.validate), (shape_path, lambda: shape.validate(geom))):
+        try:
+            check()
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     axis = np.linspace(0.0, np.pi, cfg.output.grid_points)
-    grid = evaluate_beampattern(CovarianceMatrix(g, power_budget=dbm_to_mw(cfg.p_t_dbm)),
-                                geom, shape, axis, axis.copy())
+    grid = evaluate_beampattern(cov, geom, shape, axis, axis.copy())
     dest = out / "beampattern.csv"
     write_beampattern_csv(dest, grid)
     return dest
@@ -210,8 +212,8 @@ def run_sweep_range(cfg: ExperimentConfig, out_dir: str | Path,
     nondecreasing in d_max by construction. The configured init shape, if
     any, is an extra start on each size's first (smallest) range. A
     ConfigError is raised before the output directory is made unless the
-    ranges are nonempty, finite and nonnegative, every size is a valid
-    array, and the init shape fits every size on its first range.
+    ranges are nonempty, finite and nonnegative, the sizes are nonempty and
+    each a valid array, and the init shape fits every size on its first range.
     The morphing MIMO scheme is used regardless of the configured scheme
     since the sweep is about the shape degrees of freedom.
     """
@@ -223,6 +225,8 @@ def run_sweep_range(cfg: ExperimentConfig, out_dir: str | Path,
     base_geom = cfg.build_geometry()
     if sizes is None:
         sizes = [(base_geom.n_x, base_geom.n_z)]
+    if not sizes:
+        raise ConfigError("sweep-range needs at least one array size")
     for n_x, n_z in sizes:
         try:
             geom = dataclasses.replace(base_geom, n_x=n_x, n_z=n_z, d_max=ranges[0])

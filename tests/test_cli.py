@@ -17,7 +17,7 @@ from morphbeam.array_model import SurfaceShape
 from morphbeam.bcd import Scheme
 from morphbeam.beampattern import evaluate_beampattern, target_powers
 from morphbeam.cli import main
-from morphbeam.config import ExperimentConfig
+from morphbeam.config import ConfigError, ExperimentConfig
 from morphbeam.covariance import DEFAULT_SDP_TOL, CovarianceMatrix
 from morphbeam.experiments import (
     MissingInputError,
@@ -281,6 +281,14 @@ def test_run_sweep_range_rejects_bad_ranges(tmp_path):
     assert not (tmp_path / "sweep").exists()
 
 
+def test_run_sweep_range_rejects_an_empty_size_list(tmp_path):
+    # an empty size list would sweep nothing and write a header-only CSV
+    cfg = ExperimentConfig.from_dict(small_config_dict(n=2))
+    with pytest.raises(ConfigError, match="at least one array size"):
+        run_sweep_range(cfg, tmp_path / "sweep", [0.5], sizes=[])
+    assert not (tmp_path / "sweep").exists()
+
+
 # -- command-line interface ------------------------------------------------
 
 
@@ -520,6 +528,28 @@ def test_cli_beampattern_artifact_that_does_not_fit_is_config_error(tmp_path, ca
     assert rc == 2
     assert err.startswith("config error:") and artifact in err
     assert not (out / "beampattern.csv").exists()
+
+
+def test_cli_beampattern_refuses_a_covariance_of_another_power_budget(tmp_path, capsys,
+                                                                    monkeypatch):
+    # covariance.csv of a 10 dBm run does not meet a 30 dBm config's
+    # per-antenna budget: a configuration error naming the file, not a grid
+    # drawn at the stored 10 dBm
+    raw = tiny_config_dict()
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
+    raw["power"]["p_t_dbm"] = 30.0
+    louder = write_config(tmp_path, raw, name="louder.json")
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr("morphbeam.experiments.evaluate_beampattern", _grid_must_not_run)
+        assert main(["beampattern", "--config", str(louder), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "covariance.csv" in err
+    assert "per-antenna diagonal" in err
+    assert not (out / "beampattern.csv").exists()
+    assert main(["beampattern", "--config", str(path), "--out", str(out)]) == 0
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
