@@ -661,6 +661,30 @@ class TestRandomizeRank1:
         assert val_rot == pytest.approx(val, rel=1e-12)
         np.testing.assert_allclose(w_rot, w, rtol=0, atol=1e-12)
 
+    def test_draw_layout_is_sample_major_over_the_factor_columns(self):
+        # Sample s is G z_s / sqrt(2) with (Re z_s, Im z_s) the stream's
+        # entries [2 k s, 2 k (s + 1)), k real parts then k imaginary ones,
+        # and G is eigenfactor() with each column's largest-modulus entry
+        # turned real and positive. Rebuilt here, the choice is bit-equal.
+        rm = response_matrix(desk_geometry(1.0), desk_targets(),
+                             SurfaceShape.zero(desk_geometry(1.0)))
+        cov, _ = solve_per_antenna_sdp(rm.a, DESK_P_T_MW)
+        n_samples, seed = 200, 11
+        w, val = randomize_rank1(cov, rm.a, n_samples=n_samples, rng_seed=seed)
+        g = cov.eigenfactor()
+        n, k = g.shape
+        assert k == 3
+        peak = g[np.abs(g).argmax(axis=0), np.arange(k)]
+        g = g * (peak.conj() / np.abs(peak))
+        z = np.random.default_rng(seed).standard_normal((n_samples, 2, k))
+        xi = g @ ((z[:, 0] + 1j * z[:, 1]).T / np.sqrt(2.0))
+        w_all = np.sqrt(DESK_P_T_MW / n) * np.exp(1j * np.angle(xi))
+        a_w = rm.a.conj().T @ w_all
+        values = np.real(column_powers(a_w, a_w))
+        best = int(np.argmax(values))
+        np.testing.assert_array_equal(w.view(np.uint64), w_all[:, best].copy().view(np.uint64))
+        assert np.float64(val).view(np.uint64) == values[best].view(np.uint64)
+
     @pytest.mark.parametrize("p_t", BAD_POWER)
     def test_rejects_bad_power_budget(self, p_t):
         cov = CovarianceMatrix(r=np.eye(4, dtype=complex), power_budget=p_t,
