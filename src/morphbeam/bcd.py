@@ -230,9 +230,9 @@ def _run_single_start(
     """One BCD run of ``scheme`` from one starting shape.
 
     ``incumbent`` is an optional covariance known feasible for this power
-    budget; it is kept whenever a fresh SDP solve fails to beat it, which
-    makes warm starts dominate their seed value exactly instead of up to
-    solver tolerance.
+    budget (MIMO only); it is held while it is strictly better than each
+    fresh SDP solve, which makes warm starts dominate their seed value
+    exactly instead of up to solver tolerance.
 
     For a PA scheme the covariance step is relaxation plus randomization, and
     the shape ascent sees the rank-1 covariance of the best constant-modulus
@@ -335,8 +335,9 @@ def solve_benchmark(
     CovarianceMatrix | None)`` starts; a rigid scheme refuses (ValueError)
     any shape off the flat surface. A PA scheme holds only w w^H of
     constant-modulus weights, so it raises ValueError for a provided
-    covariance instead of ignoring it. Every SDP runs to the solver's default gap tolerance and
-    every randomization draws its default sample count.
+    covariance instead of ignoring it. Every SDP runs to the solver's
+    default gap tolerance and every randomization draws its default sample
+    count.
     """
     scheme = Scheme(scheme)
     if cfg is None:

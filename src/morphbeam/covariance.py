@@ -125,7 +125,7 @@ def column_powers(a: np.ndarray, ra: np.ndarray) -> np.ndarray:
 
 
 def factor_power(gha: np.ndarray) -> float:
-    "sum_k ||G^H a_k||^2 from G^H A (G may be a vector); every power of a factor goes through here."
+    "sum_k ||G^H a_k||^2 from G^H A, G a matrix or a vector; every power of a factor uses it."
     return float(column_powers(gha, gha).sum().real)
 
 
