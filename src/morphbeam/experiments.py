@@ -178,9 +178,11 @@ def run_sweep_power(cfg: ExperimentConfig, out_dir: str | Path,
 
     Each scheme is optimized once at the configured reference power; other
     levels follow by scaling the covariance, exact because the feasible set
-    and the objective are both linear in the power budget (the optimal shape
-    does not depend on P_t). An empty level list or a level that is not a
-    finite, positive power in mW (NaN, 4000 dBm) raises ConfigError first.
+    and the objective are both linear in the power budget, so the optimal
+    shape does not depend on P_t (at P_t 2^k the desk solve keeps its shape
+    bit for bit: ``test_desk_solve_scales_with_the_budget`` in
+    ``tests/test_shape_opt.py``). An empty level list or a level that is not
+    a finite, positive power in mW (NaN, 4000 dBm) raises ConfigError first.
     """
     levels = sorted(float(p) for p in p_t_dbm_list)
     if not levels:

@@ -15,21 +15,18 @@ loop's norms, maxima and clips skip numpy's Python wrappers but round as
 The Armijo demand ARMIJO_C * step * ||g||^2 uses the raw gradient, which the
 elements pinned at +/-d_max can dominate, while a short projected step gains
 about step * ||g_boxed||^2 (g_boxed: g without the components that push
-against an active box face). Once ||g_boxed||^2 < ARMIJO_C * ||g||^2 no short
-step can pass, so the loop stops with ``gradient_tol`` instead of
-backtracking to the step floor.
+against an active box face). Once ||g_boxed||^2 <= ARMIJO_C * ||g||^2 no
+short step can pass (g = 0 included), so the loop stops with
+``gradient_tol`` instead of backtracking.
 
-Once ARMIJO_C * step * ||g||^2 is below half an ulp of the power, the Armijo
-test passes a trial point whose power is bit-equal to the current one. The
-loop then cycles: a step of 2s is rejected and the step s accepted, with the
-same power and first trial step at the start of every iteration. Where s
-leaves x bit-equal, the whole state (x, power, gradient, first trial step)
-repeats; each iteration is a pure function of it, so stopping returns
-exactly what running on to ``max_iters`` would. Where s moves x but its
-first-order rise s * ||g_boxed||^2 is under one ulp of the power, x drifts
-at equal power (a later step may gain an ulp or two) for up to hundreds of
-steps before it settles. The loop stops at the first step of either kind
-and keeps x.
+The line search backtracks only while the Armijo demand is at least one ulp
+of the power (``math.ulp``, ``np.spacing`` of a nonnegative power), so every
+accepted step raises the power by at least an ulp and no loop state can
+repeat; when no step in that range passes, the loop stops with
+``step_floor``. Every threshold is a ratio or a move in wavelengths, and the
+first iteration's first trial step is ``MAX_FIRST_MOVE / max|g|``. Scaling G
+by 2^j (P_t by 4^j) scales the power and the gradient by exactly 4^j, so the
+ascent takes the same steps in x, bit for bit, at every power budget.
 """
 
 from __future__ import annotations
@@ -50,25 +47,18 @@ logger = logging.getLogger(__name__)
 
 STATUS_GRADIENT_TOL = "gradient_tol"
 STATUS_MAX_ITERS = "max_iters"
-# No trial step above STEP_FLOOR passes the Armijo test, or the accepted one
-# leaves the power bit-equal, moves x by less than an ulp of the power's
-# worth (or not at all) and the next iteration would start with the same
-# step: either way the line search can no longer raise the power.
+# No trial step whose Armijo demand is at least one ulp of the power passes
+# the Armijo test: the line search can no longer raise the power.
 STATUS_STEP_FLOOR = "step_floor"
 
-# Stop once the euclidean norm of the raw gradient drops to this value.
-GRAD_TOL = 1e-6
 # Armijo sufficient-increase fraction.
 ARMIJO_C = 1e-4
 # Backtracking multiplier applied to a rejected trial step.
 SHRINK = 0.5
-# First trial step of the first iteration, in wavelengths per unit gradient.
-INITIAL_STEP = 1e-2
 # Default cap on accepted steps per ascent; a guard that no desk ascent reaches.
 MAX_ITERS = 1000
-STEP_FLOOR = 1e-12
 # First trial step is capped so no element moves more than this many
-# wavelengths at once; keeps the line search sane when the gradient is huge.
+# wavelengths at once; the first iteration starts at that cap.
 MAX_FIRST_MOVE = 0.1
 # Later line searches start from this multiple of the last accepted step.
 STEP_GROWTH = 2.0
@@ -79,15 +69,12 @@ class AscentTrace:
     """Diagnostics from one ascent run.
 
     ``objectives[0]`` is the power at the starting shape and each accepted
-    step appends one entry, so the array is nondecreasing with length
+    step appends one entry, so the array is strictly increasing with length
     ``n_iters + 1``. ``grad_norms`` holds the raw gradient norm at every
     iterate the loop visited. ``projected_grad_norm`` is the norm of the
     gradient with components pushing against an active box face zeroed out,
     measured at the final iterate. ``n_evals`` counts power evaluations,
-    the start included; ``n_gradients`` counts gradients. ``status`` is
-    ``step_floor`` also when the loop stops on an equal-power cycle; the
-    step that closes it is counted in ``n_evals`` but not in ``n_iters`` or
-    ``objectives``.
+    the start included; ``n_gradients`` counts gradients.
     """
 
     objectives: np.ndarray
@@ -150,20 +137,12 @@ def ascend_shape(
     accepted steps. A trial step is accepted when the power at the projected
     point beats the current power by at least ``ARMIJO_C * step * ||g||^2``;
     otherwise the step shrinks by ``SHRINK``. The first trial step is
-    ``INITIAL_STEP`` at the first iteration and ``STEP_GROWTH`` times the
-    last accepted step afterwards, capped so no element moves more than
-    ``MAX_FIRST_MOVE`` at once. The loop stops with status
-    ``gradient_tol`` when ||g|| <= ``GRAD_TOL`` or ||g_boxed||^2 <
-    ``ARMIJO_C`` ||g||^2 (module docstring). If the step collapses below the
-    floor the loop stops with status ``step_floor`` rather than raising,
-    since a boundary iterate can be legitimately stuck. It also stops with
-    ``step_floor``, keeping x, when the accepted point's power is bit-equal
-    to x's, the next first trial step, ``STEP_GROWTH * step``, equals this
-    iteration's, and the point is x itself or step * ||g_boxed||^2 is under
-    one ulp of the power (module docstring). When the point is x, the next
-    iteration would repeat this one, so the shape, power and projected
-    gradient returned are bit-equal to those of the loop run on to
-    ``max_iters``.
+    ``STEP_GROWTH`` times the last accepted step (unbounded at the first
+    iteration), capped so no element moves more than ``MAX_FIRST_MOVE`` at
+    once. The loop stops with status ``gradient_tol`` when ||g_boxed||^2 <=
+    ``ARMIJO_C`` ||g||^2, and with ``step_floor`` rather than raising when no
+    trial step whose Armijo demand is at least one ulp of the power passes,
+    since a boundary iterate can be legitimately stuck (module docstring).
 
     ``planar`` is :func:`planar_steering` of ``geom`` and ``targets``;
     without it the ascent builds its own.
@@ -191,38 +170,29 @@ def ascend_shape(
     grad_norms = []
     step_sizes = []
     status = STATUS_MAX_ITERS
-    trial = INITIAL_STEP
+    trial = math.inf
 
     for _ in range(max_iters):
         gnorm = _norm(g)
         grad_norms.append(gnorm)
-        if gnorm <= GRAD_TOL:
-            status = STATUS_GRADIENT_TOL
-            break
         boxed = _boxed_gradient_norm(g, x, geom.d_max)
-        if boxed * boxed < ARMIJO_C * gnorm * gnorm:
-            # no short step can meet the Armijo demand; this includes the
-            # box-stationary iterate, where every coordinate is pinned to a
-            # box face with an outward gradient (or has zero gradient)
+        if boxed * boxed <= ARMIJO_C * gnorm * gnorm:
+            # no short step can meet the Armijo demand; this includes g = 0
+            # and the box-stationary iterate, where every coordinate is
+            # pinned to a box face with an outward gradient (or has zero
+            # gradient)
             status = STATUS_GRADIENT_TOL
             break
 
-        gmax = float(np.abs(g).max())
-        step = min(trial, MAX_FIRST_MOVE / gmax)
-        accepted = False
-        while step > STEP_FLOOR:
+        step = min(trial, MAX_FIRST_MOVE / float(np.abs(g).max()))
+        while (demand := ARMIJO_C * step * gnorm * gnorm) >= math.ulp(p):
             x_try = project_shape(x + step * g, geom.d_max)
             p_try, a, gha = power(x_try)
             n_evals += 1
-            if p_try >= p + ARMIJO_C * step * gnorm * gnorm:
-                accepted = True
+            if p_try >= p + demand:
                 break
             step *= SHRINK
-        if not accepted or (STEP_GROWTH * step == trial and p_try == p and (
-                step * boxed * boxed < np.spacing(p) or np.array_equal(x_try, x))):
-            # nothing passed, or the next iteration would start with this
-            # one's power and trial step from an x that moved by rounding
-            # (or not at all) and repeat it
+        else:
             status = STATUS_STEP_FLOOR
             break
         x = x_try

@@ -109,17 +109,15 @@ def finite_difference_gradient(r_x, geom, targets, shape, h=1e-6):
 
 
 def capped_ascend_shape(cov, geom, targets, shape, max_iters=shape_opt.MAX_ITERS):
-    """The shape ascent without its repeated-state stop; verification oracle.
+    """The shape ascent written out with numpy's own helpers; verification oracle.
 
     Runs the same Armijo line search as ``shape_opt.ascend_shape`` on the
     same constants and the same arithmetic on the covariance's factor G (the
     power from G^H A, the gradient from G (G^H A)), so the two compare bit
-    for bit, but leaves only when no trial step passes, the gradient
-    vanishes, the boxed gradient cannot meet the Armijo demand or
-    ``max_iters`` steps are accepted. Once the loop cycles at equal power,
-    this loop keeps accepting the same step until the cap; run with
-    ``max_iters`` at the early stop's step count, its outputs are what the
-    early stop must return bit for bit.
+    for bit. It starts at the first-move cap, backtracks only while the
+    Armijo demand is at least ``np.spacing`` of the power, and leaves when
+    no such trial step passes, when ||g_boxed||^2 <= ARMIJO_C ||g||^2 or
+    when ``max_iters`` steps are accepted.
     """
     factor = cov.g
     factor_h = factor.conj().T
@@ -142,15 +140,15 @@ def capped_ascend_shape(cov, geom, targets, shape, max_iters=shape_opt.MAX_ITERS
     g = power_gradient(a, factor @ gha, c)
     n_evals, objectives, steps = 1, [p], []
     status = shape_opt.STATUS_MAX_ITERS
-    trial = shape_opt.INITIAL_STEP
+    trial = np.inf
     for _ in range(max_iters):
         gnorm = float(np.linalg.norm(g))
         boxed = boxed_norm(g, x)
-        if gnorm <= shape_opt.GRAD_TOL or boxed * boxed < shape_opt.ARMIJO_C * gnorm * gnorm:
+        if boxed * boxed <= shape_opt.ARMIJO_C * gnorm * gnorm:
             status = shape_opt.STATUS_GRADIENT_TOL
             break
         step = min(trial, shape_opt.MAX_FIRST_MOVE / float(np.max(np.abs(g))))
-        while step > shape_opt.STEP_FLOOR:
+        while shape_opt.ARMIJO_C * step * gnorm * gnorm >= np.spacing(p):
             x_try = np.clip(x + step * g, -geom.d_max, geom.d_max)
             p_try, a, gha = power(x_try)
             n_evals += 1

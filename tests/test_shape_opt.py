@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DESK_P_T_MW, capped_ascend_shape, desk_geometry, desk_targets
 from morphbeam import bcd, shape_opt
@@ -210,53 +212,82 @@ def noop_then_move_instance():
 
 
 class TestRepeatedStateStop:
-    """The ascent stops once its loop cycles at equal power, on the capped loop's state."""
+    """No state repeats: every accepted step raises the power, on the oracle loop's path."""
 
     @staticmethod
-    def assert_matches_capped_loop(cov, geom, targets, start):
-        # The ascent returns the capped loop's state after the steps it took.
-        # The capped loop may find a few ulps more power later: the stop
-        # forgoes rises below what the power can resolve.
+    def assert_matches_oracle(cov, geom, targets, start):
         final, trace = ascend_shape(cov, geom, targets, start)
-        stopped, stopped_trace = capped_ascend_shape(cov, geom, targets, start,
-                                                     max_iters=trace.n_iters)
-        assert final.displacements.tobytes() == stopped.displacements.tobytes()
-        np.testing.assert_array_equal(trace.objectives, stopped_trace.objectives)
-        assert trace.projected_grad_norm == stopped_trace.projected_grad_norm
         want, want_trace = capped_ascend_shape(cov, geom, targets, start)
-        power = want_trace.objectives[-1]
-        assert trace.objectives[-1] >= power - 4 * np.spacing(power)
-        return final, trace, want_trace
+        assert final.displacements.tobytes() == want.displacements.tobytes()
+        np.testing.assert_array_equal(trace.objectives, want_trace.objectives)
+        np.testing.assert_array_equal(trace.step_sizes, want_trace.step_sizes)
+        assert trace.projected_grad_norm == want_trace.projected_grad_norm
+        assert (trace.status, trace.n_evals) == (want_trace.status, want_trace.n_evals)
+        return final, trace
 
-    def test_crawling_desk_ascent_stops_early(self, desk_zero_start_ascents):
-        # Which outers crawl (the capped loop runs to max_iters, repeating a
-        # rejected step and an accepted equal-power step) moves with the last
-        # bits of the covariance, so every captured one is checked.
+    def test_every_desk_step_raises_the_power(self, desk_zero_start_ascents):
+        # An accepted step meets an Armijo demand of at least one ulp of the
+        # power, so the power rises strictly and no loop state can recur.
         geom, seen = desk_zero_start_ascents
-        crawls = 0
         for cov, start in seen:
-            _, trace, want = self.assert_matches_capped_loop(cov, geom, desk_targets(), start)
-            if want.status == STATUS_MAX_ITERS:
-                crawls += 1
-                assert trace.status == STATUS_STEP_FLOOR
-                assert 10 * trace.n_evals < want.n_evals, (trace.n_evals, want.n_evals)
-        assert crawls
-
-    def test_equal_power_step_before_a_strict_increase(self, desk_zero_start_ascents):
-        geom, seen = desk_zero_start_ascents
-        cov, start = seen[0]
-        _, trace, _ = self.assert_matches_capped_loop(cov, geom, desk_targets(), start)
-        rises = np.diff(trace.objectives)
-        first_equal = np.flatnonzero(rises == 0.0)[0]
-        assert np.any(rises[first_equal:] > 0.0)
+            _, trace = self.assert_matches_oracle(cov, geom, desk_targets(), start)
+            assert np.all(np.diff(trace.objectives) > 0.0)
+            assert trace.status != STATUS_MAX_ITERS
 
     def test_noop_step_before_a_move(self):
-        # Once ||g_boxed||^2 >= ARMIJO_C ||g||^2 is required, a no-op first
-        # step needs ||g|| < 1.1e-12 sqrt(N) d_max, below GRAD_TOL, so the
-        # ascent stops at the start.
+        # A step that leaves x (and so the power) unchanged cannot meet an
+        # Armijo demand of at least one ulp; here the boxed gradient is at
+        # rounding level, so the ascent stops at the start.
         cov, geom, targets, start = noop_then_move_instance()
-        final, trace, want = self.assert_matches_capped_loop(cov, geom, targets, start)
+        final, trace = self.assert_matches_oracle(cov, geom, targets, start)
         after_one, _ = capped_ascend_shape(cov, geom, targets, start, max_iters=1)
         assert after_one.displacements.tobytes() == start.displacements.tobytes()
         assert final.displacements.tobytes() == start.displacements.tobytes()
         assert trace.status == STATUS_GRADIENT_TOL
+
+
+@st.composite
+def scaled_ascents(draw):
+    "An ascent instance with N <= 16, K <= 4, a random factor G and a power-of-two scale."
+    n_x, n_z = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    geom = ArrayGeometry(n_x=n_x, n_z=n_z, dx=0.5, dz=0.5,
+                         d_max=draw(st.sampled_from((0.0, 0.25, 1.0))))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = TargetSet(thetas=rng.uniform(0.2, np.pi - 0.2, k),
+                        phis=rng.uniform(0.2, np.pi - 0.2, k))
+    cols = draw(st.integers(1, k))
+    g = rng.standard_normal((geom.n_elements, cols)) + 1j * rng.standard_normal((geom.n_elements, cols))
+    start = SurfaceShape(rng.uniform(-geom.d_max, geom.d_max, geom.n_elements))
+    return geom, targets, g, start, draw(st.integers(-30, 30))
+
+
+class TestPowerBudgetScale:
+    """The power budget P_t scales the objective and leaves the shape alone."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(scaled_ascents())
+    def test_scaling_the_factor_keeps_every_step(self, instance):
+        # G -> 2^j G scales the power and gradient by exactly 4^j; every
+        # threshold of the ascent is a ratio or a move in wavelengths.
+        geom, targets, g, start, j = instance
+        base, base_trace = ascend_shape(CovarianceMatrix(g, power_budget=1.0),
+                                        geom, targets, start)
+        scaled, trace = ascend_shape(CovarianceMatrix(g * 2.0 ** j, power_budget=4.0 ** j),
+                                     geom, targets, start)
+        assert scaled.displacements.tobytes() == base.displacements.tobytes()
+        np.testing.assert_array_equal(trace.objectives, base_trace.objectives * 4.0 ** j)
+        assert (trace.status, trace.n_evals) == (base_trace.status, base_trace.n_evals)
+
+    @pytest.mark.parametrize("scheme", [Scheme.FIM_MIMO, Scheme.FIM_PA])
+    @pytest.mark.parametrize("k", [-40, -10, 10])
+    def test_desk_solve_scales_with_the_budget(self, scheme, k, morph_mimo_results,
+                                               morph_pa_results):
+        # run_sweep_power scales one solve per scheme on this: at P_t 2^k the
+        # desk d_max = 1 run keeps its shape bit for bit and scales its power.
+        want = (morph_mimo_results[1.0][0] if scheme is Scheme.FIM_MIMO
+                else morph_pa_results[1.0])
+        got = solve_benchmark(scheme, desk_geometry(1.0), desk_targets(),
+                              DESK_P_T_MW * 2.0 ** k, BcdConfig(rng_seed=0, n_starts=4))
+        assert got.shape.displacements.tobytes() == want.shape.displacements.tobytes()
+        assert got.objective_mw == want.objective_mw * 2.0 ** k
