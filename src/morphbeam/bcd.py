@@ -198,7 +198,8 @@ def _covariance_step(
     For PA it seeds the randomization drawn from the stream keyed by
     ``draw_key`` = (seed, start, outer), and the candidate is w w^H (factor
     w) of the best weights. The candidate replaces ``held`` unless the held
-    one is strictly better on ``rm``.
+    one is strictly better on ``rm``; both are scored by
+    :func:`cumulated_power`.
 
     Returns (covariance, SDP report, SDP objective, rank-1 value); the
     rank-1 value is None for MIMO.
@@ -209,8 +210,9 @@ def _covariance_step(
     if phased_array:
         seed, start_index, outer = draw_key
         seq = np.random.SeedSequence([seed, _SEED_TAG_RAND, start_index, outer])
-        w, rank1_val = randomize_rank1(cov, rm.a, rng_seed=seq)
-        cov, value = CovarianceMatrix(w[:, None], power_budget=p_t), rank1_val
+        w = randomize_rank1(cov, rm.a, rng_seed=seq)[0]
+        cov = CovarianceMatrix(w[:, None], power_budget=p_t)
+        value = rank1_val = cumulated_power(cov, rm)
     if held is not None and cumulated_power(held, rm) > value:
         cov = held
     return cov, rep, sdp_obj, rank1_val

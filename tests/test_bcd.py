@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DESK_P_T_MW, desk_geometry, desk_targets
-from morphbeam import array_model, bcd, beampattern, objective, shape_opt
+from morphbeam import array_model, beampattern, objective, shape_opt
 from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, response_matrix
 from morphbeam.bcd import (
     BcdConfig,
@@ -287,22 +287,11 @@ class TestSolveBenchmark:
 
 
 @pytest.mark.parametrize("phased_array", [False, True], ids=["mimo", "pa"])
-def test_covariance_step_keeps_only_a_strictly_better_held_covariance(monkeypatch,
-                                                                      phased_array):
+def test_covariance_step_keeps_only_a_strictly_better_held_covariance(phased_array):
     # One incumbent rule for both schemes: the held covariance survives only
     # when it is strictly better on rm, and a tie goes to the fresh candidate.
-    # The PA draw is scored here by cumulated_power itself, so that a copy of
-    # the candidate ties it exactly (the draw's own batched score may differ
-    # from it in the last bit).
     geom, targets = make_instance(d_max=0.0, seed=3)
     rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
-    draw = bcd.randomize_rank1
-
-    def scored_draw(cov, a, rng_seed):
-        w = draw(cov, a, rng_seed=rng_seed)[0]
-        return w, cumulated_power(CovarianceMatrix(w[:, None], power_budget=P_T), rm)
-
-    monkeypatch.setattr(bcd, "randomize_rank1", scored_draw)
     key = (0, 0, 1)
     fresh = _covariance_step(rm, P_T, phased_array, key, None)[0]
     tie = CovarianceMatrix(fresh.g.copy(), power_budget=P_T)
@@ -312,6 +301,18 @@ def test_covariance_step_keeps_only_a_strictly_better_held_covariance(monkeypatc
     got = _covariance_step(rm, P_T, phased_array, key, tie)[0]
     assert got is not tie
     np.testing.assert_array_equal(got.g, fresh.g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_pa_covariance_step_scores_its_candidate_as_the_held_one(n):
+    # The candidate w w^H and a held covariance meet in one strict test, so
+    # both are scored by cumulated_power; randomize_rank1's batched score of
+    # the same w may differ from it in the last bit.
+    for seed in range(10):
+        geom, targets = make_instance(d_max=0.0, n=n, seed=seed)
+        rm = response_matrix(geom, targets, SurfaceShape.zero(geom))
+        cov, _, _, value = _covariance_step(rm, P_T, True, (seed, 0, 1), None)
+        assert value == cumulated_power(cov, rm)
 
 
 # Angles in degrees, mixed with arbitrary ones in [0, 180]: at 0 and 180 a
