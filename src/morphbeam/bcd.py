@@ -1,7 +1,7 @@
 """Block coordinate descent joining the covariance and shape blocks.
 
 One outer iteration solves the per-antenna SDP at the current surface shape,
-then runs projected gradient ascent on the shape with the covariance fixed.
+then runs projected Newton ascent on the shape with the covariance fixed.
 Both blocks are individually nondecreasing in cumulated power, so the outer
 objective sequence is monotone; iteration stops once the fractional increase
 drops below threshold. Several starts (the rigid zero shape is always one of

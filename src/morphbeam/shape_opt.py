@@ -1,32 +1,45 @@
-"""Projected gradient ascent over the surface displacement vector.
+"""Projected Newton ascent over the surface displacement vector.
 
 The transmit covariance is held fixed while the element displacements along
-the boresight axis move inside the box [-d_max, d_max]. Each iteration takes
-an Armijo-backtracked step along the analytic gradient of the cumulated
-probing power, starting from twice the last accepted step, and projects back
-onto the box. Only the displacement phase of A depends on the shape, so the
-flat-surface factor of :func:`planar_steering` is built once per BCD start
-(``bcd`` passes it in; a direct call builds it once per ascent); each trial
-point costs one phase product and one G^H A (R = G G^H, G of size N x k),
-and an accepted point one more product G (G^H A) for its gradient. The
-loop's norms, maxima and clips skip numpy's Python wrappers but round as
-``np.linalg.norm``, ``np.max`` and ``np.clip`` do, bit for bit.
+the boresight axis move inside the box [-d_max, d_max]. Each iteration pins
+the elements that sit at +/-d_max with an outward gradient (their direction
+is 0) and takes a Newton step on the others, the free set (two-metric
+projected Newton: Bertsekas, SIAM J. Control Optim. 20(2), 1982). Only the
+displacement phase of A depends on the shape, so the flat-surface factor of
+:func:`planar_steering` is built once per BCD start (``bcd`` passes it in; a
+direct call builds it once per ascent); each trial point costs one phase
+product and one G^H A (R = G G^H, G of size N x k), and an accepted point
+one more product G (G^H A) for its gradient and Hessian. The loop's norms
+and clips skip numpy's Python wrappers but round as ``np.linalg.norm`` and
+``np.clip`` do, bit for bit.
 
-The Armijo demand ARMIJO_C * step * ||g||^2 uses the raw gradient, which the
-elements pinned at +/-d_max can dominate, while a short projected step gains
-about step * ||g_boxed||^2 (g_boxed: g without the components that push
-against an active box face). Once ||g_boxed||^2 <= ARMIJO_C * ||g||^2 no
-short step can pass (g = 0 included), so the loop stops with
-``gradient_tol`` instead of backtracking.
+On the free set the negated Hessian is 8 pi^2 (Diag(d) - U U^T), U of size
+N x 2kK (:func:`morphbeam.objective.power_curvature`). The step solves
+8 pi^2 (Diag(d) + mu - U U^T) p = g on the free set by Woodbury:
+Diag(d + mu)^-1 and one 2kK x 2kK Cholesky of I - U^T Diag(d + mu)^-1 U,
+with no N x N matrix (:func:`newton_direction`). The shift mu is needed:
+moving every element by the same t only rotates each target's phase, so
+P(x + t 1) = P(x) and, with no element pinned, the Hessian is singular
+along 1 (the desk zero start meets this at its first ascent). mu starts at
+``SHIFT_REL * max|d| + max(0, -min d)``, positive whenever the gradient is
+not zero (sum_n d_n = sum_k c_k^2 ||G^H a_k||^2), and is multiplied by 4
+until the Cholesky succeeds, so far from a maximum the step turns toward
+the gradient.
 
-The line search backtracks only while the Armijo demand is at least one ulp
-of the power (``math.ulp``, ``np.spacing`` of a nonnegative power), so every
-accepted step raises the power by at least an ulp and no loop state can
-repeat; when no step in that range passes, the loop stops with
-``step_floor``. Every threshold is a ratio or a move in wavelengths, and the
-first iteration's first trial step is ``MAX_FIRST_MOVE / max|g|``. Scaling G
-by 2^j (P_t by 4^j) scales the power and the gradient by exactly 4^j, so the
-ascent takes the same steps in x, bit for bit, at every power budget.
+The line search follows the projection arc x(alpha) = clip(x + alpha p):
+the first alpha is min(1, ``MAX_FIRST_MOVE`` / max|p|), and a trial point
+is accepted when its power beats the current power by at least the Armijo
+demand ``ARMIJO_C * g . (x(alpha) - x)``. alpha halves while that demand is
+at least one ulp of the power (``math.ulp``), so every accepted step raises
+the power by at least an ulp and no loop state can repeat. The loop stops
+with ``gradient_tol`` when the free gradient is exactly zero (every element
+pinned included), with ``step_floor`` when no alpha whose demand is at
+least an ulp passes, and with ``max_iters`` at the cap.
+
+Every threshold is a ratio or a move in wavelengths. Scaling G by 2^j (P_t
+by 4^j) scales the power, the gradient, d and mu by exactly 4^j and U by
+2^j, so the ascent takes the same steps in x, bit for bit, at every power
+budget.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ import numpy as np
 
 from .array_model import ArrayGeometry, SurfaceShape, TargetSet, phasor, steering_matrix
 from .covariance import CovarianceMatrix, _factor
-from .objective import factor_power, power_gradient
+from .objective import factor_power, power_curvature, power_gradient
 # bound here only so perfbench/tracing.py WRAP_POINTS can wrap it
 from .objective import shape_gradient  # noqa: F401
 
@@ -57,11 +70,13 @@ ARMIJO_C = 1e-4
 SHRINK = 0.5
 # Default cap on accepted steps per ascent; a guard that no desk ascent reaches.
 MAX_ITERS = 1000
-# First trial step is capped so no element moves more than this many
-# wavelengths at once; the first iteration starts at that cap.
+# No element moves more than this many wavelengths at a line search's first trial.
 MAX_FIRST_MOVE = 0.1
-# Later line searches start from this multiple of the last accepted step.
-STEP_GROWTH = 2.0
+# The Hessian shift mu starts at this fraction of max|d| (module docstring).
+# 2^-20 to 2^-40 take the same desk steps; 2^-10 takes 2% more evaluations.
+SHIFT_REL = 2.0 ** -20
+# 8 pi^2, the factor of the negated Hessian 8 pi^2 (Diag(d) - U U^T).
+_CURVATURE = 8.0 * math.pi ** 2
 
 
 @dataclass
@@ -71,10 +86,11 @@ class AscentTrace:
     ``objectives[0]`` is the power at the starting shape and each accepted
     step appends one entry, so the array is strictly increasing with length
     ``n_iters + 1``. ``grad_norms`` holds the raw gradient norm at every
-    iterate the loop visited. ``projected_grad_norm`` is the norm of the
-    gradient with components pushing against an active box face zeroed out,
-    measured at the final iterate. ``n_evals`` counts power evaluations,
-    the start included; ``n_gradients`` counts gradients.
+    iterate the loop visited, and ``step_sizes`` the accepted alpha of each
+    step. ``projected_grad_norm`` is the norm of the free gradient (the
+    gradient with the pinned elements' entries zeroed) at the final iterate.
+    ``n_evals`` counts power evaluations, the start included;
+    ``n_gradients`` counts gradients.
     """
 
     objectives: np.ndarray
@@ -99,12 +115,42 @@ def _norm(g: np.ndarray) -> float:
     return math.sqrt(g.dot(g))
 
 
-def _boxed_gradient_norm(grad: np.ndarray, displacements: np.ndarray,
-                         d_max: float) -> float:
-    "||g_boxed||: the components of ``grad`` that push against an active box face zeroed."
-    pinned = (((displacements >= d_max) & (grad > 0.0))
-              | ((displacements <= -d_max) & (grad < 0.0)))
-    return _norm(np.where(pinned, 0.0, grad))
+def free_set(grad: np.ndarray, displacements: np.ndarray, d_max: float) -> np.ndarray:
+    """Mask of the free elements: all but those at +/-d_max whose gradient points out.
+
+    ``displacements`` lie in the box, so x sign(g) >= d_max (exact) holds just there.
+    """
+    return displacements * np.sign(grad) < d_max
+
+
+def newton_direction(g: np.ndarray, d: np.ndarray, u: np.ndarray,
+                     free: np.ndarray) -> tuple[np.ndarray, float]:
+    """The projected Newton step p and its shift mu (module docstring).
+
+    p is 0 off the ``free`` mask and solves 8 pi^2 (Diag(d) + mu - U U^T) p = g
+    on it, by Woodbury. mu starts at ``SHIFT_REL * max|d| + max(0, -min d)``,
+    max|d| over every element and min d over the free ones, and is
+    multiplied by 4 until I - U^T Diag(d + mu)^-1 U has a Cholesky factor.
+    Where d is 0 (it underflows with c_k^2), p is the free gradient / 8 pi^2. A
+    pinned element's d is taken as +inf, so its rows of Diag(d + mu)^-1 U
+    and of the step are 0 and the free set is solved alone.
+    """
+    d_free = np.where(free, d, np.inf)
+    mu = SHIFT_REL * float(np.abs(d).max()) + max(0.0, -float(d_free.min()))
+    if mu == 0.0:
+        # d underflowed, as c_k^2 does within 1e-154 rad of a pole: step along g
+        return g * free / _CURVATURE, mu
+    eye = np.eye(u.shape[1])
+    while True:
+        e_inv = 1.0 / (d_free + mu)
+        w = u * e_inv[:, None]
+        s = eye - u.T @ w
+        try:
+            np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            mu *= 4.0
+            continue
+        return (e_inv * g + w @ np.linalg.solve(s, w.T @ g)) / _CURVATURE, mu
 
 
 def planar_steering(geom: ArrayGeometry, targets: TargetSet) -> tuple[np.ndarray, np.ndarray]:
@@ -133,14 +179,11 @@ def ascend_shape(
 ) -> tuple[SurfaceShape, AscentTrace]:
     """Maximize cumulated power over the surface shape, covariance fixed.
 
-    Runs projected gradient ascent from ``shape`` for at most ``max_iters``
-    accepted steps. A trial step is accepted when the power at the projected
-    point beats the current power by at least ``ARMIJO_C * step * ||g||^2``;
-    otherwise the step shrinks by ``SHRINK``. The first trial step is
-    ``STEP_GROWTH`` times the last accepted step (unbounded at the first
-    iteration), capped so no element moves more than ``MAX_FIRST_MOVE`` at
-    once. The loop stops with status ``gradient_tol`` when ||g_boxed||^2 <=
-    ``ARMIJO_C`` ||g||^2, and with ``step_floor`` rather than raising when no
+    Runs projected Newton ascent from ``shape`` for at most ``max_iters``
+    accepted steps, with an Armijo line search along the projection arc
+    that halves alpha (by ``SHRINK``) from min(1, ``MAX_FIRST_MOVE`` /
+    max|p|). The loop stops with status ``gradient_tol`` when the free
+    gradient is zero, and with ``step_floor`` rather than raising when no
     trial step whose Armijo demand is at least one ulp of the power passes,
     since a boundary iterate can be legitimately stuck (module docstring).
 
@@ -156,52 +199,51 @@ def ascend_shape(
     if planar is None:
         planar = planar_steering(geom, targets)
     c = planar[1]
+    d_max = geom.d_max
 
     def power(x):
         a = shaped_steering(planar, x)
         gha = factor_h @ a
         return factor_power(gha), a, gha
 
-    x = project_shape(np.asarray(shape.displacements, dtype=float), geom.d_max)
+    x = project_shape(np.asarray(shape.displacements, dtype=float), d_max)
     p, a, gha = power(x)
-    g = power_gradient(a, factor @ gha, c)
+    ra = factor @ gha
+    g = power_gradient(a, ra, c)
     n_evals, n_gradients = 1, 1
     objectives = [p]
     grad_norms = []
     step_sizes = []
     status = STATUS_MAX_ITERS
-    trial = math.inf
 
     for _ in range(max_iters):
-        gnorm = _norm(g)
-        grad_norms.append(gnorm)
-        boxed = _boxed_gradient_norm(g, x, geom.d_max)
-        if boxed * boxed <= ARMIJO_C * gnorm * gnorm:
-            # no short step can meet the Armijo demand; this includes g = 0
-            # and the box-stationary iterate, where every coordinate is
-            # pinned to a box face with an outward gradient (or has zero
-            # gradient)
+        grad_norms.append(_norm(g))
+        free = free_set(g, x, d_max)
+        if not (g * free).any():
             status = STATUS_GRADIENT_TOL
             break
-
-        step = min(trial, MAX_FIRST_MOVE / float(np.abs(g).max()))
-        while (demand := ARMIJO_C * step * gnorm * gnorm) >= math.ulp(p):
-            x_try = project_shape(x + step * g, geom.d_max)
-            p_try, a, gha = power(x_try)
+        step, _ = newton_direction(g, *power_curvature(a, ra, factor, c), free)
+        alpha = min(1.0, MAX_FIRST_MOVE / float(np.abs(step).max()))
+        floor = math.ulp(p)
+        while True:
+            x_try = project_shape(x + alpha * step, d_max)
+            demand = ARMIJO_C * g.dot(x_try - x)
+            if demand < floor:
+                break
+            p_try, a_try, gha_try = power(x_try)
             n_evals += 1
             if p_try >= p + demand:
                 break
-            step *= SHRINK
-        else:
+            alpha *= SHRINK
+        if demand < floor:
             status = STATUS_STEP_FLOOR
             break
-        x = x_try
-        p = p_try
-        g = power_gradient(a, factor @ gha, c)
+        x, p, a, gha = x_try, p_try, a_try, gha_try
+        ra = factor @ gha
+        g = power_gradient(a, ra, c)
         n_gradients += 1
         objectives.append(p)
-        step_sizes.append(step)
-        trial = STEP_GROWTH * step
+        step_sizes.append(alpha)
     else:
         # loop ran out; record the gradient at the final iterate too
         grad_norms.append(_norm(g))
@@ -210,7 +252,7 @@ def ascend_shape(
         objectives=np.asarray(objectives),
         grad_norms=np.asarray(grad_norms),
         step_sizes=np.asarray(step_sizes),
-        projected_grad_norm=_boxed_gradient_norm(g, x, geom.d_max),
+        projected_grad_norm=_norm(g * free_set(g, x, d_max)),
         status=status,
         n_iters=len(step_sizes),
         n_evals=n_evals,

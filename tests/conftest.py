@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from morphbeam import shape_opt
-from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, phasor, steering_matrix
+from morphbeam.array_model import ArrayGeometry, TargetSet, phasor, steering_matrix
 from morphbeam.bcd import BcdConfig, Scheme, solve_benchmark
 from morphbeam.objective import factor_power, power_gradient
 
@@ -108,66 +107,45 @@ def finite_difference_gradient(r_x, geom, targets, shape, h=1e-6):
     return grad
 
 
-def capped_ascend_shape(cov, geom, targets, shape, max_iters=shape_opt.MAX_ITERS):
-    """The shape ascent written out with numpy's own helpers; verification oracle.
+def projected_gradient_ascent(cov, geom, targets, shape, max_iters=10_000):
+    """Projected gradient ascent to the ulp floor, with numpy's own helpers; verification oracle.
 
-    Runs the same Armijo line search as ``shape_opt.ascend_shape`` on the
-    same constants and the same arithmetic on the covariance's factor G (the
-    power from G^H A, the gradient from G (G^H A)), so the two compare bit
-    for bit. It starts at the first-move cap, backtracks only while the
-    Armijo demand is at least ``np.spacing`` of the power, and leaves when
-    no such trial step passes, when ||g_boxed||^2 <= ARMIJO_C ||g||^2 or
-    when ``max_iters`` steps are accepted.
+    Independent of the shape ascent's Newton step: each iteration moves
+    along the raw gradient g on the projection arc x(s) = clip(x + s g),
+    starting from twice the last accepted s (the first trial moves no
+    element more than 0.1 wavelength), and accepts x(s) once its power
+    beats the current one by 1e-4 g . (x(s) - x). s halves while that
+    demand is at least ``np.spacing`` of the power; the ascent stops when no
+    such s passes or after ``max_iters`` steps. Returns the final power.
     """
     factor = cov.g
-    factor_h = factor.conj().T
     planar = steering_matrix(geom, targets.thetas, targets.phis, np.zeros(geom.n_elements))
     c = np.sin(targets.thetas) * np.sin(targets.phis)
 
     def power(x):
         a = planar * phasor(np.outer(x, c))
-        gha = factor_h @ a
+        gha = factor.conj().T @ a
         return factor_power(gha), a, gha
-
-    def boxed_norm(g, x):
-        g = g.copy()
-        g[(x >= geom.d_max) & (g > 0.0)] = 0.0
-        g[(x <= -geom.d_max) & (g < 0.0)] = 0.0
-        return float(np.linalg.norm(g))
 
     x = np.clip(np.asarray(shape.displacements, dtype=float), -geom.d_max, geom.d_max)
     p, a, gha = power(x)
-    g = power_gradient(a, factor @ gha, c)
-    n_evals, objectives, steps = 1, [p], []
-    status = shape_opt.STATUS_MAX_ITERS
-    trial = np.inf
+    step = np.inf
     for _ in range(max_iters):
-        gnorm = float(np.linalg.norm(g))
-        boxed = boxed_norm(g, x)
-        if boxed * boxed <= shape_opt.ARMIJO_C * gnorm * gnorm:
-            status = shape_opt.STATUS_GRADIENT_TOL
-            break
-        step = min(trial, shape_opt.MAX_FIRST_MOVE / float(np.max(np.abs(g))))
-        while shape_opt.ARMIJO_C * step * gnorm * gnorm >= np.spacing(p):
-            x_try = np.clip(x + step * g, -geom.d_max, geom.d_max)
-            p_try, a, gha = power(x_try)
-            n_evals += 1
-            if p_try >= p + shape_opt.ARMIJO_C * step * gnorm * gnorm:
-                break
-            step *= shape_opt.SHRINK
-        else:
-            status = shape_opt.STATUS_STEP_FLOOR
-            break
-        x, p = x_try, p_try
         g = power_gradient(a, factor @ gha, c)
-        objectives.append(p)
-        steps.append(step)
-        trial = shape_opt.STEP_GROWTH * step
-    trace = shape_opt.AscentTrace(
-        objectives=np.asarray(objectives), grad_norms=np.empty(0),
-        step_sizes=np.asarray(steps), projected_grad_norm=boxed_norm(g, x),
-        status=status, n_iters=len(steps), n_evals=n_evals, n_gradients=len(steps) + 1)
-    return SurfaceShape(x), trace
+        if not np.any(g):
+            break
+        step = min(2.0 * step, 0.1 / float(np.max(np.abs(g))))
+        while True:
+            x_try = np.clip(x + step * g, -geom.d_max, geom.d_max)
+            demand = 1e-4 * float(g @ (x_try - x))
+            if demand < np.spacing(p):
+                return p
+            p_try, a_try, gha_try = power(x_try)
+            if p_try >= p + demand:
+                break
+            step *= 0.5
+        x, p, a, gha = x_try, p_try, a_try, gha_try
+    return p
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,8 @@ from morphbeam.array_model import ArrayGeometry, TargetSet, steering_matrix
 from morphbeam.covariance import _rownorm, column_powers
 from morphbeam.objective import factor_power
 from morphbeam.shape_opt import (
-    _boxed_gradient_norm,
     _norm,
+    free_set,
     planar_steering,
     project_shape,
     shaped_steering,
@@ -49,11 +49,9 @@ def old_rownorm(x):
     return x
 
 
-def old_boxed_gradient_norm(grad, displacements, d_max):
-    g = grad.copy()
-    g[(displacements >= d_max) & (g > 0.0)] = 0.0
-    g[(displacements <= -d_max) & (g < 0.0)] = 0.0
-    return float(np.linalg.norm(g))
+def old_pinned(grad, displacements, d_max):
+    return (((displacements >= d_max) & (grad > 0.0))
+            | ((displacements <= -d_max) & (grad < 0.0)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -87,12 +85,17 @@ def test_column_powers_and_factor_power_match_np_sum(data, shape):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(1, 16), d_max=BOX_EDGES)
-def test_boxed_gradient_norm_matches_copy_and_mask(data, n, d_max):
+def test_free_set_matches_the_two_comparisons(data, n, d_max):
+    # An element with a zero gradient may count as pinned or free: its
+    # entry of the free gradient is 0 either way.
     grad = data.draw(hnp.arrays(np.float64, (n,), elements=FLOATS))
     x = data.draw(hnp.arrays(np.float64, (n,), elements=st.one_of(
         st.sampled_from([-d_max, d_max, 0.0, -0.0]), st.floats(-d_max, d_max))))
-    got = _boxed_gradient_norm(grad, x, d_max)
-    np.testing.assert_array_equal(bits(got), bits(old_boxed_gradient_norm(grad, x, d_max)))
+    free = free_set(grad, x, d_max)
+    moving = grad != 0.0
+    np.testing.assert_array_equal(free[moving], ~old_pinned(grad, x, d_max)[moving])
+    want = float(np.linalg.norm(np.where(old_pinned(grad, x, d_max), 0.0, grad)))
+    np.testing.assert_array_equal(bits(_norm(grad * free)), bits(want))
     np.testing.assert_array_equal(bits(_norm(grad)), bits(float(np.linalg.norm(grad))))
 
 

@@ -1,11 +1,12 @@
-"""Projected gradient ascent on the surface displacements."""
+"""Projected Newton ascent on the surface displacements."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import DESK_P_T_MW, capped_ascend_shape, desk_geometry, desk_targets
+from conftest import DESK_P_T_MW, desk_geometry, desk_targets, projected_gradient_ascent
 from morphbeam import bcd, shape_opt
 from morphbeam.array_model import (
     ArrayGeometry,
@@ -16,12 +17,13 @@ from morphbeam.array_model import (
 )
 from morphbeam.bcd import BcdConfig, Scheme, solve_benchmark
 from morphbeam.covariance import CovarianceMatrix, solve_per_antenna_sdp
-from morphbeam.objective import cumulated_power
+from morphbeam.objective import cumulated_power, power_curvature, power_gradient
 from morphbeam.shape_opt import (
     STATUS_GRADIENT_TOL,
     STATUS_MAX_ITERS,
     STATUS_STEP_FLOOR,
     ascend_shape,
+    newton_direction,
     project_shape,
 )
 
@@ -175,33 +177,39 @@ class TestAscentCounts:
 
 
 @pytest.fixture(scope="module")
-def desk_zero_start_ascents():
-    "Covariance and start shape of the first twelve ascents of the desk d_max = 1 zero start."
-    geom = desk_geometry(1.0)
-    seen = []
+def desk_ascents():
+    """Every ascent of desk fim-mimo at d_max = 1 (4 starts) and every start's run.
 
-    def keep(cov, geom, targets, shape, *rest):
-        seen.append((CovarianceMatrix(cov.g.copy(), power_budget=cov.power_budget),
-                     shape.copy()))
-        return ascend_shape(cov, geom, targets, shape, *rest)
+    Each ascent is (covariance, final shape, trace).
+    """
+    ascents, runs = [], []
+    run_single_start = bcd._run_single_start
+
+    def keep_ascent(cov, geom, targets, shape, *rest):
+        final, trace = ascend_shape(cov, geom, targets, shape, *rest)
+        ascents.append((cov, final, trace))
+        return final, trace
+
+    def keep_run(*args, **kwargs):
+        runs.append(run_single_start(*args, **kwargs))
+        return runs[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bcd, "ascend_shape", keep)
-        solve_benchmark(Scheme.FIM_MIMO, geom, desk_targets(), DESK_P_T_MW,
-                        BcdConfig(n_starts=1, max_outer_iters=12))
-    return geom, seen
+        mp.setattr(bcd, "ascend_shape", keep_ascent)
+        mp.setattr(bcd, "_run_single_start", keep_run)
+        solve_benchmark(Scheme.FIM_MIMO, desk_geometry(1.0), desk_targets(), DESK_P_T_MW,
+                        BcdConfig(rng_seed=0, n_starts=4))
+    return ascents, runs
 
 
 def noop_then_move_instance():
-    """A 2x2 ascent whose boxed gradient is at rounding level.
+    """A 2x2 ascent whose free gradient is at rounding level.
 
     R = w w^H, held as its factor w, with w the steering vector at x0 (times
     10, so P_t/N = 100) except for phase twists of
     -/+1e-5 on the two elements pinned at +/-d_max. Those two pull outward
     and carry the gradient norm; the free elements' gradient is at rounding
-    level. The first steps would be too short to move the free elements yet
-    pass the Armijo test, whose threshold rounds away, and the doubled steps
-    would then move them; the Armijo-demand stop ends the ascent first.
+    level, so no step on them has an Armijo demand of an ulp of the power.
     """
     geom = ArrayGeometry(n_x=2, n_z=2, dx=0.5, dz=0.5, d_max=0.5)
     targets = TargetSet(thetas=np.array([1.9]), phis=np.array([1e-3]))
@@ -212,38 +220,145 @@ def noop_then_move_instance():
 
 
 class TestRepeatedStateStop:
-    """No state repeats: every accepted step raises the power, on the oracle loop's path."""
+    """No state repeats: every accepted step raises the power by at least an ulp."""
 
-    @staticmethod
-    def assert_matches_oracle(cov, geom, targets, start):
-        final, trace = ascend_shape(cov, geom, targets, start)
-        want, want_trace = capped_ascend_shape(cov, geom, targets, start)
-        assert final.displacements.tobytes() == want.displacements.tobytes()
-        np.testing.assert_array_equal(trace.objectives, want_trace.objectives)
-        np.testing.assert_array_equal(trace.step_sizes, want_trace.step_sizes)
-        assert trace.projected_grad_norm == want_trace.projected_grad_norm
-        assert (trace.status, trace.n_evals) == (want_trace.status, want_trace.n_evals)
-        return final, trace
-
-    def test_every_desk_step_raises_the_power(self, desk_zero_start_ascents):
+    def test_every_desk_step_raises_the_power(self, desk_ascents):
         # An accepted step meets an Armijo demand of at least one ulp of the
         # power, so the power rises strictly and no loop state can recur.
-        geom, seen = desk_zero_start_ascents
-        for cov, start in seen:
-            _, trace = self.assert_matches_oracle(cov, geom, desk_targets(), start)
+        ascents, runs = desk_ascents
+        assert len(ascents) == sum(res.trace.n_outer for res in runs)
+        for _, _, trace in ascents:
             assert np.all(np.diff(trace.objectives) > 0.0)
             assert trace.status != STATUS_MAX_ITERS
 
     def test_noop_step_before_a_move(self):
-        # A step that leaves x (and so the power) unchanged cannot meet an
-        # Armijo demand of at least one ulp; here the boxed gradient is at
-        # rounding level, so the ascent stops at the start.
+        # A step whose Armijo demand is below one ulp of the power is not
+        # even evaluated; here every free step is, so the ascent stops at
+        # the start after the one evaluation there.
         cov, geom, targets, start = noop_then_move_instance()
-        final, trace = self.assert_matches_oracle(cov, geom, targets, start)
-        after_one, _ = capped_ascend_shape(cov, geom, targets, start, max_iters=1)
-        assert after_one.displacements.tobytes() == start.displacements.tobytes()
+        final, trace = ascend_shape(cov, geom, targets, start)
         assert final.displacements.tobytes() == start.displacements.tobytes()
-        assert trace.status == STATUS_GRADIENT_TOL
+        assert (trace.status, trace.n_iters, trace.n_evals) == (STATUS_STEP_FLOOR, 0, 1)
+        assert trace.projected_grad_norm > 0.0
+
+
+class TestNewtonAscent:
+    """The projected Newton step: its Hessian, its Woodbury solve and where it stops."""
+
+    def test_desk_ascents_end_at_a_local_maximum(self, desk_ascents):
+        # A first-order projected ascent, run on from each final shape to the
+        # ulp floor, finds no more than 1e-9 of relative power left.
+        ascents, _ = desk_ascents
+        geom = desk_geometry(1.0)
+        for cov, final, trace in ascents:
+            further = projected_gradient_ascent(cov, geom, desk_targets(), final)
+            assert further <= trace.objectives[-1] * (1.0 + 1e-9)
+
+    def test_desk_fim_mimo_takes_at_most_1000_ascent_evaluations(self, desk_ascents):
+        _, runs = desk_ascents
+        assert len(runs) == 4
+        total = sum(rec.ascent_evals for res in runs for rec in res.trace.records)
+        assert total <= 1000, total
+
+    def test_seeded_panel_run_16_stays_below_the_cap(self, monkeypatch):
+        # Run 16 of a seeded panel of random instances, whose ill-conditioned
+        # first ascent of the second start crawled to the 1,000-step cap
+        # under a gradient step.
+        rng = np.random.default_rng(2026)
+        for _ in range(17):
+            n, k = int(rng.integers(4, 9)), int(rng.integers(2, 6))
+            targets = TargetSet(thetas=rng.uniform(0.2, np.pi - 0.2, k),
+                                phis=rng.uniform(0.2, np.pi - 0.2, k))
+        assert (n, k) == (4, 5)
+        statuses = []
+
+        def keep(*args):
+            final, trace = ascend_shape(*args)
+            statuses.append(trace.status)
+            return final, trace
+
+        monkeypatch.setattr(bcd, "ascend_shape", keep)
+        solve_benchmark(Scheme.FIM_MIMO, desk_geometry(0.5, n, n), targets, DESK_P_T_MW,
+                        BcdConfig(n_starts=2, rng_seed=16))
+        assert statuses and STATUS_MAX_ITERS not in statuses
+
+    def test_a_common_shift_leaves_the_power_alone(self):
+        # Moving every element by t rotates each target's phase only, so
+        # P(x + t 1) = P(x) and the unshifted Hessian is singular along 1.
+        geom, targets, cov = make_instance(d_max=1.0, n=4, k=3, seed=5)
+        x = np.random.default_rng(6).uniform(-0.5, 0.5, geom.n_elements)
+        power = cumulated_power(cov, response_matrix(geom, targets, SurfaceShape(x)))
+        for t in (0.3, -0.45, 0.123):
+            moved = cumulated_power(cov, response_matrix(geom, targets, SurfaceShape(x + t)))
+            assert moved == pytest.approx(power, rel=1e-13)
+        a = steering_matrix(geom, targets.thetas, targets.phis, x)
+        c = np.sin(targets.thetas) * np.sin(targets.phis)
+        d, u = power_curvature(a, cov.g @ (cov.g.conj().T @ a), cov.g, c)
+        ones = np.ones(geom.n_elements)
+        assert np.abs(d - u @ (u.T @ ones)).max() <= 1e-12 * np.abs(d).max()
+
+    def test_first_step_from_the_desk_zero_start_raises_the_power(self):
+        # The desk zero start is all free, where the shift mu makes the
+        # singular Hessian solvable.
+        geom = desk_geometry(1.0)
+        zero = SurfaceShape.zero(geom)
+        cov, _ = solve_per_antenna_sdp(response_matrix(geom, desk_targets(), zero).a,
+                                       DESK_P_T_MW)
+        final, trace = ascend_shape(cov, geom, desk_targets(), zero, max_iters=1)
+        assert trace.n_iters == 1
+        assert np.all(np.isfinite(final.displacements)) and np.any(final.displacements)
+        assert trace.objectives[1] > trace.objectives[0]
+
+    def test_direction_without_curvature_follows_the_gradient(self):
+        # d underflows to 0 with c_k^2 near a pole; the step is then g / 8 pi^2.
+        g = np.array([1e-203, -2e-203, 3e-203])
+        free = np.array([True, False, True])
+        step, mu = newton_direction(g, np.zeros(3), np.full((3, 2), 1e-189), free)
+        assert mu == 0.0
+        np.testing.assert_array_equal(step, g * free / (8.0 * np.pi ** 2))
+
+
+@st.composite
+def curvature_instances(draw):
+    "A point x, a factor G with k <= 3 columns, N <= 16, K <= 4 and a nonempty free set."
+    geom = ArrayGeometry(n_x=draw(st.integers(1, 4)), n_z=draw(st.integers(1, 4)),
+                         dx=0.5, dz=0.5, d_max=1.0)
+    n, n_targets, k = geom.n_elements, draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = TargetSet(thetas=rng.uniform(0.2, np.pi - 0.2, n_targets),
+                        phis=rng.uniform(0.2, np.pi - 0.2, n_targets))
+    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    free = draw(hnp.arrays(np.bool_, (n,)).filter(np.any))
+    return geom, targets, g, rng.uniform(-1.0, 1.0, n), free
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(curvature_instances())
+def test_hessian_and_newton_step_match_dense_forms(instance):
+    geom, targets, g, x, free = instance
+    c = np.sin(targets.thetas) * np.sin(targets.phis)
+
+    def gradient(x):
+        a = steering_matrix(geom, targets.thetas, targets.phis, x)
+        return power_gradient(a, g @ (g.conj().T @ a), c), a
+
+    grad, a = gradient(x)
+    d, u = power_curvature(a, g @ (g.conj().T @ a), g, c)
+    hessian = -8.0 * np.pi ** 2 * (np.diag(d) - u @ u.T)
+    h = 1e-5
+    columns = []
+    for e in np.eye(x.size):
+        columns.append((gradient(x + h * e)[0] - gradient(x - h * e)[0]) / (2.0 * h))
+    # the size of the terms whose difference the Hessian is (it is 0 at N = 1)
+    scale = 8.0 * np.pi ** 2 * np.max(np.abs(d) + (u * u).sum(axis=1))
+    np.testing.assert_allclose(np.array(columns).T, hessian, rtol=0.0, atol=1e-6 * scale)
+
+    step, mu = newton_direction(grad, d, u, free)
+    dense = 8.0 * np.pi ** 2 * (np.diag(d[free] + mu) - u[free] @ u[free].T)
+    np.linalg.cholesky(dense)
+    want = np.linalg.solve(dense, grad[free])
+    assert np.all(step[~free] == 0.0)
+    np.testing.assert_allclose(step[free], want, rtol=0.0, atol=1e-7 * np.abs(want).max())
 
 
 @st.composite
