@@ -71,7 +71,7 @@ class InitScheme(str, Enum):
 class Scheme(str, Enum):
     """Benchmark transmission schemes.
 
-    ``RAA_*`` keep the surface rigid: each is its ``FIM_*`` twin with a
+    ``RAA_*`` hold the surface rigid: each is its ``FIM_*`` twin with a
     morphing range of zero. ``*_MIMO`` transmit with the full-rank SDP
     covariance; ``*_PA`` restrict to phased-array (rank-1, constant-modulus)
     weights via randomization.

@@ -5,8 +5,8 @@ B = A A^H they depend on has rank at most K and is never formed. The
 per-antenna problem max tr(R B) s.t. diag(R) = P_t/N, R >= 0 is solved in
 normalized form (diag(R) = 1, lambda_max(B) = 1), certified through its
 dual min (P_t/N) 1^T y s.t. Diag(y) >= B. The thin SVD of A gives
-B = F F^H + E, where the N x r factor F keeps the singular values whose
-square is above a relative floor (r = K for K targets, r = N when K >= N).
+B = F F^H exactly, with the N x r factor F over every singular pair of A
+(r = min(N, K)); a rank-deficient F is taken as it is.
 
 - **Power method.** For V with unit rows, V V^H is feasible, and
   V <- rownorm(B V) never lowers tr(V^H B V): the Burer-Monteiro
@@ -15,15 +15,14 @@ square is above a relative floor (r = K for K targets, r = N when K >= N).
   starts from the phases of B's principal eigenvector. If it cannot
   certify a unique optimum, a block stage goes on with r columns from
   rownorm([w, F[:, 1:]]): every optimum has rank at most rank(B) <= r.
-  Its step Phi(X) = F^H rownorm(F X) acts on X = F^H V (r x r; the bound
-  pays for B - F F^H) with Anderson (type II) extrapolation from the last
+  Its step Phi(X) = F^H rownorm(F X) acts on X = F^H V (r x r) with Anderson (type II) extrapolation from the last
   _AA_MEMORY differences (Walker and Ni, SIAM J. Numer. Anal. 49, 2011),
   kept only when its value is at least the plain step's; otherwise the
   plain step is taken and the history restarts, so the value never falls.
 - **Certificate.** y_n = Re(v_n^H (B V)_n) sums to tr(V^H B V), and
   tr(V^H (Diag(y) - B) V) = 0, so y' = y - lambda_min(Diag(y) - B) 1 is
   dual feasible, and tight when V V^H is optimal. The eigenvalue comes from
-  the r x r secular equation of Diag(y) - F F^H, lowered by lambda_max(E).
+  the r x r secular equation of Diag(y) - F F^H.
 - **Optimal face.** Every optimum lies in the null space U of the certified
   slack Diag(y') - F F^H. A one-column U certified by the rank-1 stage
   makes its iterate the unique optimum. After the block stage the face
@@ -59,11 +58,6 @@ DEFAULT_ITER_CAP = 10000
 # Largest relative deviation of a diagonal entry from P_t / N that
 # ``CovarianceMatrix.validate`` accepts.
 _DIAG_REL_TOL = 1e-8
-
-# Squared singular values of A (eigenvalues of B) at or below this fraction
-# of the largest are left out of the factor F that the SDP works on; the dual
-# bound pays for them.
-_RANK_FLOOR = 1e-10
 
 # The rank-1 stage stops once its value rises by at most this fraction.
 _POWER_RISE_REL = 1e-14
@@ -109,10 +103,10 @@ def _check_power_budget(p_t: float) -> None:
 
 def _above_rounding(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     "U_k sqrt(lam_k) for the ascending eigenpairs with lam > N eps max|lam|; ValueError if none."
-    keep = lam > u.shape[0] * np.finfo(float).eps * np.max(np.abs(lam))
-    if not np.any(keep):
+    above = lam > u.shape[0] * np.finfo(float).eps * np.max(np.abs(lam))
+    if not np.any(above):
         raise ValueError("covariance is zero")
-    return u[:, keep] * np.sqrt(lam[keep])
+    return u[:, above] * np.sqrt(lam[above])
 
 
 def column_powers(a: np.ndarray, ra: np.ndarray) -> np.ndarray:
@@ -135,7 +129,7 @@ def covariance_factor(r) -> np.ndarray:
     ValueError unless R is a finite, Hermitian, nonzero N x N matrix whose
     smallest eigenvalue is >= -1e-8 of its largest. Its Hermitian part is
     factored once by ``eigh`` (which alone would read one triangle); the
-    eigenpairs with lam <= N eps max|lam| are dropped, at most N^2 eps
+    eigenpairs with lam <= N eps max|lam| are left out, at most N^2 eps
     max|lam| in any a^H R a with unit-modulus a, its rounding error.
     """
     r = np.asarray(r, dtype=complex)
@@ -270,16 +264,15 @@ def _min_eigpair(g: np.ndarray, h: np.ndarray, lo: float) -> tuple[float, np.nda
     return lam, vec
 
 
-def _dual_bound(y: np.ndarray, f: np.ndarray, dropped: float) -> float:
-    """Dual bound on the normalized problem (diag(R) = 1, B = an an^H) from any y.
+def _dual_bound(y: np.ndarray, f: np.ndarray) -> float:
+    """Dual bound on the normalized problem (diag(R) = 1, B = F F^H) from any y.
 
-    y - lambda_min(Diag(y) - B) 1 is dual feasible, and that eigenvalue is
-    at least lambda_min(Diag(y) - F F^H) - dropped, which in turn is at
-    least min y - ||F||_F^2, the secular solve's lower bracket. The 1e-12
-    relative margin covers the solve's rounding.
+    y - lambda_min(Diag(y) - F F^H) 1 is dual feasible, and that eigenvalue
+    is at least min y - ||F||_F^2, the secular solve's lower bracket. The
+    1e-12 relative margin covers the solve's rounding.
     """
     lam = _min_eigpair(y, f, float(y.min()) - float((np.abs(f) ** 2).sum()))[0]
-    return float(y.sum()) - y.size * (lam - 1e-12 * max(float(y.max()), 1.0) - dropped)
+    return float(y.sum()) - y.size * (lam - 1e-12 * max(float(y.max()), 1.0))
 
 
 def _rownorm(x: np.ndarray) -> np.ndarray:
@@ -345,12 +338,15 @@ def _anderson_step(f: np.ndarray, x: np.ndarray, history: list) -> tuple[np.ndar
     return p, v
 
 
-def _certify(an, v, f, dropped) -> tuple[float, np.ndarray, float, float]:
-    "tr(V^H B V), the dual point y' of the iterate V (or w), its bound 1^T y' and the gap."
+def _certify(an, v, f) -> tuple[float, np.ndarray, float, float]:
+    """tr(V^H B V), the dual point y' of the iterate V (or w), its bound 1^T y' and the gap.
+
+    The value and y read B through ``an``, the bound through its factor F.
+    """
     a_v = an.conj().T @ v
     y = (v.conj() * (an @ a_v)).reshape(an.shape[0], -1).sum(axis=1).real
     value = factor_power(a_v)
-    dual = _dual_bound(y, f, dropped)
+    dual = _dual_bound(y, f)
     gap = (dual - value) / max(abs(dual), 1e-300)
     return value, y + (dual - float(y.sum())) / y.size, dual, gap
 
@@ -393,9 +389,9 @@ def _face_centre(u: np.ndarray) -> np.ndarray | None:
     basis = _hermitian_basis(u.shape[1])
     amap = np.real(np.einsum("nk,ikl,nl->ni", u, basis, u.conj()))
     left, sv, right = np.linalg.svd(amap, full_matrices=False)
-    keep = sv > _MAP_RANK_REL * sv[0]
-    b = np.sum(left[:, keep], axis=0)           # L^T 1
-    to_q = right[keep].T * sv[keep]             # c -> M^T L c
+    ranked = sv > _MAP_RANK_REL * sv[0]
+    b = np.sum(left[:, ranked], axis=0)         # L^T 1
+    to_q = right[ranked].T * sv[ranked]         # c -> M^T L c
     c = b
     for _ in range(_CENTRE_STEPS):
         q_e = np.linalg.inv(np.tensordot(to_q @ c, basis, 1)) @ basis
@@ -429,16 +425,12 @@ def solve_per_antenna_sdp(a: np.ndarray, p_t: float) -> tuple[CovarianceMatrix, 
     u, sv, _ = np.linalg.svd(a, full_matrices=False)
     b_scale = float(sv[0]) ** 2
     an = a / sv[0]
-    # an an^H = F F^H + E: F keeps the singular pairs whose relative square
-    # is above the floor (the largest always), and lambda_max(E) = dropped.
-    eig_rel = (sv / sv[0]) ** 2
-    keep = eig_rel > _RANK_FLOOR
-    keep[0] = True
-    f = u[:, keep] * (sv[keep] / sv[0])
-    dropped = float(np.max(eig_rel[~keep], initial=0.0))
+    # an an^H = F F^H, r = min(N, K). F is Fortran-ordered, which sets the
+    # rounding of the BLAS products on it.
+    f = np.asfortranarray(u) * (sv / sv[0])
 
     v, steps = _power_method(an, _rownorm(f[:, 0]), DEFAULT_ITER_CAP)
-    primal, y_dual, dual, gap = _certify(an, v, f, dropped)
+    primal, y_dual, dual, gap = _certify(an, v, f)
     if gap > DEFAULT_SDP_TOL or _face(y_dual, f).shape[1] > 1:
         # Block stage, certified every _CHECK_STEPS steps until the slack is
         # exact enough to read the optimal face off it.
@@ -448,7 +440,7 @@ def solve_per_antenna_sdp(a: np.ndarray, p_t: float) -> tuple[CovarianceMatrix, 
             for _ in range(min(_CHECK_STEPS, DEFAULT_ITER_CAP - steps)):
                 x, v = _anderson_step(f, x, history)
                 steps += 1
-            primal, y_dual, dual, gap = _certify(an, v, f, dropped)
+            primal, y_dual, dual, gap = _certify(an, v, f)
             if gap <= _FACE_GAP or steps >= DEFAULT_ITER_CAP:
                 break
         face = _face(y_dual, f)

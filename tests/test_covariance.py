@@ -14,7 +14,6 @@ from morphbeam.array_model import ArrayGeometry, SurfaceShape, TargetSet, respon
 from morphbeam.bcd import BcdConfig, Scheme, solve_benchmark
 from morphbeam.beampattern import target_powers
 from morphbeam.covariance import (
-    _RANK_FLOOR,
     DEFAULT_ITER_CAP,
     DEFAULT_SDP_TOL,
     ConstraintKind,
@@ -169,12 +168,12 @@ class TestPerAntennaSdp:
         assert any(rec.levelno == logging.WARNING and "iteration cap" in rec.getMessage()
                    for rec in caplog.records)
 
-    @pytest.mark.parametrize("case", ["eigenvalue-below-floor", "k-above-n", "single-element"])
+    @pytest.mark.parametrize("case", ["eigenvalue-below-1e-10", "k-above-n", "single-element"])
     def test_cases_of_the_rank_factor(self, case):
-        # B's factor F drops eigenvalues under the floor and has r = N when
-        # K >= N; the certificate must hold for the B passed in either way.
+        # B's factor F has r = min(N, K) columns, a near-zero singular value
+        # among them or r = N when K >= N; the certificate holds either way.
         th, ph = np.deg2rad([40.0, 120.0]), np.deg2rad([70.0, 100.0])
-        if case == "eigenvalue-below-floor":
+        if case == "eigenvalue-below-1e-10":
             geom = ArrayGeometry(n_x=4, n_z=4, dx=0.5, dz=0.5)
             targets = TargetSet(np.array([th[0], th[0] + 1e-6, th[1]]),
                                 np.array([ph[0], ph[0] + 1e-6, ph[1]]))
@@ -188,8 +187,8 @@ class TestPerAntennaSdp:
         a = response_matrix(geom, targets, SurfaceShape.zero(geom)).a
         b = gram(a)
         eigvals = np.linalg.eigvalsh(b)
-        if case == "eigenvalue-below-floor":
-            assert 0.0 < eigvals[-3] < _RANK_FLOOR * eigvals[-1]
+        if case == "eigenvalue-below-1e-10":
+            assert 0.0 < eigvals[-3] < 1e-10 * eigvals[-1]
         else:
             assert eigvals[0] > 1e-3 * eigvals[-1]          # full rank
         n = geom.n_elements
