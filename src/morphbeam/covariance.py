@@ -90,6 +90,12 @@ _MAP_RANK_REL = 1e-5
 _CENTRE_DECREMENT = 1e-20
 _CENTRE_STEPS = 50
 
+# A PA draw turns each column of R's eigenfactor so that its first entry
+# whose modulus is within this fraction of the column's largest is real.
+# At the desk zero shape the top moduli of the three columns tie within
+# 1.3e-15, 2.3e-15 and 0, so the plain argmax would follow the rounding.
+_PEAK_TIE_REL = 1e-9
+
 
 class ConstraintKind(str, Enum):
     PER_ANTENNA = "per-antenna"
@@ -475,9 +481,11 @@ def randomize_rank1(
 
     Draws ``n_samples`` complex Gaussian vectors G z, z ~ CN(0, I_k), with
     covariance R = G G^H, G from ``cov.eigenfactor()`` (ValueError for a zero
-    R) with each column turned so that its largest-modulus entry is real and
-    positive: the SVD fixes a column only up to a unit phase, and this way
-    the draws depend on R, not on which phase LAPACK returned. Maps
+    R) with each column turned so that its peak entry is real and positive:
+    the SVD fixes a column only up to a unit phase, and this way the draws
+    depend on R, not on which phase LAPACK returned. The peak is the first
+    entry whose modulus is within ``_PEAK_TIE_REL`` of the column's largest,
+    so moduli that tie up to rounding pick the same entry every time. Maps
     each draw to constant-modulus weights ``sqrt(P_t/N) exp(j arg(.))`` for
     the budget P_t = ``cov.power_budget``, and returns the weights maximizing
     ``w^H B w = ||A^H w||^2`` for the N x K steering matrix ``a``, plus that
@@ -494,7 +502,8 @@ def randomize_rank1(
     _check_power_budget(p_t)
     g = cov.eigenfactor()
     k = g.shape[1]
-    peak = g[np.abs(g).argmax(axis=0), np.arange(k)]
+    mod = np.abs(g)
+    peak = g[(mod >= (1.0 - _PEAK_TIE_REL) * mod.max(axis=0)).argmax(axis=0), np.arange(k)]
     g = g * (peak.conj() / np.abs(peak))
     rng = np.random.default_rng(rng_seed)
 
