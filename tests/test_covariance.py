@@ -61,6 +61,23 @@ BAD_STEERING = [
 ]
 
 
+def _near_coincident_a(n_side, offset):
+    """A of min(N - 2, 5) seeded targets and a copy of the first moved by ``offset`` rad.
+
+    The array is n_side x n_side at a seeded shape in a d_max = 0.5 box;
+    with these draws the 9- and 16-element cases run the block stage.
+    """
+    geom = ArrayGeometry(n_x=n_side, n_z=n_side, dx=0.5, dz=0.5, d_max=0.5)
+    rng = np.random.default_rng(0)
+    k = min(geom.n_elements - 2, 5)
+    thetas, phis = rng.uniform(0, np.pi, k), rng.uniform(0, np.pi, k)
+    targets = TargetSet(np.append(thetas, thetas[0] + offset), np.append(phis, phis[0] + offset))
+    return response_matrix(geom, targets, SurfaceShape.uniform_random(geom, rng)).a
+
+
+NEAR_OFFSETS = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
+
+
 class TestPerAntennaSdp:
     def test_single_steering_vector_reaches_analytic_optimum(self):
         # With B = a a^H for unit-modulus a the optimum is p_t * n, attained
@@ -200,6 +217,27 @@ class TestPerAntennaSdp:
             float(np.real(np.sum(cov.r * b.T))), rel=1e-9)
         np.testing.assert_allclose(np.real(np.diag(cov.r)), 4.0 / n, rtol=1e-12)
         cov.validate()
+
+    @pytest.mark.parametrize("n_side", [2, 3, 4])
+    def test_near_offsets_cross_1e_10(self, n_side):
+        # The offsets put B's smallest relative eigenvalue on both sides of 1e-10.
+        svs = [np.linalg.svd(_near_coincident_a(n_side, off), compute_uv=False)
+               for off in NEAR_OFFSETS]
+        ratios = [(sv[-1] / sv[0]) ** 2 for sv in svs]
+        assert min(ratios) < 1e-10 < max(ratios)
+
+    @pytest.mark.parametrize("offset", NEAR_OFFSETS)
+    @pytest.mark.parametrize("n_side", [2, 3, 4])
+    def test_near_coincident_targets(self, n_side, offset):
+        # F keeps the near-zero singular pair of the two close targets.
+        a = _near_coincident_a(n_side, offset)
+        n = a.shape[0]
+        cov, report = solve_per_antenna_sdp(a, 4.0)
+        assert report.converged
+        assert report.objective <= report.dual_bound
+        assert report.objective == pytest.approx(
+            float(np.real(np.sum(cov.r * gram(a).T))), rel=1e-9)
+        np.testing.assert_allclose(np.real(np.diag(cov.r)), 4.0 / n, rtol=1e-12)
 
     @pytest.mark.parametrize("shape_seed, objective, dual_bound", [
         (None, 1040.4659371162802, 1040.4660496160143),

@@ -1,6 +1,7 @@
-"""Every name a package module imports at module level is used in that module.
+"""Every name a package module imports at module level is used in that module,
+and every module-level UPPER_CASE constant is read somewhere in the package.
 
-The one exception is a name that ``perfbench/tracing.py`` wraps there: the
+The one exception to the first is a name that ``perfbench/tracing.py`` wraps there: the
 tracer swaps module-level names for timing wrappers, so a few are imported
 only to be swapped. They are listed here, so that removing one is a
 deliberate edit of this list.
@@ -8,6 +9,7 @@ deliberate edit of this list.
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +39,32 @@ def unused_imports(source: str) -> set[str]:
     return imported - used
 
 
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def unread_constants(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, NAME) for each module-level UPPER_CASE constant of ``sources`` no module reads.
+
+    ``sources`` maps a module's name within the package to its text. A
+    constant counts as read when its own module loads the name or another
+    module imports it by a relative import.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {(node.module, alias.name) for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    unread = set()
+    for module, tree in trees.items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unread.update((module, t.id) for t in targets
+                          if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)
+                          and t.id not in loaded and (module, t.id) not in imported)
+    return unread
+
+
 def wrap_points() -> set[tuple[str, str]]:
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
@@ -58,3 +86,14 @@ def test_every_module_level_import_is_used():
         unused.update((module, name) for name in unused_imports(path.read_text()))
     assert unused == TRACER_ONLY
     assert TRACER_ONLY <= wrap_points()
+
+
+def test_the_checker_sees_an_unread_constant():
+    sources = {"a": "X = 1\nY: int = 2\n_Z = 3\n\ndef f():\n    return _Z\n",
+               "b": "from .a import Y\n__all__ = ['W']\n"}
+    assert unread_constants(sources) == {("a", "X")}
+
+
+def test_every_module_level_constant_is_read():
+    assert unread_constants({path.stem: path.read_text()
+                             for path in sorted(PACKAGE.glob("*.py"))}) == set()
