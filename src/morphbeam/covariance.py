@@ -15,10 +15,11 @@ B = F F^H exactly, with the N x r factor F over every singular pair of A
   starts from the phases of B's principal eigenvector. If it cannot
   certify a unique optimum, a block stage goes on with r columns from
   rownorm([w, F[:, 1:]]): every optimum has rank at most rank(B) <= r.
-  Its step Phi(X) = F^H rownorm(F X) acts on X = F^H V (r x r) with Anderson (type II) extrapolation from the last
-  _AA_MEMORY differences (Walker and Ni, SIAM J. Numer. Anal. 49, 2011),
-  kept only when its value is at least the plain step's; otherwise the
-  plain step is taken and the history restarts, so the value never falls.
+  Its step Phi(X) = F^H rownorm(F X) acts on X = F^H V (r x r) with
+  Anderson (type II) extrapolation from the last _AA_MEMORY differences
+  (Walker and Ni, SIAM J. Numer. Anal. 49, 2011), kept only when its
+  value is at least the plain step's; otherwise the plain step is taken
+  and the history restarts, so the value never falls.
 - **Certificate.** y_n = Re(v_n^H (B V)_n) sums to tr(V^H B V), and
   tr(V^H (Diag(y) - B) V) = 0, so y' = y - lambda_min(Diag(y) - B) 1 is
   dual feasible, and tight when V V^H is optimal. The eigenvalue comes from
