@@ -78,6 +78,18 @@ def _near_coincident_a(n_side, offset):
 NEAR_OFFSETS = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 
 
+def _assert_certified_solve(a):
+    "Solve at P_t = 4: converged, bound above the value, tr(R B) and diag(R) = 4 / N."
+    cov, report = solve_per_antenna_sdp(a, 4.0)
+    assert report.converged
+    assert report.relative_gap <= DEFAULT_SDP_TOL
+    assert report.objective <= report.dual_bound
+    assert report.objective == pytest.approx(
+        float(np.real(np.sum(cov.r * gram(a).T))), rel=1e-9)
+    np.testing.assert_allclose(np.real(np.diag(cov.r)), 4.0 / a.shape[0], rtol=1e-12)
+    cov.validate()
+
+
 class TestPerAntennaSdp:
     def test_single_steering_vector_reaches_analytic_optimum(self):
         # With B = a a^H for unit-modulus a the optimum is p_t * n, attained
@@ -202,21 +214,12 @@ class TestPerAntennaSdp:
             geom = ArrayGeometry(n_x=1, n_z=1, dx=0.5, dz=0.5)
             targets = TargetSet(th, ph)
         a = response_matrix(geom, targets, SurfaceShape.zero(geom)).a
-        b = gram(a)
-        eigvals = np.linalg.eigvalsh(b)
+        eigvals = np.linalg.eigvalsh(gram(a))
         if case == "eigenvalue-below-1e-10":
             assert 0.0 < eigvals[-3] < 1e-10 * eigvals[-1]
         else:
             assert eigvals[0] > 1e-3 * eigvals[-1]          # full rank
-        n = geom.n_elements
-        cov, report = solve_per_antenna_sdp(a, 4.0)
-        assert report.converged
-        assert report.relative_gap <= DEFAULT_SDP_TOL
-        assert report.objective <= report.dual_bound
-        assert report.objective == pytest.approx(
-            float(np.real(np.sum(cov.r * b.T))), rel=1e-9)
-        np.testing.assert_allclose(np.real(np.diag(cov.r)), 4.0 / n, rtol=1e-12)
-        cov.validate()
+        _assert_certified_solve(a)
 
     @pytest.mark.parametrize("n_side", [2, 3, 4])
     def test_near_offsets_cross_1e_10(self, n_side):
@@ -230,14 +233,7 @@ class TestPerAntennaSdp:
     @pytest.mark.parametrize("n_side", [2, 3, 4])
     def test_near_coincident_targets(self, n_side, offset):
         # F keeps the near-zero singular pair of the two close targets.
-        a = _near_coincident_a(n_side, offset)
-        n = a.shape[0]
-        cov, report = solve_per_antenna_sdp(a, 4.0)
-        assert report.converged
-        assert report.objective <= report.dual_bound
-        assert report.objective == pytest.approx(
-            float(np.real(np.sum(cov.r * gram(a).T))), rel=1e-9)
-        np.testing.assert_allclose(np.real(np.diag(cov.r)), 4.0 / n, rtol=1e-12)
+        _assert_certified_solve(_near_coincident_a(n_side, offset))
 
     @pytest.mark.parametrize("shape_seed, objective, dual_bound", [
         (None, 1040.4659371162802, 1040.4660496160143),
