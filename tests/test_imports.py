@@ -1,10 +1,10 @@
 """Every name a package module imports at module level is used in that module,
 and every module-level UPPER_CASE constant is read somewhere in the package.
 
-The one exception to the first is a name that ``perfbench/tracing.py`` wraps there: the
-tracer swaps module-level names for timing wrappers, so a few are imported
-only to be swapped. They are listed here, so that removing one is a
-deliberate edit of this list.
+The one exception to the first is a name that ``perfbench/tracing.py``
+wraps there: the tracer swaps module-level names for timing wrappers, so a
+few are imported only to be swapped. They are listed here, so that removing
+one is a deliberate edit of this list.
 """
 
 import ast
