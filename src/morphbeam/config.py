@@ -251,10 +251,13 @@ def _bad_target(index: int, value) -> TargetConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a JSON config file.
 
-    Raises ``ConfigError`` for malformed JSON or schema/semantic violations;
-    ``OSError`` propagates for unreadable paths.
+    Raises ``ConfigError`` for a file that is not UTF-8 text, malformed JSON
+    or schema/semantic violations; ``OSError`` propagates for unreadable paths.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -21,12 +21,15 @@ B = F F^H exactly, with the N x r factor F over every singular pair of A
   value is at least the plain step's; otherwise the plain step is taken
   and the history restarts, so the value never falls.
 - **Certificate.** y_n = Re(v_n^H (B V)_n) sums to tr(V^H B V), and
-  tr(V^H (Diag(y) - B) V) = 0, so y' = y - lambda_min(Diag(y) - B) 1 is
-  dual feasible, and tight when V V^H is optimal. The eigenvalue comes from
-  the r x r secular equation of Diag(y) - F F^H.
+  tr(V^H (Diag(y) - B) V) = 0. By the Schur complement Diag(y) >= F F^H
+  exactly when lam = lambda_max(F^H Diag(1/y) F) <= 1, so y' = lam y is
+  dual feasible, and tight (lam = 1) when V V^H is optimal: one r x r
+  eigendecomposition per certificate.
 - **Optimal face.** Every optimum lies in the null space U of the certified
-  slack Diag(y') - F F^H. A one-column U certified by the rank-1 stage
-  makes its iterate the unique optimum. After the block stage the face
+  slack Diag(y') - F F^H, spanned by Diag(1/y) F c for the eigenvectors c
+  of that same r x r matrix whose eigenvalues are lam to within _FACE_TOL.
+  A one-column U certified by the rank-1 stage makes its iterate the
+  unique optimum. After the block stage the face
   {U Q U^H : Q >= 0, diag(U Q U^H) = 1} may hold many optima, and the one
   the power method reaches depends on its start; the solve returns the
   face's analytic centre (max log det Q), which does not, and which is the
@@ -73,11 +76,12 @@ _FACE_GAP = 1e-10
 # differences of its history; 4 to 10 take within 2% of 5's desk steps, 3 5% more.
 _AA_MEMORY = 5
 
-# Eigenvalues mu of F^H Diag(1/y') F at or above 1 - _FACE_TOL mark the
-# optimal face (1 - mu is the slack's eigenvalue relative to y'). 1 - mu is
-# at most 6.2e-10 on it and at least 1.5e-2 off it on the 120 desk solves,
-# 1.5e-10 and 8e-5 on the test panel. A solve stopped at the cap read
-# 5.9e-7 and 2.2e-5, so the face's centre is kept only if it certifies.
+# Eigenvalues mu of F^H Diag(1/y) F at or above (1 - _FACE_TOL) lam, lam the
+# largest, mark the optimal face (1 - mu / lam is the slack's eigenvalue
+# relative to y' = lam y). 1 - mu / lam is at most 3.5e-10 on it and at
+# least 1.5e-2 off it on the 121 desk solves, 1.4e-10 and 8e-5 on the test
+# panel. Panel input 21 stopped by a 100-step cap (gap 3.3e-7) reads 3.6e-7
+# and 1.7e-4, so the face's centre is kept only if it certifies.
 _FACE_TOL = 1e-6
 
 # Singular values of the face's constraint map at or below this fraction of
@@ -235,53 +239,6 @@ def _check_a(a) -> np.ndarray:
     return a
 
 
-def _min_eigpair(g: np.ndarray, h: np.ndarray, lo: float) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and an eigenvector of Diag(g) - h h^H, h of size N x r.
-
-    ``lo`` is a lower bound on that eigenvalue, which may have either sign.
-    The eigenvalue lam is the root in (lo, min g] of 1 / kappa(lam) = 1,
-    where kappa(lam) is the largest eigenvalue of the r x r matrix
-    K(lam) = h^H Diag(1/(g - lam)) h. That reciprocal is
-    concave, decreasing and linear near each pole, so Newton's method on it,
-    kept inside a bisection bracket, converges fast; the eigenvector is
-    Diag(1/(g - lam)) h c for the top eigenvector c of K(lam). A zero
-    Newton step (kappa == 1 exactly, or a step below the spacing of lam)
-    ends the solve at lam; bisecting there would throw the root away.
-    """
-    hi = float(g.min())
-    tol = 1e-15 * (hi - lo)
-    lam = lo
-    for _ in range(200):
-        inv = 1.0 / (g - lam)
-        hs = h * np.sqrt(inv)[:, None]
-        kappas, vecs = np.linalg.eigh(hs.conj().T @ hs)
-        kappa = float(kappas[-1])
-        vec = inv * (h @ vecs[:, -1])
-        if kappa < 1.0:
-            lo = lam
-        else:
-            hi = lam
-        lam_next = lam + kappa * (1.0 - kappa) / max(float((np.abs(vec) ** 2).sum()), 1e-300)
-        if lam_next != lam and not lo < lam_next < hi:
-            lam_next = 0.5 * (lo + hi)
-        done = abs(lam_next - lam) <= tol
-        lam = lam_next
-        if done:
-            break
-    return lam, vec
-
-
-def _dual_bound(y: np.ndarray, f: np.ndarray) -> float:
-    """Dual bound on the normalized problem (diag(R) = 1, B = F F^H) from any y.
-
-    y - lambda_min(Diag(y) - F F^H) 1 is dual feasible, and that eigenvalue
-    is at least min y - ||F||_F^2, the secular solve's lower bracket. The
-    1e-12 relative margin covers the solve's rounding.
-    """
-    lam = _min_eigpair(y, f, float(y.min()) - float((np.abs(f) ** 2).sum()))[0]
-    return float(y.sum()) - y.size * (lam - 1e-12 * max(float(y.max()), 1.0))
-
-
 def _rownorm(x: np.ndarray) -> np.ndarray:
     """Rows of x scaled to unit norm, a zero row to e_1; a vector (p = 1) to exp(j arg x).
 
@@ -345,28 +302,28 @@ def _anderson_step(f: np.ndarray, x: np.ndarray, history: list) -> tuple[np.ndar
     return p, v
 
 
-def _certify(an, v, f) -> tuple[float, np.ndarray, float, float]:
-    """tr(V^H B V), the dual point y' of the iterate V (or w), its bound 1^T y' and the gap.
+def _certify(an, v, f) -> tuple[float, np.ndarray, float, float, np.ndarray]:
+    """tr(V^H B V), the dual point y' of the iterate V (or w), its bound 1^T y', the gap, the face.
 
-    The value and y read B through ``an``, the bound through its factor F.
+    The value and y read B through ``an``, the rest through its factor F.
+    y' = lam y for lam = lambda_max(F^H Diag(1/y) F). The face is spanned
+    by x = Diag(1/y) F c for the eigenvectors c with eigenvalues
+    mu >= (1 - _FACE_TOL) lam: (Diag(y') - F F^H) x = (1 - mu / lam) Diag(y') x.
     """
     a_v = an.conj().T @ v
     y = (v.conj() * (an @ a_v)).reshape(an.shape[0], -1).sum(axis=1).real
     value = factor_power(a_v)
-    dual = _dual_bound(y, f)
-    gap = (dual - value) / max(abs(dual), 1e-300)
-    return value, y + (dual - float(y.sum())) / y.size, dual, gap
-
-
-def _face(y_dual: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Orthonormal basis U of the near-null space of the slack Diag(y') - F F^H.
-
-    For x = Diag(1/y') F c, (Diag(y') - F F^H) x = (1 - mu) Diag(y') x when
-    F^H Diag(1/y') F c = mu c, so the r x r eigenproblem gives that space.
-    """
-    g = f / y_dual[:, None]
+    # Entries below eps max(max y, 1), y_n <= 0 among them (a zero row of A,
+    # or any iterate), are raised to it, so every V gives a finite, valid,
+    # if loose, bound.
+    y = np.maximum(y, np.finfo(float).eps * max(float(y.max()), 1.0))
+    g = f / y[:, None]
     mu, c = np.linalg.eigh(f.conj().T @ g)
-    return np.linalg.qr(g @ c[:, mu >= 1.0 - _FACE_TOL])[0]
+    # The 1e-12 relative margin on lam covers the rounding of the r x r matrix and its eigh.
+    y_dual = (float(mu[-1]) * (1.0 + 1e-12)) * y
+    dual = float(y_dual.sum())
+    gap = (dual - value) / max(abs(dual), 1e-300)
+    return value, y_dual, dual, gap, g @ c[:, mu >= (1.0 - _FACE_TOL) * mu[-1]]
 
 
 def _hermitian_basis(m: int) -> np.ndarray:
@@ -379,10 +336,11 @@ def _hermitian_basis(m: int) -> np.ndarray:
                            (pairs - flip) * 1j * np.sqrt(0.5)])
 
 
-def _face_centre(u: np.ndarray) -> np.ndarray | None:
-    """V with unit rows and V V^H the analytic centre of the face of U, or None.
+def _face_centre(face: np.ndarray) -> np.ndarray | None:
+    """V with unit rows and V V^H the analytic centre of the face spanned by ``face``, or None.
 
-    The centre maximizes log det Q over Hermitian Q with diag(U Q U^H) = 1.
+    U is an orthonormal basis of the columns of ``face`` (one QR). The
+    centre maximizes log det Q over Hermitian Q with diag(U Q U^H) = 1.
     In the coordinates of an orthonormal basis E_i of the Hermitian m x m
     matrices that constraint is a real N x m^2 map M q = 1. Its dual
     minimizes 1^T mu - log det S over mu, with S = sum_i (M^T mu)_i E_i,
@@ -393,6 +351,7 @@ def _face_centre(u: np.ndarray) -> np.ndarray | None:
     scales the rows of U chol(Q) to unit norm then makes diag(R) exact.
     None when Q is not numerically positive definite.
     """
+    u = np.linalg.qr(face)[0]
     basis = _hermitian_basis(u.shape[1])
     amap = np.real(np.einsum("nk,ikl,nl->ni", u, basis, u.conj()))
     left, sv, right = np.linalg.svd(amap, full_matrices=False)
@@ -437,8 +396,8 @@ def solve_per_antenna_sdp(a: np.ndarray, p_t: float) -> tuple[CovarianceMatrix, 
     f = np.asfortranarray(u) * (sv / sv[0])
 
     v, steps = _power_method(an, _rownorm(f[:, 0]), DEFAULT_ITER_CAP)
-    primal, y_dual, dual, gap = _certify(an, v, f)
-    if gap > DEFAULT_SDP_TOL or _face(y_dual, f).shape[1] > 1:
+    primal, _, dual, gap, face = _certify(an, v, f)
+    if gap > DEFAULT_SDP_TOL or face.shape[1] > 1:
         # Block stage, certified every _CHECK_STEPS steps until the slack is
         # exact enough to read the optimal face off it.
         v = _rownorm(np.column_stack([v, f[:, 1:]]))
@@ -447,11 +406,10 @@ def solve_per_antenna_sdp(a: np.ndarray, p_t: float) -> tuple[CovarianceMatrix, 
             for _ in range(min(_CHECK_STEPS, DEFAULT_ITER_CAP - steps)):
                 x, v = _anderson_step(f, x, history)
                 steps += 1
-            primal, y_dual, dual, gap = _certify(an, v, f)
+            primal, _, dual, gap, face = _certify(an, v, f)
             if gap <= _FACE_GAP or steps >= DEFAULT_ITER_CAP:
                 break
-        face = _face(y_dual, f)
-        centre = _face_centre(face) if gap <= DEFAULT_SDP_TOL and face.shape[1] else None
+        centre = _face_centre(face) if gap <= DEFAULT_SDP_TOL else None
         if centre is not None:
             value = factor_power(an.conj().T @ centre)
             centre_gap = (dual - value) / max(abs(dual), 1e-300)

@@ -326,11 +326,14 @@ def test_cli_compare_schemes_succeeds(tmp_path, capsys):
 
 
 def test_cli_rejects_malformed_json(tmp_path, capsys):
+    # a file that is not UTF-8 text is as malformed as bad JSON
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    rc = main(["optimize", "--config", str(path), "--out", str(tmp_path)])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    for content in (b"{not json", b"\xff\xfe{"):
+        path.write_bytes(content)
+        rc = main(["optimize", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

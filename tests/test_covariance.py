@@ -18,7 +18,6 @@ from morphbeam.covariance import (
     DEFAULT_SDP_TOL,
     ConstraintKind,
     CovarianceMatrix,
-    _min_eigpair,
     column_powers,
     randomize_rank1,
     solve_per_antenna_sdp,
@@ -300,9 +299,10 @@ class TestRank1FastPath:
     def test_no_uncertified_result(self):
         # Every solve, rank 1 or not, returns a covariance within the
         # certified gap. A rank-1 R is w w^H from the rank-1 stage, and the
-        # dual point behind the reported bound is y' = y - lam 1 with
-        # y_n = Re(conj(w_n) (B w)_n); a dense eigensolver confirms that
-        # Diag(y') - B is PSD at small N.
+        # dual point behind the reported bound is y' = lam y with
+        # y_n = Re(conj(w_n) (B w)_n) and lam the top eigenvalue of
+        # Diag(y)^-1/2 B Diag(y)^-1/2; a dense eigensolver confirms lam and
+        # that Diag(y') - B is PSD at small N.
         n_fast = n_dense = 0
         for a in _fast_path_panel():
             n = a.shape[0]
@@ -325,8 +325,11 @@ class TestRank1FastPath:
             if n <= 12:
                 n_dense += 1
                 y = np.real(w.conj() * (b @ w))
-                y_dual = y - (float(np.sum(y)) - report.dual_bound) / n
-                assert float(np.sum(y_dual)) == pytest.approx(report.dual_bound, rel=1e-12)
+                lam = report.dual_bound / float(np.sum(y))
+                y_dual = lam * y
+                root = 1.0 / np.sqrt(y)
+                assert lam == pytest.approx(
+                    float(np.linalg.eigvalsh(root[:, None] * b * root * (p_t / n))[-1]), rel=1e-9)
                 scale = float(np.linalg.eigvalsh(b)[-1]) * p_t / n
                 assert np.linalg.eigvalsh(np.diag(y_dual) - b * p_t / n)[0] >= -1e-9 * scale
         assert n_fast >= 10 and n_dense >= 5, (n_fast, n_dense)
@@ -375,69 +378,23 @@ class TestRank1FastPath:
         assert report.objective == pytest.approx(
             float(np.real(np.sum(cov.r * gram(a).T))), rel=1e-9)
 
-    def test_min_eigpair_below_zero(self):
-        # The certificate's eigenproblem Diag(g) - h h^H is indefinite; with
-        # the lower bracket min g - ||h||_F^2 the secular solve still finds
-        # its smallest eigenpair.
-        rng = np.random.default_rng(14)
-        for n, r in ((1, 1), (6, 1), (9, 3), (20, 5)):
-            g = rng.uniform(0.1, 2.0, n)
-            h = random_a(n, r, rng)
-            m = np.diag(g) - h @ h.conj().T
-            expected = float(np.linalg.eigvalsh(m)[0])
-            assert expected < 0.0
-            lam, vec = _min_eigpair(g, h, lo=float(np.min(g)) - float(np.sum(np.abs(h) ** 2)))
-            assert lam == pytest.approx(expected, rel=1e-12, abs=1e-12 * float(np.max(g)))
-            vec = vec / np.linalg.norm(vec)
-            assert np.linalg.norm(m @ vec - lam * vec) <= 1e-9 * np.linalg.norm(m, 2)
-
-    def test_min_eigpair_above_zero_with_the_wide_bracket(self):
-        # When Diag(g) - h h^H is positive definite, the dual bound's bracket
-        # still starts from min g - ||h||_F^2, which lies below zero.
-        rng = np.random.default_rng(15)
-        for n, r in ((2, 1), (6, 1), (9, 3), (20, 5), (100, 3)):
-            h = random_a(n, r, rng)
-            hh = h @ h.conj().T
-            g = rng.uniform(0.1, 2.0, n)
-            g += 1e-2 - float(np.linalg.eigvalsh(np.diag(g) - hh)[0])
-            m = np.diag(g) - hh
-            expected = float(np.linalg.eigvalsh(m)[0])
-            lo = float(np.min(g)) - float(np.sum(np.abs(h) ** 2))
-            assert lo < 0.0 < expected
-            lam, vec = _min_eigpair(g, h, lo)
-            assert lam == pytest.approx(expected, rel=1e-9, abs=1e-12 * float(np.max(g)))
-            vec = vec / np.linalg.norm(vec)
-            assert np.linalg.norm(m @ vec - lam * vec) <= 1e-9 * np.linalg.norm(m, 2)
-
-
-    def test_min_eigpair_stops_on_an_exact_root(self, monkeypatch):
-        # A secular solve can land on kappa == 1 exactly; bisecting away from
-        # that root and crawling back once took 45 iterations. Each iteration
-        # runs one r x r eigh, so counting eigh calls per secular solve
-        # bounds its iterations.
-        eigh_calls = [0]
-        per_solve = []
+    def test_a_certified_rank1_solve_runs_one_eigh(self, monkeypatch, morph_mimo_results):
+        # One r x r eigh gives the certificate's bound and its face, so the
+        # SDP at the desk fim-mimo optimum shape decomposes nothing else; the
+        # secular solve it replaced ran one eigh per step, 6 in all.
+        res, _ = morph_mimo_results[1.0]
+        a = response_matrix(desk_geometry(1.0), desk_targets(), res.shape).a
+        shapes = []
         eigh = np.linalg.eigh
-        min_eigpair = covariance._min_eigpair
 
-        def counting_eigh(x, *args, **kwargs):
-            eigh_calls[0] += 1
+        def counting(x, *args, **kwargs):
+            shapes.append(np.shape(x))
             return eigh(x, *args, **kwargs)
 
-        def counted(g, h, lo):
-            start = eigh_calls[0]
-            out = min_eigpair(g, h, lo)
-            per_solve.append(eigh_calls[0] - start)
-            return out
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(covariance, "_min_eigpair", counted)
-        panel = _fast_path_panel()
-        for a in panel:
-            _, report = solve_per_antenna_sdp(a, 3.0)
-            assert report.converged
-        assert len(per_solve) >= len(panel)
-        assert max(per_solve) <= 12, sorted(per_solve)[-5:]
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        cov, report = solve_per_antenna_sdp(a, DESK_P_T_MW)
+        assert report.converged and cov.g.shape[1] == 1
+        assert shapes == [(3, 3)]
 
 
 def _family_a(family, n, k, seed):
@@ -463,7 +420,46 @@ def _recording(monkeypatch, name, record):
     monkeypatch.setattr(covariance, name, wrapper)
 
 
+def _assert_valid_certificate(a, v):
+    """``_certify`` of the unit-row V (or vector w) on the normalized problem of A, checked densely.
+
+    Diag(y') - B must be PSD up to the rounding of ``eigvalsh``, and the
+    bound 1^T y' finite and at least tr(V^H B V), whatever V is.
+    """
+    u, sv, _ = np.linalg.svd(a, full_matrices=False)
+    an, f = a / sv[0], u * (sv / sv[0])
+    value, y_dual, dual, _, face = covariance._certify(an, v, f)
+    b = gram(an)
+    vm = v.reshape(a.shape[0], -1)
+    assert value == pytest.approx(float(np.real(np.trace(vm.conj().T @ b @ vm))),
+                                  rel=1e-12, abs=1e-15)
+    assert np.isfinite(dual) and dual == pytest.approx(float(np.sum(y_dual)), rel=1e-12)
+    assert dual >= value
+    slack = np.diag(y_dual) - f @ f.conj().T
+    assert np.linalg.eigvalsh(slack)[0] >= -1e-14 * max(1.0, float(np.max(y_dual)))
+    assert 1 <= face.shape[1] <= f.shape[1]
+
+
 class TestSolverProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), k=st.integers(1, 4), columns=st.integers(0, 4),
+           zero_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_certificate_of_any_iterate_is_valid(self, n, k, columns, zero_row, seed):
+        # Not only solver outputs: a random unit-row V has y_n <= 0 in some
+        # rows, as does a zero row of A (y_n = 0), and K >= N gives r = N.
+        rng = np.random.default_rng(seed)
+        a = random_a(n, k, rng)
+        if zero_row and n > 1:
+            a[rng.integers(n)] = 0.0
+        v = random_a(n, min(columns, n, k), rng) if columns else random_a(n, 1, rng)[:, 0]
+        _assert_valid_certificate(a, covariance._rownorm(v))
+
+    def test_certificate_of_an_iterate_that_b_annihilates(self):
+        # B V = 0 makes every y_n zero; the floor keeps the bound finite.
+        a = np.ones((2, 1), dtype=complex)
+        v = np.array([1.0, -1.0], dtype=complex)
+        _assert_valid_certificate(a, v)
+
     @settings(max_examples=100, deadline=None)
     @given(family=st.sampled_from(["gaussian", "unit-modulus", "coincident"]),
            n=st.integers(1, 30), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))

@@ -1,5 +1,6 @@
 """Every name a package module imports at module level is used in that module,
-and every module-level UPPER_CASE constant is read somewhere in the package.
+and every module-level UPPER_CASE constant and private function is read
+somewhere in the package.
 
 The one exception to the first is a name that ``perfbench/tracing.py``
 wraps there: the tracer swaps module-level names for timing wrappers, so a
@@ -42,12 +43,27 @@ def unused_imports(source: str) -> set[str]:
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
-def unread_constants(sources: dict[str, str]) -> set[tuple[str, str]]:
-    """(module, NAME) for each module-level UPPER_CASE constant of ``sources`` no module reads.
+def constant_names(node) -> list[str]:
+    "The UPPER_CASE names a module-level statement assigns."
+    targets = (node.targets if isinstance(node, ast.Assign) else
+               [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
+
+
+def private_function_names(node) -> list[str]:
+    "The name of a module-level ``def _name``, dunders aside."
+    if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+            and not node.name.endswith("__"):
+        return [node.name]
+    return []
+
+
+def unread_names(sources: dict[str, str], bound) -> set[tuple[str, str]]:
+    """(module, name) for each module-level name ``bound(statement)`` gives that no module reads.
 
     ``sources`` maps a module's name within the package to its text. A
-    constant counts as read when its own module loads the name or another
-    module imports it by a relative import.
+    name counts as read when its own module loads it or another module
+    imports it by a relative import.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     imported = {(node.module, alias.name) for tree in trees.values() for node in ast.walk(tree)
@@ -57,12 +73,13 @@ def unread_constants(sources: dict[str, str]) -> set[tuple[str, str]]:
         loaded = {node.id for node in ast.walk(tree)
                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         for node in tree.body:
-            targets = (node.targets if isinstance(node, ast.Assign) else
-                       [node.target] if isinstance(node, ast.AnnAssign) else [])
-            unread.update((module, t.id) for t in targets
-                          if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)
-                          and t.id not in loaded and (module, t.id) not in imported)
+            unread.update((module, name) for name in bound(node)
+                          if name not in loaded and (module, name) not in imported)
     return unread
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def wrap_points() -> set[tuple[str, str]]:
@@ -91,9 +108,20 @@ def test_every_module_level_import_is_used():
 def test_the_checker_sees_an_unread_constant():
     sources = {"a": "X = 1\nY: int = 2\n_Z = 3\n\ndef f():\n    return _Z\n",
                "b": "from .a import Y\n__all__ = ['W']\n"}
-    assert unread_constants(sources) == {("a", "X")}
+    assert unread_names(sources, constant_names) == {("a", "X")}
 
 
 def test_every_module_level_constant_is_read():
-    assert unread_constants({path.stem: path.read_text()
-                             for path in sorted(PACKAGE.glob("*.py"))}) == set()
+    assert unread_names(package_sources(), constant_names) == set()
+
+
+def test_the_checker_sees_an_unreferenced_private_function():
+    sources = {"a": "def _used():\n    pass\n\n\ndef _left():\n    pass\n\n\n"
+                    "def _imported():\n    pass\n\n\ndef __getattr__(name):\n    pass\n\n\n"
+                    "def f():\n    return _used\n",
+               "b": "from .a import _imported\n"}
+    assert unread_names(sources, private_function_names) == {("a", "_left")}
+
+
+def test_every_private_function_is_referenced():
+    assert unread_names(package_sources(), private_function_names) == set()
